@@ -36,7 +36,7 @@ print(f"  norm: {photon.norm_sq()} (exact)")
 print(f"  equation residual: {dirac_form_residual(photon.record(), 1, gs)}")
 print()
 
-c = apply_C_photon(photon, gs)
+c = apply_C_photon(photon)
 q = apply_Q_photon(photon, gs)
 print(f"C record == Q record: {c.record == q.record}")
 print(f"  C labels: momentum {c.momentum_label[1]}, energy {c.energy_label}, c sign {c.c_sign}")

@@ -5,6 +5,7 @@ the sign of the speed of light.
 The package is organized as a small library:
 
 * ``exact``      exact Gaussian-rational scalars, matrices, and elimination
+* ``gamma``      gamma-matrix sets: identity verification, conjugation spaces
 * ``signgroup``  the order-8 coordinate sign group and the 16 field symmetries
 * ``maxwell``    the field-equation system, invariance proofs, plane waves
 * ``photon``     the 8-component Dirac form, photon states, C and Q conjugation
@@ -49,8 +50,8 @@ from .maxwell import (
     plane_wave_residual,
     transform_system,
 )
+from .gamma import GammaIdentityError, GammaSet
 from .photon import (
-    GammaSet8,
     PhotonState,
     apply_C_photon,
     apply_Q_photon,
@@ -63,7 +64,6 @@ from .photon import (
 from .electron import (
     ChargedEquation,
     DiracTransform,
-    GammaSet4,
     SpinorState,
     apply_C_spinor,
     apply_Q_spinor,
@@ -78,7 +78,6 @@ from .electron import (
 )
 from .kinematics import (
     FourMomentum,
-    SignedConstants,
     infeasibility_scan,
     invariant_mass_sq,
     scalar_invariants,

@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--lambda", dest="lam", choices=sorted(LAMBDA_TOKENS), default="-i",
-        help="conjugation phase factor",
+        help="conjugation phase factor; write a negative value as --lambda=-i",
     )
     verify.add_argument(
         "--potential-rule", choices=POTENTIAL_RULE_TOKENS, default="both",

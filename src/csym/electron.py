@@ -27,15 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    EC_I,
-    ExactComplex,
-    ExactMatrix,
-    anticommutator,
-    fraction_sqrt,
-    in_span,
-    matrix_rank,
-    nullspace,
+from .exact import EC_I, ExactComplex, ExactMatrix, fraction_sqrt, matrix_rank
+from .gamma import (  # GammaIdentityError is public here too
+    ConjugationSpace,
+    GammaIdentityError,
+    GammaSet,
+    GammaSpec,
+    block,
+    build_gamma_set,
+    solve_conjugation_space,
 )
 from .sampling import Vec3, dot
 from .waves import (
@@ -48,13 +48,10 @@ from .waves import (
     measured_momentum,
 )
 
-METRIC_DIAG = (1, -1, -1, -1)
-
 MINUS_I = ExactComplex(0, -1)
 
-
-class GammaIdentityError(ValueError):
-    """A defining matrix failed one of its construction-time identities."""
+#: g2 imaginary, the rest real; g5 anticommutes with every g_a and is -i g0 g1 g2 g3
+GAMMA4 = GammaSpec(reality=(1, 1, -1, 1, 1), g5_anticommutator=(0, 0, 0, 0), g5_product=True)
 
 
 def _pauli() -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -64,133 +61,37 @@ def _pauli() -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     return sx, sy, sz
 
 
-def _block4(tl, tr, bl, br) -> ExactMatrix:
-    rows = []
-    for i in range(2):
-        rows.append(list(tl.row(i)) + list(tr.row(i)))
-    for i in range(2):
-        rows.append(list(bl.row(i)) + list(br.row(i)))
-    return ExactMatrix.from_rows(rows)
+def build_gamma4(corrupt: tuple[str, int, int] | None = None) -> GammaSet:
+    """Construct and verify the Dirac set; rejects on any failed identity.
 
-
-@dataclass(frozen=True)
-class GammaSet4:
-    """The Dirac matrices plus the fifth matrix, metric diag(+,-,-,-)."""
-
-    g0: ExactMatrix
-    g1: ExactMatrix
-    g2: ExactMatrix
-    g3: ExactMatrix
-    g5: ExactMatrix
-
-    @property
-    def vector(self) -> tuple[ExactMatrix, ...]:
-        return (self.g0, self.g1, self.g2, self.g3)
-
-
-def _verify_identities_4(gs: GammaSet4) -> None:
-    ident = ExactMatrix.identity(4)
-    gam = gs.vector
-    for a in range(4):
-        for b in range(4):
-            want = ident.scale(2 * (METRIC_DIAG[a] if a == b else 0))
-            if anticommutator(gam[a], gam[b]) != want:
-                raise GammaIdentityError(
-                    f"anticommutation failed: {{g{a}, g{b}}} != 2 g^{a}{b}"
-                )
-    for a in range(4):
-        if not anticommutator(gam[a], gs.g5).is_zero():
-            raise GammaIdentityError(f"g5 does not anticommute with g{a}")
-    if gs.g0.dagger() != gs.g0:
-        raise GammaIdentityError("g0 is not hermitian")
-    for k, g in enumerate(gam[1:], start=1):
-        if g.dagger() != -g:
-            raise GammaIdentityError(f"g{k} is not antihermitian")
-    if gs.g0 @ gs.g0 != ident:
-        raise GammaIdentityError("g0 squared is not the identity")
-    for k, g in enumerate(gam[1:], start=1):
-        if g @ g != -ident:
-            raise GammaIdentityError(f"g{k} squared is not minus the identity")
-    for a in (0, 1, 3):
-        if gam[a].conj() != gam[a]:
-            raise GammaIdentityError(f"g{a} is not real")
-    if gs.g2.conj() != -gs.g2:
-        raise GammaIdentityError("g2 is not imaginary")
-    for a in (0, 2):
-        if gam[a].transpose() != gam[a]:
-            raise GammaIdentityError(f"g{a} is not symmetric")
-    for a in (1, 3):
-        if gam[a].transpose() != -gam[a]:
-            raise GammaIdentityError(f"g{a} is not antisymmetric")
-    product = (gs.g0 @ gs.g1 @ gs.g2 @ gs.g3).scale(MINUS_I)
-    if product != gs.g5:
-        raise GammaIdentityError("g5 != -i g0 g1 g2 g3")
-    if gs.g5.dagger() != gs.g5:
-        raise GammaIdentityError("g5 is not hermitian")
-    if gs.g5.conj() != gs.g5:
-        raise GammaIdentityError("g5 is not real")
-    if gs.g5 @ gs.g5 != ident:
-        raise GammaIdentityError("g5 squared is not the identity")
-
-
-def build_gamma4(corrupt: tuple[str, int, int] | None = None) -> GammaSet4:
-    """Construct and verify the Dirac set; rejects on any failed identity."""
+    `corrupt` is the same test hook as in build_gamma8.
+    """
     sx, sy, sz = _pauli()
     z2 = ExactMatrix.zeros(2, 2)
     i2 = ExactMatrix.identity(2)
     mats = {
-        "g0": _block4(i2, z2, z2, -i2),
-        "g1": _block4(z2, sx, -sx, z2),
-        "g2": _block4(z2, sy, -sy, z2),
-        "g3": _block4(z2, sz, -sz, z2),
-        "g5": _block4(z2, -i2, -i2, z2),
+        "g0": block(i2, z2, z2, -i2),
+        "g1": block(z2, sx, -sx, z2),
+        "g2": block(z2, sy, -sy, z2),
+        "g3": block(z2, sz, -sz, z2),
+        "g5": block(z2, -i2, -i2, z2),
     }
-    if corrupt is not None:
-        name, i, j = corrupt
-        m = mats[name]
-        entries = list(m.entries)
-        idx = i * m.cols + j
-        entries[idx] = entries[idx] - ExactComplex(1)
-        mats[name] = ExactMatrix(m.rows, m.cols, entries)
-    gs = GammaSet4(**mats)
-    _verify_identities_4(gs)
-    return gs
+    return build_gamma_set(GAMMA4, mats, corrupt)
 
 
-@dataclass(frozen=True)
-class ConjugationSpace4:
-    """Solutions U of U g^aT U^-1 = -g^a, as a canonical nullspace basis."""
-
-    basis: tuple[ExactMatrix, ...]
-    rank: int
-    nullity: int
-
-    def contains(self, m: ExactMatrix) -> bool:
-        vecs = [ExactMatrix.column(b.entries) for b in self.basis]
-        return in_span(vecs, ExactMatrix.column(m.entries))
-
-
-def solve_UQ(gs: GammaSet4) -> ConjugationSpace4:
+def solve_UQ(gs: GammaSet) -> ConjugationSpace:
     """Exact nullspace of {U g0 = -g0 U, U g2 = -g2 U, U g1 = g1 U, U g3 = g3 U}.
 
     With the transpose pattern of this set these are exactly the constraints
     U g^aT U^-1 = -g^a; the solution -g0 g2 must lie in the span.
     """
-    from .photon import conjugation_constraint_rows
-
-    system = conjugation_constraint_rows(gs.vector, (-1, +1, -1, +1), 4)
-    basis, rank = nullspace(system)
-    space = ConjugationSpace4(
-        basis=tuple(ExactMatrix(4, 4, b.entries) for b in basis),
-        rank=rank,
-        nullity=len(basis),
-    )
-    if not space.contains(-(gs.g0 @ gs.g2)):
+    space = solve_conjugation_space(gs, tuple(-t for t in GAMMA4.transpose_pattern))
+    if not space.contains(conjugation_matrix(gs)):
         raise AssertionError("-g0 g2 unexpectedly missing from the solution space")
     return space
 
 
-def conjugation_matrix(gs: GammaSet4) -> ExactMatrix:
+def conjugation_matrix(gs: GammaSet) -> ExactMatrix:
     """U_Q = U_C = -g0 g2."""
     return -(gs.g0 @ gs.g2)
 
@@ -210,19 +111,14 @@ class DiracTransform:
     arg_sig: tuple[int, int]  # signs on (x0, x)
     c_sign: int = 1
     hbar_sign: int = 1
-    e_sign: int = 1
-    a0_sign: int = 1
-    a_sign: int = 1
-    sigma_sign: int = 1
 
     def __post_init__(self):
         if matrix_rank(self.matrix) != self.matrix.rows:
             raise ValueError(f"table entry {self.name} has a singular matrix")
 
 
-def build_transform_table(gs: GammaSet4 | None = None) -> dict[str, DiracTransform]:
+def build_transform_table(gs: GammaSet) -> dict[str, DiracTransform]:
     """The seven light-speed-inversion rows plus the four literature rows."""
-    gs = gs or build_gamma4()
     g0, g1, g2, g3, g5 = gs.g0, gs.g1, gs.g2, gs.g3, gs.g5
     i = EC_I
     entries = [
@@ -232,7 +128,7 @@ def build_transform_table(gs: GammaSet4 | None = None) -> dict[str, DiracTransfo
         DiracTransform("QPT", g5.scale(i), False, (-1, -1), c_sign=-1, hbar_sign=-1),
         DiracTransform("QT", (g1 @ g2 @ g3).scale(i), False, (-1, 1), c_sign=-1, hbar_sign=-1),
         DiracTransform("QP", (g0 @ g2).scale(i), True, (1, -1), c_sign=-1, hbar_sign=-1),
-        DiracTransform("Q", g2, True, (1, 1), c_sign=-1, hbar_sign=-1, sigma_sign=-1),
+        DiracTransform("Q", g2, True, (1, 1), c_sign=-1, hbar_sign=-1),
         # literature column, for the row-by-row correspondence with the Q column
         DiracTransform("C", g2, True, (1, 1)),
         DiracTransform("CP", (g0 @ g2).scale(i), True, (1, -1)),
@@ -254,7 +150,7 @@ class SymmetryCertificate:
     per_index: tuple[bool, bool, bool, bool]
 
 
-def verify_symmetry(entry: DiracTransform, gs: GammaSet4 | None = None) -> SymmetryCertificate:
+def verify_symmetry(entry: DiracTransform, gs: GammaSet) -> SymmetryCertificate:
     """Certify psi'(x) = M psi^(*)(eps x) as a free-equation symmetry.
 
     Substituting psi' into the equation with the entry's mapped constants and
@@ -266,7 +162,6 @@ def verify_symmetry(entry: DiracTransform, gs: GammaSet4 | None = None) -> Symme
 
     written multiplicatively to avoid forming M^-1.
     """
-    gs = gs or build_gamma4()
     s = entry.c_sign * entry.hbar_sign
     per = []
     for a, g in enumerate(gs.vector):
@@ -290,7 +185,7 @@ def transform_wave(entry: DiracTransform, rec: PlaneWaveFunction) -> PlaneWaveFu
 
 
 def transformed_residual(entry: DiracTransform, rec: PlaneWaveFunction, m: Fraction,
-                         c_sign: int, hbar_sign: int, gs: GammaSet4) -> float:
+                         c_sign: int, hbar_sign: int, gs: GammaSet) -> float:
     """Residual of the transformed wave against the equation with mapped constants."""
     out = transform_wave(entry, rec)
     mc = m * Fraction(c_sign * entry.c_sign)
@@ -309,10 +204,6 @@ def _nsigma(n: Vec3) -> ExactMatrix:
         [ExactComplex(n[2]), ExactComplex(n[0], -n[1])],
         [ExactComplex(n[0], n[1]), ExactComplex(-n[2])],
     ])
-
-
-def _sigma_y() -> ExactMatrix:
-    return ExactMatrix.from_rows([[0, MINUS_I], [EC_I, 0]])
 
 
 def _apply2(m: ExactMatrix, z: tuple[ExactComplex, ExactComplex]) -> tuple[ExactComplex, ExactComplex]:
@@ -433,16 +324,14 @@ def build_spinor(p, m, z, branch: int = 1, c_sign: int = 1, hbar_sign: int = 1) 
     return state
 
 
-def spinor_norm(state: SpinorState, gs: GammaSet4 | None = None) -> ExactComplex:
+def spinor_norm(state: SpinorState, gs: GammaSet) -> ExactComplex:
     """ubar u for the unnormalized bispinor: 2mc on the + branch, -2mc on -."""
-    gs = gs or build_gamma4()
     u = state.bispinor()
     return bilinear(u, gs.g0, u)
 
 
-def free_residual(state: SpinorState, gs: GammaSet4 | None = None) -> float:
+def free_residual(state: SpinorState, gs: GammaSet) -> float:
     """Residual of the state's record in the free equation with its own signs."""
-    gs = gs or build_gamma4()
     rec = state.record()
     matrix = free_dirac_residual_matrix(
         rec.kappa, state.mc, Fraction(state.hbar_sign), gs.vector
@@ -450,12 +339,10 @@ def free_residual(state: SpinorState, gs: GammaSet4 | None = None) -> float:
     return max_abs_radical(matrix_times_radicals(matrix, rec.amp))
 
 
-def _partner_z(state: SpinorState) -> tuple[ExactComplex, ExactComplex]:
+def _partner_z(z, branch: int) -> tuple[ExactComplex, ExactComplex]:
     """The conjugation-partner 2-spinor: -sigma_y z* on the + branch, +sigma_y z* on -."""
-    sy = _sigma_y()
-    zc = (state.z[0].conjugate(), state.z[1].conjugate())
-    out = _apply2(sy, zc)
-    if state.branch == 1:
+    out = _apply2(_pauli()[1], (z[0].conjugate(), z[1].conjugate()))
+    if branch == 1:
         return (-out[0], -out[1])
     return out
 
@@ -481,7 +368,7 @@ class ConjugatedSpinor:
         return Fraction(self.c_sign) * p0l
 
 
-def apply_C_spinor(state: SpinorState | ConjugatedSpinor, gs: GammaSet4 | None = None
+def apply_C_spinor(state: SpinorState | ConjugatedSpinor, gs: GammaSet
                    ) -> SpinorState | ConjugatedSpinor:
     """Charge conjugation psi -> g2 psi*.
 
@@ -489,31 +376,25 @@ def apply_C_spinor(state: SpinorState | ConjugatedSpinor, gs: GammaSet4 | None =
     branch, partner spinor); that template form is asserted against the
     directly computed matrix route before returning.
     """
-    gs = gs or build_gamma4()
     if isinstance(state, SpinorState):
         out_rec = state.record().conjugate_function().apply_matrix(gs.g2)
         out_state = SpinorState(
-            p=state.p, m=state.m, z=_partner_z(state), branch=-state.branch,
+            p=state.p, m=state.m, z=_partner_z(state.z, state.branch), branch=-state.branch,
             c_sign=state.c_sign, hbar_sign=state.hbar_sign,
         )
         if out_state.record() != out_rec:
             raise AssertionError("conjugated record does not match its template form")
         return out_state
-    sy = _sigma_y()
-    zc = (state.z_label[0].conjugate(), state.z_label[1].conjugate())
-    flipped = _apply2(sy, zc)
-    if state.effective_branch == 1:
-        flipped = (-flipped[0], -flipped[1])
     return ConjugatedSpinor(
         record=state.record.conjugate_function().apply_matrix(gs.g2),
-        z_label=flipped,
+        z_label=_partner_z(state.z_label, state.effective_branch),
         effective_branch=-state.effective_branch,
         c_sign=state.c_sign,
         hbar_sign=state.hbar_sign,
     )
 
 
-def apply_Q_spinor(state: SpinorState, gs: GammaSet4 | None = None) -> ConjugatedSpinor:
+def apply_Q_spinor(state: SpinorState, gs: GammaSet) -> ConjugatedSpinor:
     """Light-speed inversion: rebuild the state with every label substituted
     (c, hbar, sigma, and hence all 4-momentum labels negated), conjugate, and
     multiply by the sigma-flipped conjugation matrix -g2.
@@ -521,7 +402,6 @@ def apply_Q_spinor(state: SpinorState, gs: GammaSet4 | None = None) -> Conjugate
     The radical branches follow the worked chain: conjugate branch (-i) for
     the bispinor radicals, principal branch for the 1/sqrt(2 p0) prefactor.
     """
-    gs = gs or build_gamma4()
     p0_new = -state.p0
     mc_new = -state.mc
     p_new = tuple(-pk for pk in state.p)
@@ -549,7 +429,7 @@ def apply_Q_spinor(state: SpinorState, gs: GammaSet4 | None = None) -> Conjugate
     out_rec = relabeled.conjugate_function().apply_matrix(-gs.g2)
     return ConjugatedSpinor(
         record=out_rec,
-        z_label=_partner_z(state),
+        z_label=_partner_z(state.z, state.branch),
         effective_branch=-state.branch,
         c_sign=-state.c_sign,
         hbar_sign=-state.hbar_sign,
@@ -585,7 +465,7 @@ class ChargedEquation:
     def form(self) -> tuple[int, int, int, int]:
         return (self.charge_sign, self.a0_sign, self.a_sign, self.mass_sign)
 
-    def terms(self, gs: GammaSet4) -> dict[str, ExactMatrix]:
+    def terms(self, gs: GammaSet) -> dict[str, ExactMatrix]:
         """Coefficient matrices per formal symbol, all terms moved left."""
         e = self.charge_sign
         out = {
@@ -598,7 +478,7 @@ class ChargedEquation:
         return out
 
 
-def _chain_step_conjugate_transpose(terms: dict[str, ExactMatrix], gs: GammaSet4
+def _chain_step_conjugate_transpose(terms: dict[str, ExactMatrix], gs: GammaSet
                                     ) -> dict[str, ExactMatrix]:
     """Dirac-conjugate the equation and transpose it.
 
@@ -617,7 +497,7 @@ def _chain_step_u_conjugate(terms: dict[str, ExactMatrix], u: ExactMatrix
     return {sym: u @ x @ u for sym, x in terms.items()}  # u is self-inverse
 
 
-def _extract_record(terms: dict[str, ExactMatrix], gs: GammaSet4,
+def _extract_record(terms: dict[str, ExactMatrix], gs: GammaSet,
                     context: tuple[int, int]) -> ChargedEquation:
     """Normalize the momentum coefficient to +gamma and read the signs off."""
     mu = None
@@ -652,7 +532,7 @@ def _extract_record(terms: dict[str, ExactMatrix], gs: GammaSet4,
 
 
 def transform_charged_equation(eq: ChargedEquation, potential_rule: str,
-                               gs: GammaSet4 | None = None) -> ChargedEquation:
+                               gs: GammaSet) -> ChargedEquation:
     """Push the equation through the Q chain and apply the potential rule.
 
     The chain is Dirac conjugation, transposition, then conjugation by the
@@ -665,7 +545,6 @@ def transform_charged_equation(eq: ChargedEquation, potential_rule: str,
         raise ValueError(
             f"potential_rule must be one of {POTENTIAL_RULES}, got {potential_rule!r}"
         )
-    gs = gs or build_gamma4()
     if eq.a0_sign != 1 or eq.a_sign != 1:
         # fold input potential signs into the coupling for the chain
         eq = ChargedEquation(

@@ -32,20 +32,6 @@ class FourMomentum:
         object.__setattr__(self, "e", float(self.e))
 
 
-@dataclass(frozen=True)
-class SignedConstants:
-    """Sign labels applied to the fixed positive magnitudes c, hbar, e."""
-
-    c_sign: int = 1
-    hbar_sign: int = 1
-    e_sign: int = 1
-
-    def __post_init__(self):
-        for name in ("c_sign", "hbar_sign", "e_sign"):
-            if getattr(self, name) not in (-1, 1):
-                raise ValueError(f"{name} must be +1 or -1")
-
-
 def invariant_mass_sq(momenta: Sequence[FourMomentum], c: float = 1.0) -> float:
     """s = (sum e)^2 - c^2 |sum p|^2, with order-independent summation."""
     if not momenta:

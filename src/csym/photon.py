@@ -14,14 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    EC_I,
-    EC_ONE,
-    ExactComplex,
-    ExactMatrix,
-    anticommutator,
-    in_span,
-    nullspace,
+from .exact import EC_I, EC_ONE, ExactComplex, ExactMatrix
+from .gamma import (  # GammaIdentityError and conjugation_constraint_rows are public here too
+    ConjugationSpace,
+    GammaIdentityError,
+    GammaSet,
+    GammaSpec,
+    block,
+    build_gamma_set,
+    conjugation_constraint_rows,
+    solve_conjugation_space,
 )
 from .sampling import Vec3, cross, dot
 from .waves import (
@@ -34,7 +36,8 @@ from .waves import (
     measured_momentum,
 )
 
-METRIC_DIAG = (1, -1, -1, -1)
+#: all five matrices real; {g0, g5} = -2I and g5 anticommutes with g1, g2, g3
+GAMMA8 = GammaSpec(reality=(1, 1, 1, 1, 1), g5_anticommutator=(-2, 0, 0, 0), g5_product=False)
 
 ALLOWED_LAMBDA = (
     ExactComplex(1),
@@ -42,10 +45,6 @@ ALLOWED_LAMBDA = (
     ExactComplex(0, 1),
     ExactComplex(0, -1),
 )
-
-
-class GammaIdentityError(ValueError):
-    """A defining matrix failed one of its construction-time identities."""
 
 
 def _alpha_matrices() -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -70,101 +69,26 @@ def _alpha_matrices() -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     return a1, a2, a3
 
 
-def _block8(tl, tr, bl, br) -> ExactMatrix:
-    rows = []
-    for i in range(4):
-        rows.append(list(tl.row(i)) + list(tr.row(i)))
-    for i in range(4):
-        rows.append(list(bl.row(i)) + list(br.row(i)))
-    return ExactMatrix.from_rows(rows)
-
-
-@dataclass(frozen=True)
-class GammaSet8:
-    """The five 8x8 matrices with metric diag(+,-,-,-)."""
-
-    g0: ExactMatrix
-    g1: ExactMatrix
-    g2: ExactMatrix
-    g3: ExactMatrix
-    g5: ExactMatrix
-
-    @property
-    def vector(self) -> tuple[ExactMatrix, ...]:
-        return (self.g0, self.g1, self.g2, self.g3)
-
-
-def _verify_identities_8(gs: GammaSet8) -> None:
-    ident = ExactMatrix.identity(8)
-    gam = gs.vector
-    for a in range(4):
-        for b in range(4):
-            want = ident.scale(2 * (METRIC_DIAG[a] if a == b else 0))
-            if anticommutator(gam[a], gam[b]) != want:
-                raise GammaIdentityError(
-                    f"anticommutation failed: {{g{a}, g{b}}} != 2 g^{a}{b}"
-                )
-    for a in range(4):
-        want = ident.scale(-2 if a == 0 else 0)
-        if anticommutator(gam[a], gs.g5) != want:
-            raise GammaIdentityError(
-                f"shifted g5 anticommutation failed for index {a}"
-            )
-    if gs.g0.dagger() != gs.g0:
-        raise GammaIdentityError("g0 is not hermitian")
-    for k, g in enumerate(gam[1:], start=1):
-        if g.dagger() != -g:
-            raise GammaIdentityError(f"g{k} is not antihermitian")
-    if gs.g0 @ gs.g0 != ident:
-        raise GammaIdentityError("g0 squared is not the identity")
-    for k, g in enumerate(gam[1:], start=1):
-        if g @ g != -ident:
-            raise GammaIdentityError(f"g{k} squared is not minus the identity")
-    for a, g in enumerate(gam):
-        if g.conj() != g:
-            raise GammaIdentityError(f"g{a} is not real")
-    if gs.g0.transpose() != gs.g0:
-        raise GammaIdentityError("g0 is not symmetric")
-    for k, g in enumerate(gam[1:], start=1):
-        if g.transpose() != -g:
-            raise GammaIdentityError(f"g{k} is not antisymmetric")
-    if gs.g5.dagger() != gs.g5:
-        raise GammaIdentityError("g5 is not hermitian")
-    if gs.g5.conj() != gs.g5:
-        raise GammaIdentityError("g5 is not real")
-    if gs.g5 @ gs.g5 != ident:
-        raise GammaIdentityError("g5 squared is not the identity")
-
-
-def build_gamma8(corrupt: tuple[str, int, int] | None = None) -> GammaSet8:
+def build_gamma8(corrupt: tuple[str, int, int] | None = None) -> GammaSet:
     """Construct and verify the 8x8 set; rejects on any failed identity.
 
-    `corrupt` is a test hook: ("g1", i, j) flips the sign of one entry of the
-    named matrix before verification, which must trigger a rejection.
+    `corrupt` is a test hook: ("g1", i, j) lowers one entry of the named
+    matrix by 1 before verification, which must trigger a rejection.
     """
     a1, a2, a3 = _alpha_matrices()
     z4 = ExactMatrix.zeros(4, 4)
     i4 = ExactMatrix.identity(4)
     mats = {
-        "g0": _block8(z4, i4, i4, z4),
-        "g1": _block8(a1, z4, z4, -a1),
-        "g2": _block8(a2, z4, z4, -a2),
-        "g3": _block8(a3, z4, z4, -a3),
-        "g5": _block8(z4, -i4, -i4, z4),
+        "g0": block(z4, i4, i4, z4),
+        "g1": block(a1, z4, z4, -a1),
+        "g2": block(a2, z4, z4, -a2),
+        "g3": block(a3, z4, z4, -a3),
+        "g5": block(z4, -i4, -i4, z4),
     }
-    if corrupt is not None:
-        name, i, j = corrupt
-        m = mats[name]
-        entries = list(m.entries)
-        idx = i * m.cols + j
-        entries[idx] = entries[idx] - ExactComplex(1)
-        mats[name] = ExactMatrix(m.rows, m.cols, entries)
-    gs = GammaSet8(**mats)
-    _verify_identities_8(gs)
-    return gs
+    return build_gamma_set(GAMMA8, mats, corrupt)
 
 
-def gamma5_product_check(gs: GammaSet8) -> tuple[bool, ExactMatrix]:
+def gamma5_product_check(gs: GammaSet) -> tuple[bool, ExactMatrix]:
     """Does g0 g1 g2 g3 equal g5?  Returns the verdict and the actual product.
 
     This claimed relation is checked separately from the construction-time
@@ -182,48 +106,14 @@ def gamma5_product_check(gs: GammaSet8) -> tuple[bool, ExactMatrix]:
     return prod == gs.g5, prod
 
 
-@dataclass(frozen=True)
-class ConjugationSpace:
-    """Canonical basis of matrices U with U g0 = g0 U and U gk = -gk U."""
-
-    basis: tuple[ExactMatrix, ...]
-    rank: int
-    nullity: int
-
-    def contains(self, m: ExactMatrix) -> bool:
-        vecs = [ExactMatrix.column(b.entries) for b in self.basis]
-        return in_span(vecs, ExactMatrix.column(m.entries))
-
-
-def conjugation_constraint_rows(gammas, signs, n) -> ExactMatrix:
-    """Vectorized rows of U G - s G U = 0 for each (G, s), unknowns vec(U)."""
-    rows = []
-    for G, s in zip(gammas, signs):
-        for i in range(n):
-            for j in range(n):
-                row = [ExactComplex(0)] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = row[i * n + k] + G[k, j]
-                for k in range(n):
-                    row[k * n + j] = row[k * n + j] - G[i, k] * s
-                rows.append(row)
-    return ExactMatrix.from_rows(rows)
-
-
-def solve_conjugation_8(gs: GammaSet8) -> ConjugationSpace:
+def solve_conjugation_8(gs: GammaSet) -> ConjugationSpace:
     """Exact nullspace of the transposition-conjugation constraints.
 
     The condition U g^aT U^-1 = g^a becomes, with the transpose pattern of
     this set, the homogeneous system {U g0 - g0 U = 0, U gk + gk U = 0} in
     the 64 entries of U; lambda * g0 must lie in the solution span.
     """
-    system = conjugation_constraint_rows(gs.vector, (1, -1, -1, -1), 8)
-    basis, rank = nullspace(system)
-    space = ConjugationSpace(
-        basis=tuple(ExactMatrix(8, 8, b.entries) for b in basis),
-        rank=rank,
-        nullity=len(basis),
-    )
+    space = solve_conjugation_space(gs, GAMMA8.transpose_pattern)
     if not space.contains(gs.g0):
         raise AssertionError("g0 unexpectedly missing from the conjugation space")
     return space
@@ -322,20 +212,14 @@ class ConjugatedPhoton:
         return Fraction(self.c_sign) * p0
 
 
-def apply_C_photon(state: PhotonState | ConjugatedPhoton, gs: GammaSet8 | None = None
-                   ) -> ConjugatedPhoton:
+def apply_C_photon(state: PhotonState | ConjugatedPhoton) -> ConjugatedPhoton:
     """Charge conjugation: lam * g0 (Psi^dagger g0)^T, which reduces to lam Psi*.
 
-    Both routes are computed and compared exactly before returning.
+    The reduction uses g0 g0 = I, which build_gamma8 verifies.
     """
-    gs = gs or build_gamma8()
     rec = state.record() if isinstance(state, PhotonState) else state.record
-    via_matrix = rec.conjugate_function().apply_matrix(gs.g0).apply_matrix(gs.g0).scale(state.lam)
-    shortcut = rec.conjugate_function().scale(state.lam)
-    if via_matrix != shortcut:
-        raise AssertionError("matrix and shortcut conjugation routes disagree")
     return ConjugatedPhoton(
-        record=via_matrix,
+        record=rec.conjugate_function().scale(state.lam),
         n=state.n, l=state.l, m=state.m, lam=state.lam,
         hbar_sign=state.hbar_sign, c_sign=state.c_sign,
     )
@@ -352,14 +236,12 @@ def _q_relabeled(rec: PlaneWaveFunction) -> PlaneWaveFunction:
     return PlaneWaveFunction(rec.amp, kappa)
 
 
-def apply_Q_photon(state: PhotonState | ConjugatedPhoton, gs: GammaSet8 | None = None
-                   ) -> ConjugatedPhoton:
+def apply_Q_photon(state: PhotonState | ConjugatedPhoton, gs: GammaSet) -> ConjugatedPhoton:
     """Light-speed/action inversion: U_Q (Psi-bar)^T on the relabeled state.
 
     U_Q equals the charge-conjugation matrix lam * g0 because the massless
     equation is blind to the signs of c and hbar.
     """
-    gs = gs or build_gamma8()
     rec = state.record() if isinstance(state, PhotonState) else state.record
     relabeled = _q_relabeled(rec)
     out = relabeled.conjugate_function().apply_matrix(gs.g0).apply_matrix(gs.g0).scale(state.lam)
@@ -384,16 +266,15 @@ def phase_displacement_form(state: PhotonState) -> PlaneWaveFunction:
     return PlaneWaveFunction(amp, kappa)
 
 
-def dirac_form_residual(rec: PlaneWaveFunction, hbar_sign: int, gs: GammaSet8) -> float:
+def dirac_form_residual(rec: PlaneWaveFunction, hbar_sign: int, gs: GammaSet) -> float:
     """Max |component| of the massless Dirac-form operator applied to rec."""
     m = free_dirac_residual_matrix(rec.kappa, Fraction(0), Fraction(hbar_sign), gs.vector)
     return max_abs_radical(matrix_times_radicals(m, rec.amp))
 
 
-def currents(state: PhotonState, conjugated: ConjugatedPhoton, gs: GammaSet8 | None = None
+def currents(state: PhotonState, conjugated: ConjugatedPhoton, gs: GammaSet
              ) -> tuple[ExactComplex, tuple, ExactComplex, tuple]:
     """The bilinears Psi-bar gamma^a Psi for the state and its conjugate."""
-    gs = gs or build_gamma8()
     rec, crec = state.record(), conjugated.record
     j0 = bilinear(rec.amp, gs.g0 @ gs.g0, rec.amp)
     jk = tuple(bilinear(rec.amp, gs.g0 @ g, rec.amp) for g in (gs.g1, gs.g2, gs.g3))

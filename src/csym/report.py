@@ -16,6 +16,7 @@ import numpy as np
 
 from . import electron, kinematics, maxwell, photon, signgroup
 from .exact import EC_ONE, ExactComplex
+from .gamma import GammaIdentityError
 from .sampling import (
     gaussian_rational_spinor,
     momentum_mass_energy,
@@ -178,6 +179,18 @@ class _Collector:
                 details=details,
             )
         )
+
+
+def _verified_gammas(col: _Collector, build, description: str, reference: str,
+                     passed: str):
+    """Build a gamma set as the suite's first check; None if it was rejected."""
+    try:
+        gs, err = build(), None
+    except GammaIdentityError as exc:
+        gs, err = None, str(exc)
+    col.add("gamma-defining-identities", description, reference,
+            lambda: (err is None, err or passed))
+    return gs
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +503,12 @@ def run_photon_suite(config: RunConfig, corrupt_gamma: tuple[str, int, int] | No
     rng = np.random.default_rng([config.seed, 2])
     lam = config.lambda_value
 
-    try:
-        gs = photon.build_gamma8(corrupt=corrupt_gamma)
-        gamma_err = None
-    except photon.GammaIdentityError as exc:
-        gs = None
-        gamma_err = str(exc)
-
-    col.add(
-        "gamma-defining-identities",
+    gs = _verified_gammas(
+        col,
+        lambda: photon.build_gamma8(corrupt=corrupt_gamma),
         "the 8x8 set passes its anticommutation/hermiticity/transpose/square identities",
         "defining identities of the 8-dimensional matrices",
-        lambda: (gamma_err is None, gamma_err or "all construction-time identities hold"),
+        "all construction-time identities hold",
     )
     if gs is None:
         return col.results
@@ -578,11 +585,11 @@ def run_photon_suite(config: RunConfig, corrupt_gamma: tuple[str, int, int] | No
 
     def _c_action():
         st = _random_photon(rng, lam)
-        conj = photon.apply_C_photon(st, gs)
+        conj = photon.apply_C_photon(st)
         rec = st.record()
         ok = conj.record.kappa == tuple(-k for k in rec.kappa)
         ok &= all(a == b * lam for a, b in zip(conj.record.amp, rec.amp))
-        back = photon.apply_C_photon(conj, gs)
+        back = photon.apply_C_photon(conj)
         ok &= back.record == rec
         p0, _ = measured_momentum(conj.record)
         ok &= p0 == -st.p0
@@ -598,7 +605,7 @@ def run_photon_suite(config: RunConfig, corrupt_gamma: tuple[str, int, int] | No
     def _cq_symbolic():
         for _ in range(config.samples):
             st = _random_photon(rng, lam)
-            if photon.apply_C_photon(st, gs).record != photon.apply_Q_photon(st, gs).record:
+            if photon.apply_C_photon(st).record != photon.apply_Q_photon(st, gs).record:
                 return False, f"records differ for state {st}"
         return True, f"{config.samples} random states: records identical"
 
@@ -613,7 +620,7 @@ def run_photon_suite(config: RunConfig, corrupt_gamma: tuple[str, int, int] | No
         worst = 0.0
         for _ in range(config.samples):
             st = _random_photon(rng, lam)
-            c_rec = photon.apply_C_photon(st, gs).record
+            c_rec = photon.apply_C_photon(st).record
             q_rec = photon.apply_Q_photon(st, gs).record
             for x in spacetime_points(rng, config.samples):
                 cv, qv = c_rec.evaluate(x), q_rec.evaluate(x)
@@ -664,7 +671,7 @@ def run_photon_suite(config: RunConfig, corrupt_gamma: tuple[str, int, int] | No
     def _negative_energy():
         st = _random_photon(rng, lam)
         base_e, base_f = photon.formal_energy_flux(st.record(), st.c_sign)
-        conj = photon.apply_C_photon(st, gs)
+        conj = photon.apply_C_photon(st)
         conj_e, conj_f = photon.formal_energy_flux(conj.record, conj.c_sign)
         lam_sq = lam * lam
         ok = conj_e == base_e * lam_sq
@@ -686,7 +693,7 @@ def run_photon_suite(config: RunConfig, corrupt_gamma: tuple[str, int, int] | No
     def _currents():
         for _ in range(min(config.samples, 25)):
             st = _random_photon(rng, lam)
-            conj = photon.apply_C_photon(st, gs)
+            conj = photon.apply_C_photon(st)
             j0, jk, j0c, jkc = photon.currents(st, conj, gs)
             if j0 != EC_ONE or j0c != EC_ONE:
                 return False, f"time components {j0}, {j0c} differ from 1"
@@ -721,14 +728,15 @@ def random_spinor(rng, c_sign=1, hbar_sign=1, branch=1) -> electron.SpinorState:
 def run_electron_suite(config: RunConfig) -> list[CheckResult]:
     col = _Collector("electron")
     rng = np.random.default_rng([config.seed, 3])
-    gs = electron.build_gamma4()
-
-    col.add(
-        "gamma-defining-identities",
+    gs = _verified_gammas(
+        col,
+        electron.build_gamma4,
         "the Dirac set passes its full identity list including the product form",
         "defining identities of the 4-dimensional matrices",
-        lambda: (True, "constructor verified every identity exactly"),
+        "constructor verified every identity exactly",
     )
+    if gs is None:
+        return col.results
 
     def _conjugation_space():
         space = electron.solve_UQ(gs)
@@ -801,7 +809,7 @@ def run_electron_suite(config: RunConfig) -> list[CheckResult]:
 
     def _corrupted_entry():
         bad = electron.DiracTransform(
-            "Q-corrupted", gs.g1, True, (1, 1), c_sign=-1, hbar_sign=-1, sigma_sign=-1
+            "Q-corrupted", gs.g1, True, (1, 1), c_sign=-1, hbar_sign=-1
         )
         cert = electron.verify_symmetry(bad, gs)
         return not cert.holds, f"per-index verdicts {cert.per_index}"

@@ -143,7 +143,7 @@ def test_criterion_07_photon_conjugation_equality():
         worst = 0.0
         for _ in range(100):
             st = _random_photon(rng, lam)
-            c = csym.apply_C_photon(st, g8)
+            c = csym.apply_C_photon(st)
             q = csym.apply_Q_photon(st, g8)
             assert c.record == q.record  # exact where symbolic
             for x in spacetime_points(rng, 100):

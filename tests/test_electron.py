@@ -57,9 +57,12 @@ class TestGammaAlgebra4:
         for g in gamma4.vector:
             assert anticommutator(g, gamma4.g5).is_zero()
 
-    def test_corruption_rejected(self):
+    @pytest.mark.parametrize("corrupt", [
+        (name, i, j) for name in ("g0", "g1", "g2", "g3", "g5") for i in range(4) for j in range(4)
+    ], ids=lambda c: "-".join(map(str, c)))
+    def test_corruption_rejected(self, corrupt):
         with pytest.raises(GammaIdentityError):
-            build_gamma4(corrupt=("g0", 0, 0))
+            build_gamma4(corrupt=corrupt)
 
 
 class TestConjugationMatrix:

@@ -7,7 +7,6 @@ from csym.kinematics import (
     HBAR_FIXED,
     HBAR_FLIPS,
     FourMomentum,
-    SignedConstants,
     closed_form_pair_mass_sq,
     infeasibility_scan,
     invariant_mass_sq,
@@ -120,9 +119,3 @@ class TestScalarInvariants:
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError, match="convention"):
             scalar_invariants("sideways")
-
-
-def test_signed_constants_validation():
-    SignedConstants(c_sign=-1, hbar_sign=1, e_sign=-1)
-    with pytest.raises(ValueError, match="c_sign"):
-        SignedConstants(c_sign=0)

@@ -69,9 +69,12 @@ class TestGammaAlgebra8:
         assert gamma8.g5.transpose() == gamma8.g5
         assert gamma8.g5 == -gamma8.g0
 
-    def test_corruption_rejected_with_named_identity(self):
+    @pytest.mark.parametrize("corrupt", [
+        (name, i, j) for name in ("g0", "g1", "g2", "g3", "g5") for i in range(8) for j in range(8)
+    ], ids=lambda c: "-".join(map(str, c)))
+    def test_corruption_rejected_with_named_identity(self, corrupt):
         with pytest.raises(GammaIdentityError, match="anticommutation|squared|hermitian|real|symmetric"):
-            build_gamma8(corrupt=("g2", 3, 3))
+            build_gamma8(corrupt=corrupt)
 
 
 class TestConjugationSpace8:
@@ -122,24 +125,24 @@ class TestPhotonState:
 
 
 class TestConjugations:
-    def test_c_matches_explicit_form(self, gamma8):
+    def test_c_matches_explicit_form(self):
         st = photon_plane_wave((0, 0, 1), (1, 0, 0), Fraction(3, 2))
-        conj = apply_C_photon(st, gamma8)
+        conj = apply_C_photon(st)
         rec = st.record()
         assert conj.record.kappa == tuple(-k for k in rec.kappa)
         assert all(a == b * st.lam for a, b in zip(conj.record.amp, rec.amp))
 
-    def test_c_labels_negative_energy(self, gamma8):
+    def test_c_labels_negative_energy(self):
         st = photon_plane_wave((0, 0, 1), (1, 0, 0), Fraction(3, 2))
-        conj = apply_C_photon(st, gamma8)
+        conj = apply_C_photon(st)
         p0, p = conj.momentum_label
         assert p0 == -st.p0
         assert p == tuple(-x for x in st.p)
         assert conj.energy_label == -st.p0
 
-    def test_c_twice_restores(self, gamma8, rng):
+    def test_c_twice_restores(self, rng):
         st = random_photon(rng)
-        assert apply_C_photon(apply_C_photon(st, gamma8), gamma8).record == st.record()
+        assert apply_C_photon(apply_C_photon(st)).record == st.record()
 
     def test_q_labels_positive_energy_on_flipped_constants(self, gamma8):
         st = photon_plane_wave((0, 0, 1), (1, 0, 0), Fraction(3, 2))
@@ -153,13 +156,13 @@ class TestConjugations:
         for lam in ALLOWED_LAMBDA:
             for _ in range(25):
                 st = random_photon(rng, lam=lam)
-                assert apply_C_photon(st, gamma8).record == apply_Q_photon(st, gamma8).record
+                assert apply_C_photon(st).record == apply_Q_photon(st, gamma8).record
 
     def test_cq_equality_pointwise(self, gamma8, rng):
         worst = 0.0
         for _ in range(100):
             st = random_photon(rng)
-            crec = apply_C_photon(st, gamma8).record
+            crec = apply_C_photon(st).record
             qrec = apply_Q_photon(st, gamma8).record
             for x in spacetime_points(rng, 100):
                 cv, qv = crec.evaluate(x), qrec.evaluate(x)
@@ -193,14 +196,14 @@ class TestConjugations:
 class TestCurrentsAndEnergy:
     def test_currents_axis(self, gamma8):
         st = photon_plane_wave((0, 0, 1), (1, 0, 0), 1)
-        j0, jk, j0c, jkc = currents(st, apply_C_photon(st, gamma8), gamma8)
+        j0, jk, j0c, jkc = currents(st, apply_C_photon(st), gamma8)
         assert j0 == EC_ONE and j0c == EC_ONE
         assert jk == (ExactComplex(0), ExactComplex(0), ExactComplex(1))
         assert jkc == jk
 
     def test_currents_x_direction(self, gamma8):
         st = photon_plane_wave((1, 0, 0), (0, 1, 0), 1)
-        j0, jk, _, _ = currents(st, apply_C_photon(st, gamma8), gamma8)
+        j0, jk, _, _ = currents(st, apply_C_photon(st), gamma8)
         assert (j0,) + jk == (EC_ONE, ExactComplex(1), ExactComplex(0), ExactComplex(0))
 
     def test_currents_random_equal_guiding_vector(self, gamma8, rng):
@@ -211,18 +214,18 @@ class TestCurrentsAndEnergy:
             assert jk == tuple(ExactComplex(x) for x in st.n)
             assert jkc == jk
 
-    def test_conjugate_energy_negative_for_imaginary_lambda(self, gamma8, rng):
+    def test_conjugate_energy_negative_for_imaginary_lambda(self, rng):
         st = random_photon(rng, lam=MINUS_I)
         e0, f0 = formal_energy_flux(st.record(), st.c_sign)
-        conj = apply_C_photon(st, gamma8)
+        conj = apply_C_photon(st)
         e1, f1 = formal_energy_flux(conj.record, conj.c_sign)
         assert e0 == ExactComplex(Fraction(1, 8))
         assert e1 == -e0 and e1.re < 0
         assert all(a == -b for a, b in zip(f1, f0))
 
-    def test_conjugate_energy_kept_for_real_lambda(self, gamma8, rng):
+    def test_conjugate_energy_kept_for_real_lambda(self, rng):
         st = random_photon(rng, lam=ExactComplex(-1))
         e0, _ = formal_energy_flux(st.record(), st.c_sign)
-        conj = apply_C_photon(st, gamma8)
+        conj = apply_C_photon(st)
         e1, _ = formal_energy_flux(conj.record, conj.c_sign)
         assert e1 == e0

@@ -1,11 +1,15 @@
 """Suite runner, report serialization, and the command-line interface."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from csym import electron
+from csym.cli import build_parser
 from csym.report import (
     CheckResult,
     RunConfig,
@@ -82,6 +86,18 @@ class TestRunner:
         assert "anticommutation" in bad.details or "squared" in bad.details
         assert not report.all_passed
 
+    def test_corrupted_gamma4_fails_its_check(self, monkeypatch):
+        build = electron.build_gamma4
+        with pytest.raises(electron.GammaIdentityError) as rejected:
+            build(corrupt=("g2", 0, 3))
+        monkeypatch.setattr(electron, "build_gamma4", lambda: build(corrupt=("g2", 0, 3)))
+        report = run(RunConfig(suites=("electron",), samples=5))
+        (bad,) = report.checks  # the suite stops after the rejected set
+        assert bad.id == "electron.gamma-defining-identities"
+        assert bad.status == "fail"
+        assert bad.details == str(rejected.value)
+        assert "anticommutation failed: {g1, g2}" in bad.details
+
 
 class TestEmit:
     def test_empty_summary(self):
@@ -141,6 +157,18 @@ class TestEmit:
 
 
 class TestCli:
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        commands = [shlex.split(ln, comments=True) for ln in block.splitlines()
+                    if ln.startswith("csym verify")]
+        assert len(commands) >= 5
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"argparse rejects the README command {shlex.join(argv)!r}")
+
     def _run(self, *args):
         return subprocess.run(
             [sys.executable, "-m", "csym.cli", *args],
