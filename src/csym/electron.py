@@ -61,11 +61,8 @@ def _pauli() -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     return sx, sy, sz
 
 
-def build_gamma4(corrupt: tuple[str, int, int] | None = None) -> GammaSet:
-    """Construct and verify the Dirac set; rejects on any failed identity.
-
-    `corrupt` is the same test hook as in build_gamma8.
-    """
+def build_gamma4() -> GammaSet:
+    """Construct and verify the Dirac set; rejects on any failed identity."""
     sx, sy, sz = _pauli()
     z2 = ExactMatrix.zeros(2, 2)
     i2 = ExactMatrix.identity(2)
@@ -76,7 +73,7 @@ def build_gamma4(corrupt: tuple[str, int, int] | None = None) -> GammaSet:
         "g3": block(z2, sz, -sz, z2),
         "g5": block(z2, -i2, -i2, z2),
     }
-    return build_gamma_set(GAMMA4, mats, corrupt)
+    return build_gamma_set(GAMMA4, mats)
 
 
 def solve_UQ(gs: GammaSet) -> ConjugationSpace:
@@ -540,16 +537,20 @@ def transform_charged_equation(eq: ChargedEquation, potential_rule: str,
     the potentials untouched the result is the original equation with the
     charge negated; with the potential components negated it is the original
     equation exactly.
+
+    The coupling is e A, so (e, -A) and (-e, A) are the same equation: the
+    chain carries the product of the charge and potential signs, and the
+    result reports it as the charge with unit potential signs.  The two
+    potential signs must agree, or the coupling is not e times a 4-vector.
     """
     if potential_rule not in POTENTIAL_RULES:
         raise ValueError(
             f"potential_rule must be one of {POTENTIAL_RULES}, got {potential_rule!r}"
         )
-    if eq.a0_sign != 1 or eq.a_sign != 1:
-        # fold input potential signs into the coupling for the chain
-        eq = ChargedEquation(
-            charge_sign=eq.charge_sign, a0_sign=1, a_sign=1, mass_sign=eq.mass_sign,
-            c_sign=eq.c_sign, hbar_sign=eq.hbar_sign,
+    if eq.a0_sign != eq.a_sign:
+        raise ValueError(
+            "the potential components must carry one common sign (a0_sign == a_sign), "
+            f"got a0_sign={eq.a0_sign}, a_sign={eq.a_sign}"
         )
     terms = eq.terms(gs)
     terms = _chain_step_conjugate_transpose(terms, gs)

@@ -300,13 +300,6 @@ class ExactMatrix:
         )
         return f"ExactMatrix[{body}]"
 
-    def to_numpy(self):
-        import numpy as np
-
-        return np.array(
-            [[e.to_complex() for e in self.row(i)] for i in range(self.rows)]
-        )
-
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a @ b - b @ a

@@ -106,19 +106,8 @@ def verify_identities(spec: GammaSpec, gs: GammaSet) -> None:
         raise GammaIdentityError("g5 squared is not the identity")
 
 
-def build_gamma_set(spec: GammaSpec, mats: dict[str, ExactMatrix],
-                    corrupt: tuple[str, int, int] | None = None) -> GammaSet:
-    """Verify the five named matrices against `spec` and return them as a set.
-
-    `corrupt` is a test hook: ("g1", i, j) lowers entry (i, j) of the named
-    matrix by 1 before verification, which must trigger a rejection.
-    """
-    if corrupt is not None:
-        name, i, j = corrupt
-        m = mats[name]
-        entries = list(m.entries)
-        entries[i * m.cols + j] = entries[i * m.cols + j] - ExactComplex(1)
-        mats = {**mats, name: ExactMatrix(m.rows, m.cols, entries)}
+def build_gamma_set(spec: GammaSpec, mats: dict[str, ExactMatrix]) -> GammaSet:
+    """Verify the five named matrices against `spec` and return them as a set."""
     gs = GammaSet(**mats)
     verify_identities(spec, gs)
     return gs

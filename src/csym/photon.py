@@ -69,12 +69,8 @@ def _alpha_matrices() -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     return a1, a2, a3
 
 
-def build_gamma8(corrupt: tuple[str, int, int] | None = None) -> GammaSet:
-    """Construct and verify the 8x8 set; rejects on any failed identity.
-
-    `corrupt` is a test hook: ("g1", i, j) lowers one entry of the named
-    matrix by 1 before verification, which must trigger a rejection.
-    """
+def build_gamma8() -> GammaSet:
+    """Construct and verify the 8x8 set; rejects on any failed identity."""
     a1, a2, a3 = _alpha_matrices()
     z4 = ExactMatrix.zeros(4, 4)
     i4 = ExactMatrix.identity(4)
@@ -85,7 +81,7 @@ def build_gamma8(corrupt: tuple[str, int, int] | None = None) -> GammaSet:
         "g3": block(a3, z4, z4, -a3),
         "g5": block(z4, -i4, -i4, z4),
     }
-    return build_gamma_set(GAMMA8, mats, corrupt)
+    return build_gamma_set(GAMMA8, mats)
 
 
 def gamma5_product_check(gs: GammaSet) -> tuple[bool, ExactMatrix]:

@@ -8,12 +8,13 @@ import pytest
 from csym.electron import (
     FIXED_POTENTIAL,
     FLIPPED_POTENTIAL,
+    GAMMA4,
+    POTENTIAL_RULES,
     ChargedEquation,
     DiracTransform,
     GammaIdentityError,
     apply_C_spinor,
     apply_Q_spinor,
-    build_gamma4,
     build_spinor,
     build_transform_table,
     conjugation_matrix,
@@ -60,9 +61,9 @@ class TestGammaAlgebra4:
     @pytest.mark.parametrize("corrupt", [
         (name, i, j) for name in ("g0", "g1", "g2", "g3", "g5") for i in range(4) for j in range(4)
     ], ids=lambda c: "-".join(map(str, c)))
-    def test_corruption_rejected(self, corrupt):
+    def test_corruption_rejected(self, corrupt, gamma4, corrupt_gamma):
         with pytest.raises(GammaIdentityError):
-            build_gamma4(corrupt=corrupt)
+            corrupt_gamma(gamma4, GAMMA4, *corrupt)
 
 
 class TestConjugationMatrix:
@@ -298,3 +299,21 @@ class TestChargedEquation:
         eq = ChargedEquation(charge_sign=-1)
         out = transform_charged_equation(eq, FIXED_POTENTIAL, gamma4)
         assert out.charge_sign == 1
+
+    def test_negated_potential_equals_negated_charge(self, gamma4):
+        # e(-A) and (-e)A are the same coupling, so both spellings map alike
+        negated_potential = ChargedEquation(charge_sign=1, a0_sign=-1, a_sign=-1)
+        negated_charge = ChargedEquation(charge_sign=-1)
+        for rule in POTENTIAL_RULES:
+            a = transform_charged_equation(negated_potential, rule, gamma4)
+            b = transform_charged_equation(negated_charge, rule, gamma4)
+            assert a.form() == b.form()
+        fixed = transform_charged_equation(negated_potential, FIXED_POTENTIAL, gamma4)
+        assert fixed.form() == (1, 1, 1, 1)
+
+    @pytest.mark.parametrize("a0_sign, a_sign", [(-1, 1), (1, -1)])
+    def test_mismatched_potential_signs_rejected(self, gamma4, a0_sign, a_sign):
+        eq = ChargedEquation(a0_sign=a0_sign, a_sign=a_sign)
+        for rule in POTENTIAL_RULES:
+            with pytest.raises(ValueError, match="a0_sign == a_sign"):
+                transform_charged_equation(eq, rule, gamma4)

@@ -8,10 +8,10 @@ import pytest
 from csym.exact import EC_ONE, ExactComplex, ExactMatrix, anticommutator
 from csym.photon import (
     ALLOWED_LAMBDA,
+    GAMMA8,
     GammaIdentityError,
     apply_C_photon,
     apply_Q_photon,
-    build_gamma8,
     currents,
     dirac_form_residual,
     formal_energy_flux,
@@ -72,9 +72,9 @@ class TestGammaAlgebra8:
     @pytest.mark.parametrize("corrupt", [
         (name, i, j) for name in ("g0", "g1", "g2", "g3", "g5") for i in range(8) for j in range(8)
     ], ids=lambda c: "-".join(map(str, c)))
-    def test_corruption_rejected_with_named_identity(self, corrupt):
+    def test_corruption_rejected_with_named_identity(self, corrupt, gamma8, corrupt_gamma):
         with pytest.raises(GammaIdentityError, match="anticommutation|squared|hermitian|real|symmetric"):
-            build_gamma8(corrupt=corrupt)
+            corrupt_gamma(gamma8, GAMMA8, *corrupt)
 
 
 class TestConjugationSpace8:

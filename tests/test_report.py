@@ -1,5 +1,6 @@
 """Suite runner, report serialization, and the command-line interface."""
 
+import inspect
 import json
 import shlex
 import subprocess
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from csym import electron
+from csym import electron, maxwell, photon, report as report_module, signgroup
 from csym.cli import build_parser
 from csym.report import (
+    SUITES,
     CheckResult,
     RunConfig,
     VerificationReport,
@@ -78,25 +80,84 @@ class TestRunner:
         cfg = RunConfig(suites=("kinematics",), samples=10, seed=3)
         assert report_to_dict(run(cfg)) == report_to_dict(run(cfg))
 
-    def test_corrupted_gamma_injection(self):
-        report = run(RunConfig(suites=("photon",), samples=5), corrupt_gamma8=("g1", 0, 1))
+    def test_corrupted_gamma_injection(self, monkeypatch, corrupt_gamma):
+        build = photon.build_gamma8
+        monkeypatch.setattr(photon, "build_gamma8",
+                            lambda: corrupt_gamma(build(), photon.GAMMA8, "g1", 0, 1))
+        report = run(RunConfig(suites=("photon",), samples=5))
         by_id = {c.id: c for c in report.checks}
         bad = by_id["photon.gamma-defining-identities"]
         assert bad.status == "fail"
         assert "anticommutation" in bad.details or "squared" in bad.details
         assert not report.all_passed
 
-    def test_corrupted_gamma4_fails_its_check(self, monkeypatch):
+    def test_corrupted_gamma4_fails_its_check(self, monkeypatch, corrupt_gamma):
         build = electron.build_gamma4
+
+        def corrupted():
+            return corrupt_gamma(build(), electron.GAMMA4, "g2", 0, 3)
+
         with pytest.raises(electron.GammaIdentityError) as rejected:
-            build(corrupt=("g2", 0, 3))
-        monkeypatch.setattr(electron, "build_gamma4", lambda: build(corrupt=("g2", 0, 3)))
+            corrupted()
+        monkeypatch.setattr(electron, "build_gamma4", corrupted)
         report = run(RunConfig(suites=("electron",), samples=5))
         (bad,) = report.checks  # the suite stops after the rejected set
         assert bad.id == "electron.gamma-defining-identities"
         assert bad.status == "fail"
         assert bad.details == str(rejected.value)
         assert "anticommutation failed: {g1, g2}" in bad.details
+
+    @pytest.mark.parametrize("suite, module, factory, broken", [
+        ("maxwell", maxwell, "build_maxwell_system",
+         {"system-shape", "invariance-all-sixteen", "mutation-control"}),
+        ("group", signgroup, "generate_g8",
+         {"sign-group-order", "sign-group-abelian-involutions", "sign-group-not-cyclic"}),
+    ])
+    def test_setup_failure_fails_only_its_checks(self, monkeypatch, suite, module, factory,
+                                                  broken):
+        def defective():
+            raise RuntimeError("defective setup")
+
+        monkeypatch.setattr(module, factory, defective)
+        report = run(RunConfig(suites=(suite,), samples=1))
+        statuses = {c.id.split(".", 1)[1]: c for c in report.checks}
+        assert len(statuses) == 8
+        for check_id, c in statuses.items():
+            if check_id in broken:
+                assert c.status == "fail", check_id
+                assert c.details == "check raised RuntimeError: defective setup"
+            else:
+                assert c.status == "pass", check_id
+
+    @pytest.mark.parametrize("suite, module, factory", [
+        ("electron", electron, "build_transform_table"),
+        ("maxwell", signgroup, "enumerate_distinct"),
+    ])
+    def test_suite_fixture_built_once(self, monkeypatch, suite, module, factory):
+        calls = []
+        original = getattr(module, factory)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, factory, counted)
+        report = run(RunConfig(suites=(suite,), samples=1))
+        assert {c.suite for c in report.checks} == {suite}
+        assert report.all_passed
+        assert len(calls) == 1
+
+    def test_every_suite_dispatches_to_its_named_runner(self, monkeypatch):
+        # perfbench/layertrace.py times each suite through report.run_<suite>_suite
+        reached = []
+        for suite in SUITES:
+            runner = getattr(report_module, f"run_{suite}_suite")
+            assert inspect.isfunction(runner) and runner.__module__ == "csym.report"
+            assert list(inspect.signature(runner).parameters) == ["config"]
+            monkeypatch.setattr(report_module, f"run_{suite}_suite",
+                                lambda config, suite=suite: reached.append(suite) or [])
+        assert run(RunConfig()).total == 0
+        assert tuple(reached) == SUITES
 
 
 class TestEmit:
