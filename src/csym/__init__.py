@@ -17,6 +17,7 @@ The package is organized as a small library:
 from .exact import (
     ExactComplex,
     ExactMatrix,
+    RowSpan,
     anticommutator,
     commutator,
     fraction_sqrt,

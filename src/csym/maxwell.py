@@ -3,8 +3,11 @@
 The 14 equations (8 field equations plus 6 potential links) are stored as
 exact coefficient rows over the 16 components x 5 derivative slots
 (1, d0, d1, d2, d3).  Invariance under a field operator is then literally
-row-space equality over the rationals, proven by elimination, with a
-certificate expressing each transformed row in the original basis.
+row-space equality over the rationals.  The system's rows are factored once
+(one elimination of [rows | I], kept on the system); every operator's
+transformed rows are reduced against that factorisation, which yields a
+certificate expressing each transformed row in the original basis, and the
+spans are proven equal by containment plus equal rank.
 
 The source components carry the 4*pi factor absorbed into them (the row for
 div E = 4*pi*rho stores the single symbol "4*pi*rho"), which keeps every
@@ -16,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exact import ExactComplex, ExactMatrix, rowspace_equal, solve
+from .exact import ExactComplex, ExactMatrix, RowSpan
 from .sampling import Vec3, cross, dot
 from .signgroup import FieldOperator
 
@@ -58,6 +62,11 @@ class LinearFieldSystem:
     @property
     def n_equations(self) -> int:
         return self.rows.rows
+
+    @cached_property
+    def span(self) -> RowSpan:
+        """The row space, factored on first use and kept for every later proof."""
+        return RowSpan(self.rows)
 
 
 def build_maxwell_system() -> LinearFieldSystem:
@@ -139,16 +148,12 @@ def transform_system(sys: LinearFieldSystem, op: FieldOperator) -> LinearFieldSy
     """
     e0, ex, _ec = op.arg_sig
     slot_sign = (1, e0, ex, ex, ex)
-    new_rows = []
-    for i in range(sys.rows.rows):
-        row = []
-        for comp in range(N_COMPONENTS):
-            csign = op.comp_signs[comp]
-            for slot in range(N_SLOTS):
-                val = sys.rows[i, _col(comp, slot)]
-                row.append(val * ExactComplex(csign * slot_sign[slot]))
-        new_rows.append(row)
-    return LinearFieldSystem(ExactMatrix.from_rows(new_rows), sys.labels)
+    col_sign = [csign * s for csign in op.comp_signs for s in slot_sign]
+    entries = [
+        -v if col_sign[j % ROW_WIDTH] < 0 and v else v
+        for j, v in enumerate(sys.rows.entries)
+    ]
+    return LinearFieldSystem(ExactMatrix(sys.rows.rows, ROW_WIDTH, entries), sys.labels)
 
 
 @dataclass(frozen=True)
@@ -161,25 +166,21 @@ class InvarianceCertificate:
 
 
 def check_invariance(sys: LinearFieldSystem, op: FieldOperator) -> InvarianceCertificate:
-    """Row-space equality of the system and its transform, with a witness."""
-    transformed = transform_system(sys, op)
-    if not rowspace_equal(sys.rows, transformed.rows):
-        # locate one transformed row outside the original span for the report
-        basis_t = sys.rows.transpose()
-        for i in range(transformed.rows.rows):
-            target = ExactMatrix.column(transformed.rows.row(i))
-            if solve(basis_t, target) is None:
-                return InvarianceCertificate(False, None, failing_row=i)
+    """Row-space equality of the system and its transform, with a witness.
+
+    Every transformed row is reduced against the system's one stored
+    factorisation (sys.span).  The first row that does not reduce to zero
+    lies outside the span and is reported as failing_row.  Otherwise each
+    row's combination of the original rows is the certificate, and the spans
+    are equal iff the transform has the system's rank; a transform that
+    spans less is reported with failing_row -1.
+    """
+    expr = sys.span.express(transform_system(sys, op).rows)
+    if expr.failing_row is not None:
+        return InvarianceCertificate(False, None, failing_row=expr.failing_row)
+    if expr.rank != sys.span.rank:
         return InvarianceCertificate(False, None, failing_row=-1)
-    basis_t = sys.rows.transpose()
-    combos = []
-    for i in range(transformed.rows.rows):
-        target = ExactMatrix.column(transformed.rows.row(i))
-        x = solve(basis_t, target)
-        if x is None:
-            raise AssertionError("rank check passed but a row failed to solve")
-        combos.append(tuple(x.entries))
-    return InvarianceCertificate(True, tuple(combos))
+    return InvarianceCertificate(True, expr.combinations)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,11 @@ def solve_conjugation_8(gs: GammaSet) -> ConjugationSpace:
 # ---------------------------------------------------------------------------
 
 
+def _plane_wave(amp, p0: Fraction, p: Vec3, hbar: Fraction) -> PlaneWaveFunction:
+    """amp * exp[-(i/hbar)(p0 x0 - p.x)]."""
+    return PlaneWaveFunction(amp, [-p0 / hbar] + [pk / hbar for pk in p])
+
+
 @dataclass(frozen=True)
 class PhotonState:
     """A normalized photon plane wave in the 8-component Dirac form.
@@ -148,9 +153,7 @@ class PhotonState:
         for i in range(3):
             amp[1 + i] = Radical(ExactComplex(self.l[i]), norm_radicand)
             amp[5 + i] = Radical(ExactComplex(self.m[i]), norm_radicand)
-        hbar = Fraction(self.hbar_sign)
-        kappa = [-self.p0 / hbar] + [pi / hbar for pi in self.p]
-        return PlaneWaveFunction(amp, kappa)
+        return _plane_wave(amp, self.p0, self.p, Fraction(self.hbar_sign))
 
     def norm_sq(self) -> ExactComplex:
         rec = self.record()
@@ -221,15 +224,23 @@ def apply_C_photon(state: PhotonState | ConjugatedPhoton) -> ConjugatedPhoton:
     )
 
 
-def _q_relabeled(rec: PlaneWaveFunction) -> PlaneWaveFunction:
-    """Re-express a photon record with hbar and all 4-momentum labels flipped.
+def _q_relabeled(state: PhotonState | ConjugatedPhoton) -> PlaneWaveFunction:
+    """The state's function rebuilt with hbar and all 4-momentum labels flipped.
 
-    For the massless amplitude nothing flips (no factor contains c or hbar),
-    and the exponent picks up two sign flips, one from the momentum labels
-    and one from hbar, so the realized function is unchanged.
+    The labels are the state's own: p0, p and hbar_sign of a PhotonState, and
+    for a conjugated state the (p0, p) that its exponent carries with its own
+    hbar sign.  The massless amplitude holds no c or hbar, so nothing in it
+    flips, and the flip of c is carried by the image's c_sign label.  The
+    exponent -(i/hbar)(p0 x0 - p.x) is rebuilt from -p0, -p and -hbar, whose
+    sign flips cancel, so the realized function is unchanged.
     """
-    kappa = [-(-k) for k in rec.kappa]
-    return PlaneWaveFunction(rec.amp, kappa)
+    hbar = Fraction(state.hbar_sign)
+    if isinstance(state, PhotonState):
+        amp, p0, p = state.record().amp, state.p0, state.p
+    else:
+        kappa = state.record.kappa
+        amp, p0, p = state.record.amp, -hbar * kappa[0], [hbar * k for k in kappa[1:]]
+    return _plane_wave(amp, -p0, [-pk for pk in p], -hbar)
 
 
 def apply_Q_photon(state: PhotonState | ConjugatedPhoton, gs: GammaSet) -> ConjugatedPhoton:
@@ -238,8 +249,7 @@ def apply_Q_photon(state: PhotonState | ConjugatedPhoton, gs: GammaSet) -> Conju
     U_Q equals the charge-conjugation matrix lam * g0 because the massless
     equation is blind to the signs of c and hbar.
     """
-    rec = state.record() if isinstance(state, PhotonState) else state.record
-    relabeled = _q_relabeled(rec)
+    relabeled = _q_relabeled(state)
     out = relabeled.conjugate_function().apply_matrix(gs.g0).apply_matrix(gs.g0).scale(state.lam)
     return ConjugatedPhoton(
         record=out,

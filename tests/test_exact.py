@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csym.exact import (
     EC_I,
     EC_ONE,
     ExactComplex,
     ExactMatrix,
+    RowSpan,
     anticommutator,
     commutator,
     fraction_sqrt,
@@ -224,3 +226,91 @@ def test_in_span():
     v2 = ExactMatrix.column([0, 1, 1])
     assert in_span([v1, v2], ExactMatrix.column([2, 3, 5]))
     assert not in_span([v1, v2], ExactMatrix.column([0, 0, 1]))
+
+
+# --- RowSpan: one factorisation, many rows expressed against it ------------
+
+_gaussian = st.builds(ExactComplex, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def _span_and_rows(draw):
+    """A small Gaussian-integer matrix a and rows b, some inside a's span.
+
+    Rows of a are drawn as combinations of fewer generators, so a is often
+    rank-deficient; each row of b is either a combination of a's rows or a
+    free draw, which usually lies outside.
+    """
+    cols = draw(st.integers(1, 4))
+    n_gen = draw(st.integers(1, 3))
+    gens = [draw(st.lists(_gaussian, min_size=cols, max_size=cols)) for _ in range(n_gen)]
+    n_rows = draw(st.integers(1, 4))
+    weights = [draw(st.lists(_gaussian, min_size=n_gen, max_size=n_gen)) for _ in range(n_rows)]
+    a_rows = [[sum((w * g[j] for w, g in zip(ws, gens)), ExactComplex(0)) for j in range(cols)]
+              for ws in weights]
+    b_rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            ws = draw(st.lists(_gaussian, min_size=n_rows, max_size=n_rows))
+            b_rows.append([sum((w * r[j] for w, r in zip(ws, a_rows)), ExactComplex(0))
+                           for j in range(cols)])
+        else:
+            b_rows.append(draw(st.lists(_gaussian, min_size=cols, max_size=cols)))
+    return ExactMatrix.from_rows(a_rows), ExactMatrix.from_rows(b_rows)
+
+
+def _combine(a, combo):
+    return tuple(sum((c * a[i, j] for i, c in enumerate(combo)), ExactComplex(0))
+                 for j in range(a.cols))
+
+
+class TestRowSpan:
+    @settings(max_examples=150, deadline=None)
+    @given(_span_and_rows())
+    def test_coefficients_rebuild_rows(self, ab):
+        a, b = ab
+        expr = RowSpan(a).express(b)
+        if expr.combinations is None:
+            return
+        assert len(expr.combinations) == b.rows
+        for i, combo in enumerate(expr.combinations):
+            assert len(combo) == a.rows
+            assert _combine(a, combo) == b.row(i)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_span_and_rows())
+    def test_first_row_outside_agrees_with_solve(self, ab):
+        a, b = ab
+        unsolvable = [i for i in range(b.rows)
+                      if solve(a.transpose(), ExactMatrix.column(b.row(i))) is None]
+        expr = RowSpan(a).express(b)
+        assert expr.failing_row == (unsolvable[0] if unsolvable else None)
+        assert (expr.combinations is None) == bool(unsolvable)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_span_and_rows())
+    def test_containment_plus_rank_agrees_with_rowspace_equal(self, ab):
+        a, b = ab
+        span = RowSpan(a)
+        expr = span.express(b)
+        assert span.rank == matrix_rank(a)
+        assert (expr.rank == span.rank) == rowspace_equal(a, b)
+        if expr.rank is not None:
+            assert expr.rank == matrix_rank(b)
+
+    def test_unique_certificate_matches_solve(self):
+        a = ExactMatrix.from_rows([[1, EC_I, 0], [0, 2, 1]])
+        b = ExactMatrix.from_rows([[1, 2 + EC_I, 1], [0, -4, -2]])
+        expr = RowSpan(a).express(b)
+        for i, combo in enumerate(expr.combinations):
+            assert combo == solve(a.transpose(), ExactMatrix.column(b.row(i))).entries
+
+    def test_zero_matrix_spans_only_zero(self):
+        span = RowSpan(ExactMatrix.zeros(2, 3))
+        assert span.rank == 0
+        assert span.express(ExactMatrix.zeros(1, 3)).rank == 0
+        assert span.express(ExactMatrix.from_rows([[0, 1, 0]])).failing_row == 0
+
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError, match="width mismatch"):
+            RowSpan(ExactMatrix.from_rows([[1, 0]])).express(ExactMatrix.from_rows([[1, 0, 0]]))

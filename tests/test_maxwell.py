@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csym.exact import ExactComplex
+from csym import maxwell
+from csym.exact import ExactComplex, ExactMatrix, solve
 from csym.maxwell import (
+    LinearFieldSystem,
     PlaneWave,
     build_maxwell_system,
     check_invariance,
@@ -28,9 +30,44 @@ from csym.signgroup import (
 )
 
 
+CANONICAL = canonical_operators()
+
+
 @pytest.fixture(scope="module")
 def system():
     return build_maxwell_system()
+
+
+@pytest.fixture(scope="module")
+def redundant_system(system):
+    """The 14 rows plus a copy of the first: rank 14 over 15 rows."""
+    rows = [system.rows.row(i) for i in range(system.n_equations)] + [system.rows.row(0)]
+    return LinearFieldSystem(ExactMatrix.from_rows(rows), system.labels + system.labels[:1])
+
+
+def _mutated_p1() -> FieldOperator:
+    """P1 with the E block's sign flipped: not a symmetry of the system."""
+    p1 = build_field_operators()["P1"]
+    signs = [1] * 16
+    for i in (1, 2, 3):
+        signs[i] = -1
+    return FieldOperator("bad", p1.arg_sig, tuple(signs), False)
+
+
+def _rebuilt(sys, combo):
+    """The combination of sys's rows with the given coefficients."""
+    rebuilt = [ExactComplex(0)] * sys.rows.cols
+    for coeff, row_idx in zip(combo, range(sys.n_equations)):
+        if coeff.is_zero():
+            continue
+        for j, val in enumerate(sys.rows.row(row_idx)):
+            rebuilt[j] = rebuilt[j] + coeff * val
+    return tuple(rebuilt)
+
+
+def _solve_row(sys, row):
+    """The per-row elimination oracle: solve sys.rows^T x = row, or None."""
+    return solve(sys.rows.transpose(), ExactMatrix.column(row))
 
 
 class TestSystemAssembly:
@@ -68,27 +105,43 @@ class TestInvariance:
             cert = check_invariance(system, op)
             assert cert.invariant, f"operator {name} should leave the system invariant"
 
-    def test_certificates_reconstruct_rows(self, system):
-        op = canonical_operators()["P1"]
+    @pytest.mark.parametrize("name", list(CANONICAL))
+    def test_certificates_reconstruct_rows(self, system, name):
+        op = CANONICAL[name]
         cert = check_invariance(system, op)
         transformed = transform_system(system, op)
         assert cert.combinations is not None
         for i, combo in enumerate(cert.combinations):
-            rebuilt = [ExactComplex(0)] * system.rows.cols
-            for coeff, row_idx in zip(combo, range(system.n_equations)):
-                if coeff.is_zero():
-                    continue
-                for j, val in enumerate(system.rows.row(row_idx)):
-                    rebuilt[j] = rebuilt[j] + coeff * val
-            assert tuple(rebuilt) == transformed.rows.row(i)
+            row = transformed.rows.row(i)
+            assert _rebuilt(system, combo) == row
+            # the system has full row rank, so the certificate is the unique
+            # solution that the per-row elimination also finds
+            assert combo == _solve_row(system, row).entries
 
     def test_mutated_operator_fails(self, system):
-        p1 = build_field_operators()["P1"]
-        signs = [1] * 16
-        for i in (1, 2, 3):
-            signs[i] = -1
-        mutated = FieldOperator("bad", p1.arg_sig, tuple(signs), False)
-        assert not check_invariance(system, mutated).invariant
+        assert not check_invariance(system, _mutated_p1()).invariant
+
+    def test_mutated_failing_row_is_first_unsolvable(self, system):
+        cert = check_invariance(system, _mutated_p1())
+        rows = transform_system(system, _mutated_p1()).rows
+        unsolvable = [i for i in range(rows.rows) if _solve_row(system, rows.row(i)) is None]
+        assert unsolvable and cert.failing_row == unsolvable[0]
+        assert cert.combinations is None
+
+    def test_transform_spanning_less_is_not_invariant(self, system, monkeypatch):
+        # every row of this stand-in transform lies in the span, but it
+        # repeats row 1 in place of row 0 and so spans less: containment
+        # alone must not be taken for equality
+        rows = [system.rows.row(1)] + [system.rows.row(i) for i in range(1, 14)]
+        shrunk = LinearFieldSystem(ExactMatrix.from_rows(rows), system.labels)
+        monkeypatch.setattr(maxwell, "transform_system", lambda sys, op: shrunk)
+        cert = check_invariance(system, CANONICAL["E"])
+        assert not cert.invariant
+        assert cert.failing_row == -1 and cert.combinations is None
+
+    def test_factorisation_kept_on_the_system(self, system):
+        assert system.span is system.span
+        assert system.span.rank == 14
 
     def test_transformed_plane_wave_still_solves(self):
         # independent cross-check of invariance: transform a plane-wave
@@ -109,6 +162,30 @@ class TestInvariance:
             n2 = tuple(e0 * ex * x for x in w.n)
             probe = PlaneWave.make(n2, l2, k0_new, m=m2)
             assert plane_wave_residual(probe) == 0, f"{name} broke the residual"
+
+
+class TestRankDeficientSystem:
+    """15 rows of rank 14: certificates exist but are no longer unique."""
+
+    def test_rank_below_row_count(self, redundant_system):
+        assert redundant_system.n_equations == 15
+        assert redundant_system.span.rank == 14
+
+    @pytest.mark.parametrize("name", list(CANONICAL))
+    def test_invariant_with_rebuilding_certificates(self, redundant_system, name):
+        op = CANONICAL[name]
+        cert = check_invariance(redundant_system, op)
+        assert cert.invariant, name
+        transformed = transform_system(redundant_system, op)
+        assert len(cert.combinations) == 15
+        for i, combo in enumerate(cert.combinations):
+            assert len(combo) == 15
+            assert _rebuilt(redundant_system, combo) == transformed.rows.row(i)
+
+    def test_mutated_operator_fails(self, redundant_system, system):
+        cert = check_invariance(redundant_system, _mutated_p1())
+        assert not cert.invariant
+        assert cert.failing_row == check_invariance(system, _mutated_p1()).failing_row
 
 
 class TestPlaneWave:

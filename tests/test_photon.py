@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from csym import photon
 from csym.exact import EC_ONE, ExactComplex, ExactMatrix, anticommutator
 from csym.photon import (
     ALLOWED_LAMBDA,
@@ -20,6 +21,7 @@ from csym.photon import (
     photon_plane_wave,
     solve_conjugation_8,
 )
+from csym.report import RunConfig, run
 from csym.sampling import (
     rational_magnitude,
     rational_orthogonal_vector,
@@ -191,6 +193,31 @@ class TestConjugations:
         st = random_photon(rng, lam=ExactComplex(1))
         with pytest.raises(ValueError, match="-i"):
             phase_displacement_form(st)
+
+
+def _hbar_only_relabeled(state):
+    """A wrong Q relabeling: hbar flipped, the 4-momentum labels kept."""
+    return photon._plane_wave(state.record().amp, state.p0, state.p, Fraction(-state.hbar_sign))
+
+
+class TestWrongQControl:
+    """The C/Q record comparison must reject a Q that relabels wrongly."""
+
+    def test_q_image_uses_the_flipped_labels(self, gamma8, rng, monkeypatch):
+        st = random_photon(rng)
+        assert apply_C_photon(st).record == apply_Q_photon(st, gamma8).record
+        monkeypatch.setattr(photon, "_q_relabeled", _hbar_only_relabeled)
+        wrong = apply_Q_photon(st, gamma8).record
+        assert wrong.kappa == tuple(-k for k in apply_C_photon(st).record.kappa)
+        assert apply_C_photon(st).record != wrong
+
+    def test_record_equality_check_rejects_wrong_q(self, monkeypatch):
+        monkeypatch.setattr(photon, "_q_relabeled", _hbar_only_relabeled)
+        report = run(RunConfig(suites=("photon",), samples=3))
+        by_id = {c.id: c for c in report.checks}
+        check = by_id["photon.cq-record-equality"]
+        assert check.status == "fail"
+        assert check.details.startswith("records differ for state")
 
 
 class TestCurrentsAndEnergy:
