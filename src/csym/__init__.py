@@ -21,7 +21,6 @@ from .exact import (
     anticommutator,
     commutator,
     fraction_sqrt,
-    in_span,
     matrix_rank,
     nullspace,
     rowspace_equal,

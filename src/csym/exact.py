@@ -1,10 +1,12 @@
-"""Exact Gaussian-rational scalars and dense matrices.
+"""Exact Gaussian-rational scalars, matrices and sparse elimination.
 
 Everything in this module is exact: scalars are complex numbers whose real
 and imaginary parts are arbitrary-precision fractions, and every matrix
 operation (products, elimination, nullspaces, row-space comparison) is
 carried out without any rounding.  Identity checks built on top of it are
-therefore zero-tolerance by construction.
+therefore zero-tolerance by construction.  Matrices are stored dense;
+elimination reduces rows held as dicts of their nonzeros, scaling each pivot
+row once by the inverse of its pivot.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ class ExactComplex:
         raise AttributeError("ExactComplex is immutable")
 
     # -- constructors -------------------------------------------------
-    @staticmethod
-    def i() -> "ExactComplex":
-        return ExactComplex(0, 1)
-
     @staticmethod
     def coerce(x) -> "ExactComplex":
         if isinstance(x, ExactComplex):
@@ -211,9 +209,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[ExactComplex, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[ExactComplex, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -316,34 +311,42 @@ def anticommutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def _rref(rows: list[list[ExactComplex]]) -> tuple[list[list[ExactComplex]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for k in range(r, len(rows)):
-            if not rows[k][col].is_zero():
-                piv = k
-                break
-        if piv is None:
+    """Reduced row echelon form of dense rows; returns (rows, pivot column list).
+
+    Each row, as a dict of its nonzeros, is reduced against the pivot rows
+    found so far, which are kept fully reduced.  A nonzero remainder becomes a
+    pivot row at its leftmost column: it is scaled once by the inverse of its
+    pivot and cleared from the earlier pivot rows.  The unique reduced form
+    is returned dense, pivot rows in column order, then the zero rows.
+    """
+    ncols = len(rows[0]) if rows else 0
+    reduced: dict[int, dict[int, ExactComplex]] = {}  # pivot column -> its row
+    for dense in rows:
+        row = dict(_nonzeros(dense))
+        for pc in reduced.keys() & row.keys():
+            _subtract_multiple(row, row[pc], reduced[pc])
+        if not row:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        if pv != EC_ONE:
-            rows[r] = [x / pv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r:
-                f = rows[k][col]
-                if not f.is_zero():
-                    rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+        col = min(row)
+        inv = EC_ONE / row[col]
+        row = {j: v * inv for j, v in row.items()}
+        for other in reduced.values():
+            if col in other:
+                _subtract_multiple(other, other[col], row)
+        reduced[col] = row
+    pivots = sorted(reduced)
+    out = [[reduced[pc].get(j, EC_ZERO) for j in range(ncols)] for pc in pivots]
+    return out + [[EC_ZERO] * ncols for _ in range(len(rows) - len(pivots))], pivots
+
+
+def _subtract_multiple(row: dict[int, ExactComplex], f: ExactComplex, pivot: dict) -> None:
+    """row -= f * pivot on dicts of nonzeros, dropping entries that cancel."""
+    for j, v in pivot.items():
+        x = row.get(j, EC_ZERO) - f * v
+        if x.is_zero():
+            del row[j]
+        else:
+            row[j] = x
 
 
 def matrix_rank(m: ExactMatrix) -> int:
@@ -370,8 +373,10 @@ def nullspace(m: ExactMatrix) -> tuple[list[ExactMatrix], int]:
         for r, pc in enumerate(pivots):
             vec[pc] = -rref_rows[r][fc]
         basis.append(ExactMatrix.column(vec))
+    m_rows = [_nonzeros(m.row(i)) for i in range(m.rows)]
     for v in basis:
-        if not (m @ v).is_zero():
+        x = dict(_nonzeros(v.entries))
+        if any(sum((a * x[j] for j, a in row if j in x), EC_ZERO) for row in m_rows):
             raise AssertionError("internal error: nullspace vector fails m @ v = 0")
     return basis, rank
 
@@ -483,13 +488,3 @@ class RowSpan:
             coords.append(coord)
         rank = matrix_rank(ExactMatrix.from_rows(coords)) if self.rank else 0
         return SpanExpression(tuple(combos), None, rank)
-
-
-def in_span(vectors: Sequence[ExactMatrix], target: ExactMatrix) -> bool:
-    """True iff target (a column vector) is a linear combination of vectors."""
-    if not vectors:
-        return target.is_zero()
-    a = ExactMatrix.from_rows(
-        [[v.entries[i] for v in vectors] for i in range(target.rows)]
-    )
-    return solve(a, target) is not None

@@ -14,8 +14,9 @@ identities and the conjugation-constraint signs are derived, not listed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .exact import ExactComplex, ExactMatrix, anticommutator, in_span, nullspace
+from .exact import EC_ZERO, ExactComplex, ExactMatrix, RowSpan, anticommutator, nullspace
 
 METRIC_DIAG = (1, -1, -1, -1)
 
@@ -121,9 +122,13 @@ class ConjugationSpace:
     rank: int
     nullity: int
 
+    @cached_property
+    def span(self) -> RowSpan:
+        """The row span of the flattened basis, reduced once per space."""
+        return RowSpan(ExactMatrix.from_rows(b.entries for b in self.basis))
+
     def contains(self, m: ExactMatrix) -> bool:
-        vecs = [ExactMatrix.column(b.entries) for b in self.basis]
-        return in_span(vecs, ExactMatrix.column(m.entries))
+        return self.span.express(ExactMatrix(1, len(m.entries), m.entries)).failing_row is None
 
 
 def conjugation_constraint_rows(gammas, signs, n) -> ExactMatrix:
@@ -132,11 +137,12 @@ def conjugation_constraint_rows(gammas, signs, n) -> ExactMatrix:
     for G, s in zip(gammas, signs):
         for i in range(n):
             for j in range(n):
-                row = [ExactComplex(0)] * (n * n)
+                row = [EC_ZERO] * (n * n)
                 for k in range(n):
-                    row[i * n + k] = row[i * n + k] + G[k, j]
-                for k in range(n):
-                    row[k * n + j] = row[k * n + j] - G[i, k] * s
+                    if G[k, j]:
+                        row[i * n + k] = row[i * n + k] + G[k, j]
+                    if G[i, k]:
+                        row[k * n + j] = row[k * n + j] - G[i, k] * s
                 rows.append(row)
     return ExactMatrix.from_rows(rows)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csym import exact
 from csym.exact import (
     EC_I,
     EC_ONE,
@@ -14,7 +15,6 @@ from csym.exact import (
     anticommutator,
     commutator,
     fraction_sqrt,
-    in_span,
     matrix_rank,
     nullspace,
     rowspace_equal,
@@ -186,6 +186,50 @@ class TestElimination:
         rank, nullity = _oracle_rank_nullity(rows)
         assert (rank, nullity) == (60, 4)
 
+    @pytest.mark.parametrize("name, signs", [
+        ("gamma8", (1, -1, -1, -1)), ("gamma8", (-1, 1, 1, 1)),
+        ("gamma4", (-1, 1, -1, 1)), ("gamma4", (1, 1, 1, 1)),
+    ])
+    def test_conjugation_constraint_rows_match_dense_reference(self, request, name, signs):
+        # every term of U G - s G U written out, zero entries of G included
+        from csym.gamma import conjugation_constraint_rows
+
+        gs = request.getfixturevalue(name)
+        n = gs.g0.rows
+        rows = []
+        for G, s in zip(gs.vector, signs):
+            for i in range(n):
+                for j in range(n):
+                    row = [ExactComplex(0)] * (n * n)
+                    for k in range(n):
+                        row[i * n + k] = row[i * n + k] + G[k, j]
+                    for k in range(n):
+                        row[k * n + j] = row[k * n + j] - G[i, k] * s
+                    rows.append(row)
+        assert conjugation_constraint_rows(gs.vector, signs, n) == ExactMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("name", ["small", "photon"])
+    def test_nullspace_self_check_rejects_a_perturbed_basis(self, monkeypatch, gamma8, name):
+        # control: one entry of one reduced pivot row is off by 1 in a free
+        # column, so one basis vector is wrong and m @ v = 0 must catch it
+        from csym.photon import conjugation_constraint_rows
+
+        if name == "small":
+            m = ExactMatrix.from_rows([[1, 2, 3], [0, 1, EC_I]])
+        else:
+            m = conjugation_constraint_rows(gamma8.vector, (1, -1, -1, -1), 8)
+        reduce = exact._rref
+
+        def perturbed(rows):
+            out, pivots = reduce(rows)
+            free = next(c for c in range(len(out[0])) if c not in pivots)
+            out[0][free] = out[0][free] + EC_ONE
+            return out, pivots
+
+        monkeypatch.setattr(exact, "_rref", perturbed)
+        with pytest.raises(AssertionError, match="m @ v = 0"):
+            nullspace(m)
+
 
 class TestRowspaceEqual:
     def test_same_plane(self):
@@ -221,11 +265,16 @@ class TestRowspaceEqual:
                         assert rowspace_equal(a, c)
 
 
-def test_in_span():
-    v1 = ExactMatrix.column([1, 0, 1])
-    v2 = ExactMatrix.column([0, 1, 1])
-    assert in_span([v1, v2], ExactMatrix.column([2, 3, 5]))
-    assert not in_span([v1, v2], ExactMatrix.column([0, 0, 1]))
+def test_conjugation_space_contains(gamma4):
+    from csym.electron import solve_UQ
+    from csym.gamma import ConjugationSpace
+
+    space = ConjugationSpace(
+        basis=(ExactMatrix.column([1, 0, 1]), ExactMatrix.column([0, 1, 1])), rank=1, nullity=2
+    )
+    assert space.contains(ExactMatrix.column([2, 3, 5]))
+    assert not space.contains(ExactMatrix.column([0, 0, 1]))
+    assert not solve_UQ(gamma4).contains(ExactMatrix.identity(4))
 
 
 # --- RowSpan: one factorisation, many rows expressed against it ------------
