@@ -118,13 +118,22 @@ class ScanResult:
     max_closed_form: float
 
 
+def _max_keeping_nan(a: float, b: float) -> float:
+    """max(a, b), except that a NaN on either side is the result.
+
+    max() keeps its first argument whenever the comparison is false, so a
+    running max() silently drops a NaN.
+    """
+    return a if a != a or b <= a else b
+
+
 def infeasibility_scan(draws: int = 10_000, seed: int = 0, m: float = 1.0,
                        hbar: float = 1.0, c: float = 1.0, tolerance: float = 1e-12
                        ) -> ScanResult:
     """Seeded random scan: every draw must be infeasible and the closed form
     must match direct four-vector evaluation to `tolerance`, relative to the
     working scale max(|s_direct|, |s_closed|, (hbar (w + w'))^2) that bounds
-    the differenced terms.
+    the differenced terms.  A non-finite gap or closed form fails the scan.
     """
     rng = np.random.default_rng(seed)
     all_infeasible = True
@@ -142,8 +151,8 @@ def infeasibility_scan(draws: int = 10_000, seed: int = 0, m: float = 1.0,
             all_infeasible = False
         s_closed = closed_form_pair_mass_sq(omega, omega_prime, n, n_prime, hbar)
         scale = max(abs(verdict.s), abs(s_closed), (hbar * (omega + omega_prime)) ** 2)
-        worst = max(worst, abs(verdict.s - s_closed) / scale)
-        max_closed = max(max_closed, s_closed / scale)
+        worst = _max_keeping_nan(worst, abs(verdict.s - s_closed) / scale)
+        max_closed = _max_keeping_nan(max_closed, s_closed / scale)
     return ScanResult(
         seed=seed,
         draws=draws,

@@ -199,10 +199,19 @@ class PlaneWaveFunction:
         return hash((self.amp, self.kappa))
 
     def evaluate(self, x) -> np.ndarray:
-        """Numeric value at spacetime point x = (x0, x1, x2, x3)."""
-        phase = sum(float(k) * float(xi) for k, xi in zip(self.kappa, x))
-        factor = complex(math.cos(phase), math.sin(phase))
-        return np.array([a.to_complex() * factor for a in self.amp])
+        """Numeric value at spacetime points x.
+
+        x is one point (x0, x1, x2, x3) of shape (4,), giving an amplitude
+        vector of shape (n,), or an (N, 4) array of points, giving (N, n)
+        with one row per point.  The exact amplitudes and kappa are converted
+        to floats once per call, not once per point.  Each phase kappa . x is
+        summed left to right, so a row of an array result equals the result
+        for that point alone.
+        """
+        kappa = np.array([float(k) for k in self.kappa])
+        amp = np.array([a.to_complex() for a in self.amp])
+        phase = (np.asarray(x, dtype=float) * kappa).sum(axis=-1)
+        return np.multiply.outer(np.exp(1j * phase), amp)
 
     def __repr__(self) -> str:
         return f"PlaneWaveFunction(amp={list(self.amp)!r}, kappa={list(self.kappa)!r})"

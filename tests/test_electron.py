@@ -1,5 +1,6 @@
 """The Dirac equation: algebra, table, spinors, conjugations, charged form."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from csym.electron import (
     verify_symmetry,
 )
 from csym.exact import EC_I, ExactComplex, ExactMatrix, anticommutator
-from csym.report import random_spinor
+from csym.report import RunConfig, random_spinor, run
 from csym.sampling import spacetime_points
 from csym.waves import measured_momentum
 
@@ -224,16 +225,27 @@ class TestConjugations:
             assert apply_C_spinor(st, gamma4).record() == apply_Q_spinor(st, gamma4).record
 
     def test_cq_pointwise(self, gamma4, rng):
-        worst = 0.0
         for _ in range(50):
             st = random_spinor(rng)
             crec = apply_C_spinor(st, gamma4).record()
             qrec = apply_Q_spinor(st, gamma4).record
-            for x in spacetime_points(rng, 20):
-                cv, qv = crec.evaluate(x), qrec.evaluate(x)
-                scale = max(float(np.max(np.abs(cv))), 1e-300)
-                worst = max(worst, float(np.max(np.abs(cv - qv))) / scale)
-        assert worst <= 1e-12
+            x = spacetime_points(rng, 20)
+            cv, qv = crec.evaluate(x), qrec.evaluate(x)
+            scale = np.maximum(np.max(np.abs(cv), axis=1), 1e-300)
+            # a NaN gap compares false, so it fails too
+            assert np.all(np.max(np.abs(cv - qv), axis=1) / scale <= 1e-12)
+
+    def test_pointwise_check_rejects_negated_q(self, monkeypatch):
+        # one uniform radical branch turns C psi = Q psi into C psi = -Q psi
+        def negated_q(state, gs):
+            q = apply_Q_spinor(state, gs)
+            return dataclasses.replace(q, record=q.record.scale(-1))
+
+        monkeypatch.setattr("csym.electron.apply_Q_spinor", negated_q)
+        report = run(RunConfig(suites=("electron",), samples=3))
+        check = {c.id: c for c in report.checks}["electron.cq-pointwise-equality"]
+        assert check.status == "fail"
+        assert check.details == "worst relative gap 2.0"
 
     def test_commutator_vanishes(self, gamma4, rng):
         for _ in range(25):

@@ -1,7 +1,10 @@
 """Four-momentum arithmetic and the pair-creation feasibility argument."""
 
+import math
+
 import pytest
 
+from csym import kinematics
 from csym.kinematics import (
     CONVENTIONS,
     HBAR_FIXED,
@@ -14,6 +17,7 @@ from csym.kinematics import (
     scalar_invariants,
     vacuum_transition_feasible,
 )
+from csym.report import RunConfig, run
 
 
 class TestInvariantMass:
@@ -88,6 +92,25 @@ class TestVacuumTransition:
         assert res.all_infeasible
         assert res.worst_relative_gap <= 1e-12
         assert res.max_closed_form <= 1e-12
+
+    def test_nan_closed_form_fails_the_scan(self, monkeypatch):
+        # a running max() keeps its old value against NaN; the scan must not
+        closed_form = kinematics.closed_form_pair_mass_sq
+        calls = []
+
+        def nan_on_third_draw(*args, **kwargs):
+            calls.append(None)
+            return math.nan if len(calls) == 3 else closed_form(*args, **kwargs)
+
+        monkeypatch.setattr(kinematics, "closed_form_pair_mass_sq", nan_on_third_draw)
+        res = infeasibility_scan(draws=10, seed=0)
+        assert not res.all_infeasible
+        assert math.isnan(res.worst_relative_gap) and math.isnan(res.max_closed_form)
+        calls.clear()
+        report = run(RunConfig(suites=("kinematics",), samples=1))
+        check = {c.id: c for c in report.checks}["kinematics.vacuum-transition-infeasible"]
+        assert check.status == "fail"
+        assert check.details.endswith("worst closed-form relative gap nan")
 
     def test_scan_reproducible(self):
         a = infeasibility_scan(draws=500, seed=7)

@@ -161,16 +161,15 @@ class TestConjugations:
                 assert apply_C_photon(st).record == apply_Q_photon(st, gamma8).record
 
     def test_cq_equality_pointwise(self, gamma8, rng):
-        worst = 0.0
         for _ in range(100):
             st = random_photon(rng)
             crec = apply_C_photon(st).record
             qrec = apply_Q_photon(st, gamma8).record
-            for x in spacetime_points(rng, 100):
-                cv, qv = crec.evaluate(x), qrec.evaluate(x)
-                scale = max(float(np.max(np.abs(cv))), 1e-300)
-                worst = max(worst, float(np.max(np.abs(cv - qv))) / scale)
-        assert worst <= 1e-12
+            x = spacetime_points(rng, 100)
+            cv, qv = crec.evaluate(x), qrec.evaluate(x)
+            scale = np.maximum(np.max(np.abs(cv), axis=1), 1e-300)
+            # a NaN gap compares false, so it fails too
+            assert np.all(np.max(np.abs(cv - qv), axis=1) / scale <= 1e-12)
 
     def test_q_twice_global_phase(self, gamma8, rng):
         for lam in ALLOWED_LAMBDA:
@@ -218,6 +217,13 @@ class TestWrongQControl:
         check = by_id["photon.cq-record-equality"]
         assert check.status == "fail"
         assert check.details.startswith("records differ for state")
+
+    def test_pointwise_check_rejects_wrong_q(self, monkeypatch):
+        monkeypatch.setattr(photon, "_q_relabeled", _hbar_only_relabeled)
+        report = run(RunConfig(suites=("photon",), samples=3))
+        check = {c.id: c for c in report.checks}["photon.cq-pointwise-equality"]
+        assert check.status == "fail"
+        assert check.details.startswith("3 states x 3 points, worst relative gap ")
 
 
 class TestCurrentsAndEnergy:

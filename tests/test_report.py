@@ -2,11 +2,13 @@
 
 import inspect
 import json
+import math
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from csym import electron, maxwell, photon, report as report_module, signgroup
@@ -20,6 +22,7 @@ from csym.report import (
     report_to_dict,
     run,
 )
+from csym.waves import PlaneWaveFunction
 
 KNOWN_FAILING = {"photon.gamma5-product"}
 
@@ -49,6 +52,14 @@ class TestRunConfig:
             RunConfig(lam="2i")
         with pytest.raises(ValueError, match="potential_rule"):
             RunConfig(potential_rule="spiral")
+
+    @pytest.mark.parametrize("tolerance, invariant", [
+        (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "positive"),
+    ])
+    def test_non_finite_tolerance_rejected(self, tolerance, invariant):
+        # with inf every spot check would pass whatever it measures
+        with pytest.raises(ValueError, match=f"tolerance must be {invariant}"):
+            RunConfig(tolerance=tolerance)
 
 
 class TestRunner:
@@ -159,6 +170,24 @@ class TestRunner:
         assert run(RunConfig()).total == 0
         assert tuple(reached) == SUITES
 
+    @pytest.mark.parametrize("suite", ["photon", "electron"])
+    def test_nan_gap_fails_pointwise_check(self, monkeypatch, suite):
+        # NaN for every second record: a running max() would drop these gaps
+        evaluate = PlaneWaveFunction.evaluate
+        calls = []
+
+        def every_second_nan(rec, x):
+            calls.append(None)
+            value = evaluate(rec, x)
+            return np.full_like(value, np.nan) if len(calls) % 2 == 0 else value
+
+        monkeypatch.setattr(PlaneWaveFunction, "evaluate", every_second_nan)
+        report = run(RunConfig(suites=(suite,), samples=3))
+        check = {c.id: c for c in report.checks}[f"{suite}.cq-pointwise-equality"]
+        assert calls
+        assert check.status == "fail"
+        assert check.details.endswith("worst relative gap nan")
+
 
 class TestEmit:
     def test_empty_summary(self):
@@ -259,6 +288,12 @@ class TestCli:
         result = self._run("verify", "--suite", "warp")
         assert result.returncode == 2
         assert "invalid choice" in result.stderr
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tolerance_exits_2(self, value):
+        result = self._run("verify", "--suite", "group", "--tolerance", value)
+        assert result.returncode == 2
+        assert "tolerance must be finite" in result.stderr
 
     def test_two_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,9 +1,12 @@
 """Radical scalars, plane-wave records, and the exact sampling helpers."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from csym import electron, photon
 from csym.exact import EC_I, ExactComplex, ExactMatrix
 from csym.sampling import (
     cross,
@@ -12,6 +15,7 @@ from csym.sampling import (
     momentum_mass_energy,
     rational_orthogonal_vector,
     rational_unit_vector,
+    spacetime_points,
 )
 from csym.waves import PlaneWaveFunction, Radical, bilinear, measured_momentum
 
@@ -83,6 +87,56 @@ class TestPlaneWaveFunction:
         f = PlaneWaveFunction([Radical(1, 1)] * 2, [-3, 1, 2, -5])
         p0, p = measured_momentum(f)
         assert p0 == 3 and p == (1, 2, -5)
+
+
+def _scalar_formula(rec, x):
+    """A record's value at one point by the per-point cos/sin formula."""
+    phase = sum(float(k) * float(xi) for k, xi in zip(rec.kappa, x))
+    factor = complex(math.cos(phase), math.sin(phase))
+    return np.array([a.to_complex() * factor for a in rec.amp])
+
+
+def _records(gamma4, gamma8):
+    """Photon and electron records, plain and conjugated, with irrational radicands."""
+    ph = photon.photon_plane_wave((Fraction(3, 5), Fraction(4, 5), 0), (0, 0, 1), Fraction(7, 3),
+                                  lam=ExactComplex(0, -1))
+    sp = electron.build_spinor((Fraction(9, 13), Fraction(-12, 13), Fraction(36, 13)), 4,
+                               (ExactComplex(1, 2), ExactComplex(-1, Fraction(1, 2))))
+    return [
+        ph.record(),
+        photon.apply_Q_photon(ph, gamma8).record,
+        sp.record(),
+        electron.apply_C_spinor(sp, gamma4).record(),
+        electron.apply_Q_spinor(sp, gamma4).record,
+    ]
+
+
+def _rowwise_gap(a, b) -> float:
+    return float(np.max(np.max(np.abs(a - b), axis=1) / np.max(np.abs(b), axis=1)))
+
+
+class TestEvaluateOnArrays:
+    """evaluate on an (N, 4) array equals evaluating its rows one at a time."""
+
+    @pytest.mark.parametrize("n_points", [1, 7, 200])
+    def test_array_matches_rows_and_scalar_formula(self, gamma4, gamma8, n_points):
+        rng = np.random.default_rng(n_points)
+        for rec in _records(gamma4, gamma8):
+            assert any(a.radicand != 1 for a in rec.amp)
+            x = spacetime_points(rng, n_points)
+            values = rec.evaluate(x)
+            assert values.shape == (n_points, len(rec.amp))
+            rows = np.array([rec.evaluate(p) for p in x])
+            assert rows.shape == values.shape
+            assert _rowwise_gap(values, rows) <= 1e-14
+            assert _rowwise_gap(values, np.array([_scalar_formula(rec, p) for p in x])) <= 1e-14
+
+    def test_single_point_keeps_vector_shape(self, gamma4, gamma8):
+        x = (Fraction(1, 2), -0.25, 0.75, 1)
+        for rec in _records(gamma4, gamma8):
+            value = rec.evaluate(x)
+            assert value.shape == (len(rec.amp),)
+            assert _rowwise_gap(value[None, :], _scalar_formula(rec, x)[None, :]) <= 1e-14
 
 
 class TestBilinear:
