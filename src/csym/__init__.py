@@ -19,7 +19,6 @@ from .exact import (
     ExactMatrix,
     RowSpan,
     anticommutator,
-    commutator,
     fraction_sqrt,
     matrix_rank,
     nullspace,

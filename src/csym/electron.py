@@ -5,8 +5,10 @@ conjugation matrix by exact nullspace solving, certifies the transformation
 table (parity, time reversal, their composites, and the light-speed-inversion
 column) at the operator level, constructs explicit plane-wave spinors with
 exact radical amplitudes, and realizes charge conjugation C and the
-speed-of-light inversion Q on them.  The headline equality C psi = Q psi is
-checked as an identity between two independently computed function records.
+speed-of-light inversion Q on them.  Q is the substitution itself: the
+state's own record rebuilt with c, hbar, sigma and the 4-momentum labels
+negated.  The headline equality C psi = Q psi is checked as an identity
+between the two function records.
 
 Sign conventions baked in here and stated once:
 
@@ -17,15 +19,17 @@ Sign conventions baked in here and stated once:
   choice is the one under which the published chain closes, and the equality
   check is the arbiter.
 * Under Q the action quantum flips together with the speed of light, so all
-  4-momentum labels flip while the realized exponent is unchanged.
+  4-momentum labels flip while the realized exponent is unchanged.  The
+  Pauli matrices flip too, so (n.sigma) is unchanged as n -> -n.
 * Momentum labels of a realized wave are read with the reference positive
   hbar and the energy label is c_signed times the momentum label p0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import EC_I, ExactComplex, ExactMatrix, fraction_sqrt, matrix_rank
 from .gamma import (  # GammaIdentityError is public here too
@@ -229,6 +233,7 @@ class SpinorState:
     branch -1 the negative-frequency partner built on w' (the stored z then
     plays the w' role).  Exactness requires sqrt(|p|^2 + (mc)^2) rational,
     which the random-state generator guarantees by Pythagorean construction.
+    sigma_sign -1 flips the Pauli matrices, as light-speed inversion does.
     """
 
     p: Vec3
@@ -237,19 +242,20 @@ class SpinorState:
     branch: int = 1
     c_sign: int = 1
     hbar_sign: int = 1
+    sigma_sign: int = 1
 
     @property
     def s(self) -> Fraction:
         return self.z[0].norm_sq() + self.z[1].norm_sq()
 
-    @property
+    @cached_property
     def p_abs(self) -> Fraction:
         r = fraction_sqrt(dot(self.p, self.p))
         if r is None:
             raise ValueError(f"|p| must be rational: |p|^2 = {dot(self.p, self.p)}")
         return r
 
-    @property
+    @cached_property
     def energy(self) -> Fraction:
         e = fraction_sqrt(dot(self.p, self.p) + self.m * self.m)
         if e is None:
@@ -267,7 +273,7 @@ class SpinorState:
     def mc(self) -> Fraction:
         return self.m * self.c_sign
 
-    @property
+    @cached_property
     def n(self) -> Vec3:
         if self.p_abs == 0:
             return (Fraction(0), Fraction(0), Fraction(1))  # direction is immaterial at rest
@@ -279,6 +285,8 @@ class SpinorState:
         radp = Radical.sqrt(self.p0 + self.mc, negative_branch=MINUS_I)
         radm = Radical.sqrt(self.p0 - self.mc, negative_branch=MINUS_I)
         nsz = _apply2(_nsigma(self.n), self.z)
+        if self.sigma_sign == -1:
+            nsz = (-nsz[0], -nsz[1])
         if self.branch == 1:
             parts = [radp * self.z[0], radp * self.z[1], radm * nsz[0], radm * nsz[1]]
         else:
@@ -375,10 +383,7 @@ def apply_C_spinor(state: SpinorState | ConjugatedSpinor, gs: GammaSet
     """
     if isinstance(state, SpinorState):
         out_rec = state.record().conjugate_function().apply_matrix(gs.g2)
-        out_state = SpinorState(
-            p=state.p, m=state.m, z=_partner_z(state.z, state.branch), branch=-state.branch,
-            c_sign=state.c_sign, hbar_sign=state.hbar_sign,
-        )
+        out_state = replace(state, z=_partner_z(state.z, state.branch), branch=-state.branch)
         if out_state.record() != out_rec:
             raise AssertionError("conjugated record does not match its template form")
         return out_state
@@ -392,44 +397,20 @@ def apply_C_spinor(state: SpinorState | ConjugatedSpinor, gs: GammaSet
 
 
 def apply_Q_spinor(state: SpinorState, gs: GammaSet) -> ConjugatedSpinor:
-    """Light-speed inversion: rebuild the state with every label substituted
-    (c, hbar, sigma, and hence all 4-momentum labels negated), conjugate, and
-    multiply by the sigma-flipped conjugation matrix -g2.
-
-    The radical branches follow the worked chain: conjugate branch (-i) for
-    the bispinor radicals, principal branch for the 1/sqrt(2 p0) prefactor.
+    """Light-speed inversion: the state's own record with c, hbar, sigma and
+    hence all 4-momentum labels negated, conjugated and multiplied by the
+    sigma-flipped conjugation matrix -g2.
     """
-    p0_new = -state.p0
-    mc_new = -state.mc
-    p_new = tuple(-pk for pk in state.p)
-    hb_new = Fraction(-state.hbar_sign)
-
-    # (n sigma) with n -> -n and sigma -> -sigma is unchanged
-    n = state.n
-    n_new = tuple(-ni for ni in n)
-    nsig_new = _nsigma(n_new).scale(-1)
-    nsz = _apply2(nsig_new, state.z)
-
-    snorm = Radical(1, 1 / state.s)
-    radp = Radical.sqrt(p0_new + mc_new, negative_branch=MINUS_I)
-    radm = Radical.sqrt(p0_new - mc_new, negative_branch=MINUS_I)
-    pref = _inv_sqrt_radical(2 * p0_new)
-    if state.branch == 1:
-        parts = [radp * state.z[0], radp * state.z[1], radm * nsz[0], radm * nsz[1]]
-    else:
-        parts = [radm * nsz[0], radm * nsz[1], radp * state.z[0], radp * state.z[1]]
-    amp = [x * snorm * pref for x in parts]
-    sign = -state.branch
-    kappa = [sign * p0_new / hb_new] + [-sign * pk / hb_new for pk in p_new]
-    relabeled = PlaneWaveFunction(amp, kappa)
-
-    out_rec = relabeled.conjugate_function().apply_matrix(-gs.g2)
+    relabeled = replace(
+        state, p=tuple(-pk for pk in state.p), c_sign=-state.c_sign,
+        hbar_sign=-state.hbar_sign, sigma_sign=-state.sigma_sign,
+    )
     return ConjugatedSpinor(
-        record=out_rec,
+        record=relabeled.record().conjugate_function().apply_matrix(-gs.g2),
         z_label=_partner_z(state.z, state.branch),
         effective_branch=-state.branch,
-        c_sign=-state.c_sign,
-        hbar_sign=-state.hbar_sign,
+        c_sign=relabeled.c_sign,
+        hbar_sign=relabeled.hbar_sign,
     )
 
 
@@ -494,36 +475,32 @@ def _chain_step_u_conjugate(terms: dict[str, ExactMatrix], u: ExactMatrix
     return {sym: u @ x @ u for sym, x in terms.items()}  # u is self-inverse
 
 
+def _sign(x: ExactMatrix, pattern: ExactMatrix) -> int | None:
+    """+1 if x is pattern, -1 if x is -pattern, None otherwise."""
+    if x == pattern:
+        return 1
+    return -1 if x == -pattern else None
+
+
 def _extract_record(terms: dict[str, ExactMatrix], gs: GammaSet,
                     context: tuple[int, int]) -> ChargedEquation:
     """Normalize the momentum coefficient to +gamma and read the signs off."""
-    mu = None
-    for scalar in (1, -1):
-        if terms["p0"] == gs.g0.scale(scalar):
-            mu = scalar
+    mu = _sign(terms["p0"], gs.g0)
     if mu is None:
         raise AssertionError("momentum coefficient is not proportional to g0")
-    normalized = {sym: x.scale(mu) for sym, x in terms.items()}
     for a, g in enumerate(gs.vector):
-        if normalized[f"p{a}"] != g:
+        if _sign(terms[f"p{a}"], g) != mu:
             raise AssertionError(f"momentum coefficient p{a} failed to normalize")
-    mass_sign = None
-    for scalar in (1, -1):
-        if normalized["m"] == ExactMatrix.identity(4).scale(-scalar):
-            mass_sign = scalar
+    mass_sign = _sign(terms["m"], ExactMatrix.identity(4).scale(-mu))
     if mass_sign is None:
         raise AssertionError("mass coefficient is not proportional to the identity")
-    couplings = []
-    for a, g in enumerate(gs.vector):
-        pattern = g.scale(-1 if a == 0 else 1)
-        for scalar in (1, -1):
-            if normalized[f"A{a}"] == pattern.scale(scalar):
-                couplings.append(scalar)
-    if len(couplings) != 4 or len(set(couplings)) != 1:
+    couplings = {_sign(terms[f"A{a}"], g.scale(-mu if a == 0 else mu))
+                 for a, g in enumerate(gs.vector)}
+    if None in couplings or len(couplings) != 1:
         raise AssertionError("potential couplings do not share a single sign")
-    # couplings[0] is charge_sign * potential_sign; report with potentials +
+    # the coupling is charge_sign * potential_sign; report with potentials +
     return ChargedEquation(
-        charge_sign=couplings[0], a0_sign=1, a_sign=1, mass_sign=mass_sign,
+        charge_sign=couplings.pop(), a0_sign=1, a_sign=1, mass_sign=mass_sign,
         c_sign=context[0], hbar_sign=context[1],
     )
 

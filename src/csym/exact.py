@@ -297,10 +297,6 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
-def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b - b @ a
-
-
 def anticommutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a @ b + b @ a
 

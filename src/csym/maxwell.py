@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .exact import ExactComplex, ExactMatrix, RowSpan
 from .sampling import Vec3, cross, dot
-from .signgroup import FieldOperator
+from .signgroup import FieldOperator, classical_conjugation_operator
 
 N_COMPONENTS = 16
 N_SLOTS = 5  # coefficient of (1, d0, d1, d2, d3) per component
@@ -260,12 +260,9 @@ def field_column(w: PlaneWave):
     return phi
 
 
-def classical_conjugate_column(phi: list, op: FieldOperator | None = None) -> list:
+def classical_conjugate_column(phi: list) -> list:
     """Apply the classical charge conjugation Q1 Q2 to a 16-entry column."""
-    from .signgroup import classical_conjugation_operator
-
-    op = op or classical_conjugation_operator()
-    return op.apply(phi)
+    return classical_conjugation_operator().apply(phi)
 
 
 def classical_conjugate_wave(w: PlaneWave) -> PlaneWave:

@@ -194,9 +194,6 @@ class ConjugatedPhoton:
     """The realized function after a conjugation, with its state labels."""
 
     record: PlaneWaveFunction
-    n: Vec3
-    l: Vec3
-    m: Vec3
     lam: ExactComplex
     hbar_sign: int
     c_sign: int
@@ -219,7 +216,7 @@ def apply_C_photon(state: PhotonState | ConjugatedPhoton) -> ConjugatedPhoton:
     rec = state.record() if isinstance(state, PhotonState) else state.record
     return ConjugatedPhoton(
         record=rec.conjugate_function().scale(state.lam),
-        n=state.n, l=state.l, m=state.m, lam=state.lam,
+        lam=state.lam,
         hbar_sign=state.hbar_sign, c_sign=state.c_sign,
     )
 
@@ -253,7 +250,7 @@ def apply_Q_photon(state: PhotonState | ConjugatedPhoton, gs: GammaSet) -> Conju
     out = relabeled.conjugate_function().apply_matrix(gs.g0).apply_matrix(gs.g0).scale(state.lam)
     return ConjugatedPhoton(
         record=out,
-        n=state.n, l=state.l, m=state.m, lam=state.lam,
+        lam=state.lam,
         hbar_sign=-state.hbar_sign, c_sign=-state.c_sign,
     )
 

@@ -970,8 +970,9 @@ def _scan(config):
     res = kinematics.infeasibility_scan(
         draws=10_000, seed=config.seed, tolerance=config.tolerance
     )
+    found = f"{res.feasible_draws} feasible" if res.feasible_draws else "all infeasible"
     return res.all_infeasible, (
-        f"{res.draws} seeded draws (seed {res.seed}): all infeasible; "
+        f"{res.draws} seeded draws (seed {res.seed}): {found}; "
         f"worst closed-form relative gap {res.worst_relative_gap!r}"
     )
 

@@ -17,13 +17,6 @@ from .exact import ExactComplex
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 
-AXES: tuple[Vec3, ...] = (
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1)),
-)
-
-
 def rational_unit_vector(rng: np.random.Generator) -> Vec3:
     """A random exact unit 3-vector with rational components.
 

@@ -152,14 +152,13 @@ def matrix_times_radicals(m: ExactMatrix, vec: tuple[Radical, ...]) -> tuple[Rad
     return tuple(out)
 
 
-def bilinear(left: tuple[Radical, ...], m: ExactMatrix, right: tuple[Radical, ...],
-             conjugate_left: bool = True) -> ExactComplex:
-    """left^(dagger) @ m @ right, folded to an exact complex number."""
+def bilinear(left: tuple[Radical, ...], m: ExactMatrix, right: tuple[Radical, ...]
+             ) -> ExactComplex:
+    """left^dagger @ m @ right, folded to an exact complex number."""
     mv = matrix_times_radicals(m, right)
     acc = Radical(EC_ZERO)
     for l, r in zip(left, mv):
-        l = l.conjugate() if conjugate_left else l
-        acc = acc + l * r
+        acc = acc + l.conjugate() * r
     return acc.to_exact()
 
 

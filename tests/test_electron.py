@@ -14,6 +14,7 @@ from csym.electron import (
     ChargedEquation,
     DiracTransform,
     GammaIdentityError,
+    SpinorState,
     apply_C_spinor,
     apply_Q_spinor,
     build_spinor,
@@ -29,9 +30,43 @@ from csym.electron import (
 from csym.exact import EC_I, ExactComplex, ExactMatrix, anticommutator
 from csym.report import RunConfig, random_spinor, run
 from csym.sampling import spacetime_points
-from csym.waves import measured_momentum
+from csym.waves import PlaneWaveFunction, Radical, measured_momentum
 
 MINUS_I = ExactComplex(0, -1)
+
+
+def _reference_q_record(st, gs):
+    """The Q image assembled term by term from the substituted labels.
+
+    c, hbar, sigma and every 4-momentum label are negated; (n.sigma) is
+    unchanged by n -> -n together with sigma -> -sigma.  Bispinor radicals
+    take the conjugate branch (-i), the 1/sqrt(2 p0) prefactor the principal
+    one; the relabeled function is conjugated and multiplied by -g2.
+    """
+    p0, mc, hb = -st.p0, -st.mc, Fraction(-st.hbar_sign)
+    p = tuple(-pk for pk in st.p)
+    (n1, n2, n3), (z0, z1) = st.n, st.z
+    nsz = (n3 * z0 + ExactComplex(n1, -n2) * z1, ExactComplex(n1, n2) * z0 - n3 * z1)
+    snorm = Radical(1, 1 / st.s)
+    radp = Radical.sqrt(p0 + mc, negative_branch=MINUS_I)
+    radm = Radical.sqrt(p0 - mc, negative_branch=MINUS_I)
+    pref = Radical(1, 1 / (2 * p0)) if p0 > 0 else Radical(MINUS_I, -1 / (2 * p0))
+    if st.branch == 1:
+        parts = [radp * z0, radp * z1, radm * nsz[0], radm * nsz[1]]
+    else:
+        parts = [radm * nsz[0], radm * nsz[1], radp * z0, radp * z1]
+    sign = -st.branch
+    kappa = [sign * p0 / hb] + [-sign * pk / hb for pk in p]
+    relabeled = PlaneWaveFunction([x * snorm * pref for x in parts], kappa)
+    return relabeled.conjugate_function().apply_matrix(-gs.g2)
+
+
+def _sigma_unflipped(monkeypatch):
+    """Make every spinor record ignore its sigma label: a Q that keeps sigma."""
+    record = SpinorState.record
+    monkeypatch.setattr(
+        SpinorState, "record", lambda st: record(dataclasses.replace(st, sigma_sign=1))
+    )
 
 
 class TestGammaAlgebra4:
@@ -247,6 +282,12 @@ class TestConjugations:
         assert check.status == "fail"
         assert check.details == "worst relative gap 2.0"
 
+    @pytest.mark.parametrize("branch", [1, -1])
+    def test_q_record_matches_the_written_out_substitution(self, gamma4, rng, branch):
+        for _ in range(200):
+            st = random_spinor(rng, branch=branch)
+            assert apply_Q_spinor(st, gamma4).record == _reference_q_record(st, gamma4)
+
     def test_commutator_vanishes(self, gamma4, rng):
         for _ in range(25):
             st = random_spinor(rng)
@@ -274,6 +315,33 @@ class TestConjugations:
             q.record.kappa, st.m * Fraction(q.c_sign), Fraction(q.hbar_sign), gamma4.vector
         )
         assert max_abs_radical(matrix_times_radicals(matrix, q.record.amp)) == 0.0
+
+
+class TestWrongQControl:
+    """The C/Q checks must reject a Q that leaves sigma unflipped."""
+
+    def test_unflipped_sigma_changes_the_q_record(self, gamma4, monkeypatch):
+        st = build_spinor((Fraction(3, 2), 0, 0), 2, (1, 0))
+        _sigma_unflipped(monkeypatch)
+        assert apply_C_spinor(st, gamma4).record() != apply_Q_spinor(st, gamma4).record
+
+    def test_rest_frame_cannot_tell(self, gamma4, monkeypatch):
+        # at rest sqrt(p0 - mc) vanishes on the flipped hyperplane, so the
+        # (n.sigma) pair carries no weight and the sign of sigma is invisible
+        st = build_spinor((0, 0, 0), 2, (1, 1))
+        _sigma_unflipped(monkeypatch)
+        assert apply_C_spinor(st, gamma4).record() == apply_Q_spinor(st, gamma4).record
+
+    def test_suite_checks_reject_unflipped_sigma(self, monkeypatch):
+        _sigma_unflipped(monkeypatch)
+        report = run(RunConfig(suites=("electron",), samples=3))
+        by_id = {c.id: c for c in report.checks}
+        check = by_id["electron.cq-record-equality"]
+        assert check.status == "fail"
+        assert check.details.startswith("records differ for SpinorState(")
+        assert "sigma_sign=1" in check.details
+        assert by_id["electron.cq-pointwise-equality"].status == "fail"
+        assert by_id["electron.conjugation-commutator"].status == "fail"
 
 
 class TestChargedEquation:

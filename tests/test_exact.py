@@ -1,11 +1,13 @@
 """Exact scalar/matrix arithmetic and elimination."""
 
+import cmath
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from csym import exact
+from csym.waves import Radical
 from csym.exact import (
     EC_I,
     EC_ONE,
@@ -13,7 +15,6 @@ from csym.exact import (
     ExactMatrix,
     RowSpan,
     anticommutator,
-    commutator,
     fraction_sqrt,
     matrix_rank,
     nullspace,
@@ -104,10 +105,6 @@ class TestMatrixOps:
     def test_identity_product(self):
         i3 = ExactMatrix.identity(3)
         assert i3 @ i3 == i3
-
-    def test_self_commutator_vanishes(self):
-        sx = ExactMatrix.from_rows([[0, 1], [1, 0]])
-        assert commutator(sx, sx).is_zero()
 
     def test_dimension_mismatch_names_shapes(self):
         a = ExactMatrix.zeros(3, 2)
@@ -363,3 +360,178 @@ class TestRowSpan:
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width mismatch"):
             RowSpan(ExactMatrix.from_rows([[1, 0]])).express(ExactMatrix.from_rows([[1, 0, 0]]))
+
+
+# --- properties of the scalar arithmetic -----------------------------------
+
+_rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_gaussian_rational = st.builds(ExactComplex, _rational, _rational)
+
+
+def _parse_repr(text):
+    """Read an ExactComplex repr back: "a", "bi" or "a+bi" / "a-bi"."""
+    if not text.endswith("i"):
+        return ExactComplex(Fraction(text))
+    body = text[:-1]
+    split = max(body.rfind("+"), body.rfind("-"))
+    if split <= 0:
+        return ExactComplex(0, Fraction(body))
+    return ExactComplex(Fraction(body[:split]), Fraction(body[split:]))
+
+
+class TestExactComplexProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_gaussian_rational, _gaussian_rational, _gaussian_rational)
+    def test_field_axioms(self, a, b, c):
+        zero, one = ExactComplex(0), EC_ONE
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a
+        assert a + (-a) == zero and a - b == a + (-b)
+        if not a.is_zero():
+            assert a * (one / a) == one and (b / a) * a == b
+        else:
+            with pytest.raises(ZeroDivisionError):
+                b / a
+
+    @settings(max_examples=200, deadline=None)
+    @given(_gaussian_rational, _gaussian_rational, st.integers(-5, 5))
+    def test_conjugation_norm_and_integer_coercion(self, a, b, k):
+        assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+        assert (a * b).norm_sq() == a.norm_sq() * b.norm_sq()
+        assert a * a.conjugate() == ExactComplex(a.norm_sq())
+        assert a + k == k + a == a + ExactComplex(k)
+        assert a * k == k * a == a * ExactComplex(k)
+        assert k - a == ExactComplex(k) - a
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gaussian_rational, _gaussian_rational)
+    def test_repr_names_the_value(self, a, b):
+        assert _parse_repr(repr(a)) == a
+        assert (repr(a) == repr(b)) == (a == b)
+        assert (a == b) <= (hash(a) == hash(b))
+
+    def test_repr_forms(self):
+        assert [repr(x) for x in (
+            ExactComplex(0), ExactComplex(Fraction(-3, 2)), ExactComplex(0, Fraction(-3, 2)),
+            ExactComplex(1, -1), ExactComplex(Fraction(-1, 2), Fraction(3, 4)),
+        )] == ["0", "-3/2", "-3/2i", "1-1i", "-1/2+3/4i"]
+
+
+# --- Radical closure: exact over commensurable radicands, refused otherwise -
+
+_squarefree = st.sampled_from([1, 2, 3, 5, 6, 7])
+
+
+@st.composite
+def _radical(draw, base=None):
+    """coeff * sqrt(q^2 base): value coeff * |q| * sqrt(base), base squarefree."""
+    base = draw(_squarefree) if base is None else base
+    q = draw(st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
+    return Radical(draw(_gaussian_rational), q * q * base), base
+
+
+def _close(x, y):
+    return cmath.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+
+
+class TestRadicalProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_radical(), _radical())
+    def test_products_close_and_match_the_value(self, ra, rb):
+        (a, _), (b, _) = ra, rb
+        assert a * b == b * a
+        assert _close((a * b).to_complex(), a.to_complex() * b.to_complex())
+        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+        assert (a * a.conjugate()).to_exact() == ExactComplex(a.coeff.norm_sq() * a.radicand)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_commensurable_sums_close_exactly(self, data):
+        a, base = data.draw(_radical())
+        b, _ = data.draw(_radical(base))
+        c, _ = data.draw(_radical(base))
+        assert a + b == b + a and (a + b) + c == a + (b + c)
+        assert (a - a).is_zero() and a - b == a + (-b)
+        assert _close((a + b).to_complex(), a.to_complex() + b.to_complex())
+        assert Radical(a.coeff, a.radicand * 4) == a + a  # sqrt(4 r) = 2 sqrt(r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_radical(), _radical())
+    def test_incommensurable_sums_are_refused(self, ra, rb):
+        (a, base_a), (b, base_b) = ra, rb
+        if base_a == base_b or a.is_zero() or b.is_zero():
+            assert _close((a + b).to_complex(), a.to_complex() + b.to_complex())
+            return
+        with pytest.raises(ValueError, match="incommensurable"):
+            a + b
+        assert a != b
+
+    @settings(deadline=None)
+    @given(_rational.filter(lambda x: x < 0))
+    def test_negative_radicands_need_a_branch(self, x):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Radical(1, x)
+        with pytest.raises(ValueError, match="explicit branch"):
+            Radical.sqrt(x)
+        minus_i = ExactComplex(0, -1)
+        assert Radical.sqrt(x, negative_branch=minus_i) == Radical(minus_i, -x)
+
+
+# --- rowspace_equal: an equivalence relation on matrices of one width ------
+
+@st.composite
+def _three_matrices(draw):
+    """Three matrices whose rows are combinations of one generator set.
+
+    They often span the same space (full-rank combinations) and often do
+    not (rank-deficient combinations), so each property sees both cases.
+    """
+    cols = draw(st.integers(1, 4))
+    n_gen = draw(st.integers(1, 3))
+    gens = [draw(st.lists(_gaussian, min_size=cols, max_size=cols)) for _ in range(n_gen)]
+    mats = []
+    for _ in range(3):
+        n_rows = draw(st.integers(1, 4))
+        weights = [draw(st.lists(_gaussian, min_size=n_gen, max_size=n_gen))
+                   for _ in range(n_rows)]
+        mats.append(ExactMatrix.from_rows(
+            [[sum((w * g[j] for w, g in zip(ws, gens)), ExactComplex(0)) for j in range(cols)]
+             for ws in weights]))
+    return mats
+
+
+class TestRowspaceEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(_three_matrices())
+    def test_reflexive_symmetric_transitive(self, mats):
+        a, b, c = mats
+        assert rowspace_equal(a, a)
+        assert rowspace_equal(a, b) == rowspace_equal(b, a)
+        if rowspace_equal(a, b) and rowspace_equal(b, c):
+            assert rowspace_equal(a, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_span_and_rows())
+    def test_class_is_containment_plus_dimension(self, ab):
+        a, b = ab
+        inside = all(solve(a.transpose(), ExactMatrix.column(b.row(i))) is not None
+                     for i in range(b.rows))
+        stacked = ExactMatrix.from_rows([a.row(i) for i in range(a.rows)]
+                                        + [b.row(i) for i in range(b.rows)])
+        assert rowspace_equal(a, stacked) == inside
+        assert rowspace_equal(a, b) == (inside and matrix_rank(a) == matrix_rank(b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_span_and_rows(), st.data())
+    def test_invertible_row_operations_keep_the_class(self, ab, data):
+        a, _ = ab
+        order = data.draw(st.permutations(range(a.rows)))
+        scale = data.draw(_gaussian.filter(lambda z: not z.is_zero()))
+        rows = [list(a.row(i)) for i in order]
+        rows[0] = [x * scale for x in rows[0]]
+        if len(rows) > 1:
+            rows[-1] = [x + y for x, y in zip(rows[-1], rows[0])]
+        assert rowspace_equal(a, ExactMatrix.from_rows(rows))

@@ -1,5 +1,6 @@
 """Four-momentum arithmetic and the pair-creation feasibility argument."""
 
+import dataclasses
 import math
 
 import pytest
@@ -111,6 +112,31 @@ class TestVacuumTransition:
         check = {c.id: c for c in report.checks}["kinematics.vacuum-transition-infeasible"]
         assert check.status == "fail"
         assert check.details.endswith("worst closed-form relative gap nan")
+
+    def test_feasible_draw_fails_the_scan_and_is_counted(self, monkeypatch):
+        feasible = kinematics.vacuum_transition_feasible
+        calls = []
+
+        def feasible_on_first_massive_draw(omega, omega_prime, n, n_prime, m, *args):
+            verdict = feasible(omega, omega_prime, n, n_prime, m, *args)
+            if m > 0:  # the collinear-marginal check passes m = 0
+                calls.append(None)
+                if len(calls) == 1:
+                    return dataclasses.replace(verdict, feasible=True)
+            return verdict
+
+        monkeypatch.setattr(kinematics, "vacuum_transition_feasible",
+                            feasible_on_first_massive_draw)
+        res = infeasibility_scan(draws=10, seed=0)
+        assert res.feasible_draws == 1 and not res.all_infeasible
+        calls.clear()
+        report = run(RunConfig(suites=("kinematics",), samples=1))
+        by_id = {c.id: c for c in report.checks}
+        assert by_id["kinematics.collinear-marginal"].status == "pass"
+        check = by_id["kinematics.vacuum-transition-infeasible"]
+        assert check.status == "fail"
+        assert "all infeasible" not in check.details
+        assert check.details.startswith("10000 seeded draws (seed 0): 1 feasible; ")
 
     def test_scan_reproducible(self):
         a = infeasibility_scan(draws=500, seed=7)
