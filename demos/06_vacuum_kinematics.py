@@ -12,7 +12,8 @@ print()
 
 scan = infeasibility_scan(draws=10_000, seed=0)
 print(f"seeded scan over {scan.draws} random draws (seed {scan.seed})")
-print(f"  all infeasible:              {scan.all_infeasible}")
+print(f"  feasible draws:              {scan.feasible_draws}")
+print(f"  scan passed:                 {scan.passed}")
 print(f"  worst closed-form rel. gap:  {scan.worst_relative_gap:.3e}")
 print()
 

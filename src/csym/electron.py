@@ -294,6 +294,10 @@ class SpinorState:
         return tuple(x * snorm for x in parts)
 
     def record(self) -> PlaneWaveFunction:
+        return self._record
+
+    @cached_property
+    def _record(self) -> PlaneWaveFunction:
         pref = _inv_sqrt_radical(2 * self.p0)
         amp = [x * pref for x in self.bispinor()]
         hb = Fraction(self.hbar_sign)

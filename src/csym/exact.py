@@ -1,8 +1,8 @@
 """Exact Gaussian-rational scalars, matrices and sparse elimination.
 
-Everything in this module is exact: scalars are complex numbers whose real
-and imaginary parts are arbitrary-precision fractions, and every matrix
-operation (products, elimination, nullspaces, row-space comparison) is
+Everything in this module is exact: a scalar is a complex number (a + b i) / d
+held as three ints, reduced so that d > 0 and gcd(a, b, d) == 1, and every
+matrix operation (products, elimination, nullspaces, row-space comparison) is
 carried out without any rounding.  Identity checks built on top of it are
 therefore zero-tolerance by construction.  Matrices are stored dense;
 elimination reduces rows held as dicts of their nonzeros, scaling each pivot
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -30,16 +30,33 @@ def _frac(x) -> Fraction:
 
 
 class ExactComplex:
-    """A complex number with exact rational real and imaginary parts."""
+    """A Gaussian rational (a + b i) / d, stored as the three ints a, b, d.
 
-    __slots__ = ("re", "im")
+    The triple is reduced: d > 0 and gcd(a, b, d) == 1, so every value has
+    exactly one triple and equality compares ints.  Arithmetic works on the
+    ints and divides out one gcd per result.  The parts re and im are
+    read-only Fraction properties.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rational = 0, im: Rational = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if re.__class__ is int and im.__class__ is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _frac(re), _frac(im)
+        rd, imd = re.denominator, im.denominator
+        d = rd * imd // gcd(rd, imd)
+        # over the lcm of two reduced denominators the triple is reduced
+        self._a, self._b, self._d = re.numerator * (d // rd), im.numerator * (d // imd), d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactComplex is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -56,78 +73,104 @@ class ExactComplex:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other) -> "ExactComplex":
-        o = ExactComplex.coerce(other)
-        return ExactComplex(self.re + o.re, self.im + o.im)
+        o = other if other.__class__ is ExactComplex else ExactComplex.coerce(other)
+        d, e = self._d, o._d
+        if d == e:
+            return _reduced(self._a + o._a, self._b + o._b, d)
+        return _reduced(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ExactComplex":
-        o = ExactComplex.coerce(other)
-        return ExactComplex(self.re - o.re, self.im - o.im)
+        o = other if other.__class__ is ExactComplex else ExactComplex.coerce(other)
+        d, e = self._d, o._d
+        if d == e:
+            return _reduced(self._a - o._a, self._b - o._b, d)
+        return _reduced(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
     def __rsub__(self, other) -> "ExactComplex":
         return ExactComplex.coerce(other) - self
 
     def __mul__(self, other) -> "ExactComplex":
-        o = ExactComplex.coerce(other)
-        return ExactComplex(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        o = other if other.__class__ is ExactComplex else ExactComplex.coerce(other)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ExactComplex":
-        o = ExactComplex.coerce(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        o = other if other.__class__ is ExactComplex else ExactComplex.coerce(other)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by exact zero")
-        return ExactComplex(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        # (a + b i) / d over (c + e i) / f is (a + b i)(c - e i) f / (d (c^2 + e^2))
+        f = o._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other) -> "ExactComplex":
         return ExactComplex.coerce(other) / self
 
     def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # -- predicates / conversions -------------------------------------
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __eq__(self, other) -> bool:
-        try:
-            o = ExactComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if other.__class__ is not ExactComplex:
+            try:
+                other = ExactComplex.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        # a real value equals its int or Fraction, so it hashes like one
+        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+def _triple(a: int, b: int, d: int) -> ExactComplex:
+    """The ExactComplex of a triple that is already reduced."""
+    z = object.__new__(ExactComplex)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> ExactComplex:
+    """The ExactComplex (a + b i) / d for d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _triple(a, b, d)
+    return _triple(a // g, b // g, d // g)
 
 
 EC_ZERO = ExactComplex(0)

@@ -14,7 +14,7 @@ identities and the conjugation-constraint signs are derived, not listed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .exact import EC_ZERO, ExactComplex, ExactMatrix, RowSpan, anticommutator, nullspace
 
@@ -72,22 +72,23 @@ def block(tl, tr, bl, br) -> ExactMatrix:
 def verify_identities(spec: GammaSpec, gs: GammaSet) -> None:
     """Raise GammaIdentityError naming the first defining identity that fails."""
     ident = ExactMatrix.identity(gs.g0.rows)
+    times_ident = cache(ident.scale)  # each comparison target c I is built once
     gam = gs.vector
     for a in range(4):
         for b in range(4):
-            want = ident.scale(2 * (METRIC_DIAG[a] if a == b else 0))
+            want = times_ident(2 * (METRIC_DIAG[a] if a == b else 0))
             if anticommutator(gam[a], gam[b]) != want:
                 raise GammaIdentityError(
                     f"anticommutation failed: {{g{a}, g{b}}} != 2 g^{a}{b}"
                 )
     for a, c in enumerate(spec.g5_anticommutator):
-        if anticommutator(gam[a], gs.g5) != ident.scale(c):
+        if anticommutator(gam[a], gs.g5) != times_ident(c):
             raise GammaIdentityError(f"anticommutation failed: {{g{a}, g5}} != {c} I")
     for a, (g, eta) in enumerate(zip(gam, METRIC_DIAG)):
         if g.dagger() != g.scale(eta):
             raise GammaIdentityError(f"g{a} is not {'hermitian' if eta > 0 else 'antihermitian'}")
     for a, (g, eta) in enumerate(zip(gam, METRIC_DIAG)):
-        if g @ g != ident.scale(eta):
+        if g @ g != times_ident(eta):
             raise GammaIdentityError(
                 f"g{a} squared is not {'the identity' if eta > 0 else 'minus the identity'}"
             )

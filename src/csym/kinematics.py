@@ -111,10 +111,16 @@ def vacuum_transition_feasible(omega: float, omega_prime: float, n, n_prime,
 
 @dataclass(frozen=True)
 class ScanResult:
+    """Outcome of infeasibility_scan.
+
+    passed holds when no draw is feasible and every closed-form gap and
+    closed-form value is finite and within tolerance.
+    """
+
     seed: int
     draws: int
     feasible_draws: int
-    all_infeasible: bool
+    passed: bool
     worst_relative_gap: float
     max_closed_form: float
 
@@ -157,7 +163,7 @@ def infeasibility_scan(draws: int = 10_000, seed: int = 0, m: float = 1.0,
         seed=seed,
         draws=draws,
         feasible_draws=feasible,
-        all_infeasible=feasible == 0 and worst <= tolerance and max_closed <= tolerance,
+        passed=feasible == 0 and worst <= tolerance and max_closed <= tolerance,
         worst_relative_gap=worst,
         max_closed_form=max_closed,
     )

@@ -971,7 +971,7 @@ def _scan(config):
         draws=10_000, seed=config.seed, tolerance=config.tolerance
     )
     found = f"{res.feasible_draws} feasible" if res.feasible_draws else "all infeasible"
-    return res.all_infeasible, (
+    return res.passed, (
         f"{res.draws} seeded draws (seed {res.seed}): {found}; "
         f"worst closed-form relative gap {res.worst_relative_gap!r}"
     )

@@ -19,6 +19,9 @@ import numpy as np
 from .exact import EC_ONE, EC_ZERO, ExactComplex, ExactMatrix, fraction_sqrt
 
 
+_ONE = Fraction(1)
+
+
 class Radical:
     """Exact scalar of the form coeff * sqrt(radicand), radicand >= 0."""
 
@@ -33,11 +36,11 @@ class Radical:
                 "use Radical.sqrt to choose an imaginary branch explicitly"
             )
         if radicand == 0 or coeff.is_zero():
-            coeff, radicand = EC_ZERO, Fraction(1)
+            coeff, radicand = EC_ZERO, _ONE
         else:
             root = fraction_sqrt(radicand)
             if root is not None:
-                coeff, radicand = coeff * root, Fraction(1)
+                coeff, radicand = coeff * root, _ONE
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "radicand", radicand)
 
@@ -68,12 +71,12 @@ class Radical:
     def __mul__(self, other) -> "Radical":
         if isinstance(other, Radical):
             return Radical(self.coeff * other.coeff, self.radicand * other.radicand)
-        return Radical(self.coeff * ExactComplex.coerce(other), self.radicand)
+        return _radical(self.coeff * other, self.radicand)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Radical":
-        return Radical(-self.coeff, self.radicand)
+        return _radical(-self.coeff, self.radicand)
 
     def __add__(self, other) -> "Radical":
         if not isinstance(other, Radical):
@@ -83,7 +86,7 @@ class Radical:
         if self.is_zero():
             return other
         if self.radicand == other.radicand:
-            return Radical(self.coeff + other.coeff, self.radicand)
+            return _radical(self.coeff + other.coeff, self.radicand)
         # commensurable radicands: sqrt(r2) = (s / r1) * sqrt(r1) when r1 r2 = s^2
         s = fraction_sqrt(self.radicand * other.radicand)
         if s is None:
@@ -91,13 +94,13 @@ class Radical:
                 f"cannot add radicals with incommensurable radicands "
                 f"{self.radicand} and {other.radicand}"
             )
-        return Radical(self.coeff + other.coeff * (s / self.radicand), self.radicand)
+        return _radical(self.coeff + other.coeff * (s / self.radicand), self.radicand)
 
     def __sub__(self, other) -> "Radical":
         return self + (-other if isinstance(other, Radical) else Radical.of(other) * -1)
 
     def conjugate(self) -> "Radical":
-        return Radical(self.coeff.conjugate(), self.radicand)
+        return _radical(self.coeff.conjugate(), self.radicand)
 
     def to_exact(self) -> ExactComplex:
         """The value as a plain ExactComplex; requires a rational radicand root."""
@@ -123,7 +126,10 @@ class Radical:
         return self.coeff == other.coeff * ratio
 
     def __hash__(self):
-        return hash((self.coeff, self.radicand))
+        # equal radicals have equal squares; a rational one hashes like its value
+        if self.radicand == 1:
+            return hash(self.coeff)
+        return hash(self.coeff * self.coeff * self.radicand)
 
     def to_complex(self) -> complex:
         return self.coeff.to_complex() * math.sqrt(float(self.radicand))
@@ -132,6 +138,21 @@ class Radical:
         if self.radicand == 1:
             return repr(self.coeff)
         return f"({self.coeff!r})*sqrt({self.radicand})"
+
+
+def _radical(coeff: ExactComplex, radicand: Fraction) -> Radical:
+    """coeff * sqrt(radicand) for a radicand some Radical already holds.
+
+    Such a radicand is 1 or a positive non-square, so only a zero coefficient
+    needs normalizing; the validation and the square-root test of
+    Radical(coeff, radicand) are skipped.
+    """
+    r = object.__new__(Radical)
+    if coeff.is_zero():
+        coeff, radicand = EC_ZERO, _ONE
+    object.__setattr__(r, "coeff", coeff)
+    object.__setattr__(r, "radicand", radicand)
+    return r
 
 
 def radical_vector(values) -> tuple[Radical, ...]:

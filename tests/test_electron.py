@@ -234,6 +234,12 @@ class TestConjugations:
         assert neg.branch == -1
         assert neg.c_sign == st.c_sign and neg.hbar_sign == st.hbar_sign
 
+    def test_record_is_built_once_per_state(self, gamma4, rng):
+        st = random_spinor(rng)
+        neg = apply_C_spinor(st, gamma4)  # builds neg's record for its assertion
+        assert neg.record() is neg.record() and st.record() is st.record()
+        assert dataclasses.replace(st, branch=-1).record() is not st.record()
+
     def test_c_labels(self, gamma4, rng):
         st = random_spinor(rng)
         neg = apply_C_spinor(st, gamma4)

@@ -1,6 +1,8 @@
 """Exact scalar/matrix arithmetic and elimination."""
 
 import cmath
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -535,3 +537,125 @@ class TestRowspaceEquivalence:
         if len(rows) > 1:
             rows[-1] = [x + y for x, y in zip(rows[-1], rows[0])]
         assert rowspace_equal(a, ExactMatrix.from_rows(rows))
+
+
+# --- the reduced triple against a plain Fraction-pair model ----------------
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "neg": lambda z, w: -z, "conj": lambda z, w: z.conjugate()}
+
+
+def _model_apply(op, z, w):
+    """One operation on (re, im) Fraction pairs, written out independently."""
+    (x, y), (u, v) = z, w
+    if op == "+":
+        return x + u, y + v
+    if op == "-":
+        return x - u, y - v
+    if op == "*":
+        return x * u - y * v, x * v + y * u
+    if op == "/":
+        n = u * u + v * v
+        return (x * u + y * v) / n, (y * u - x * v) / n
+    if op == "neg":
+        return -x, -y
+    return x, -y
+
+
+def _model_repr(x, y):
+    if y == 0:
+        return str(x)
+    if x == 0:
+        return f"{y}i"
+    return f"{x}{'+' if y > 0 else '-'}{abs(y)}i"
+
+
+def _assert_matches_model(z, model):
+    x, y = model
+    a, b, d = z._a, z._b, z._d
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == (x, y)
+    assert (z.re, z.im) == (x, y) and z.norm_sq() == x * x + y * y
+    assert repr(z) == _model_repr(x, y)
+    assert z.to_complex() == complex(float(x), float(y))
+
+
+class TestTripleAgainstFractionPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(_rational, _rational,
+           st.lists(st.tuples(st.sampled_from(sorted(_OPS)), _rational, _rational), max_size=6))
+    def test_every_operation_keeps_the_invariant_and_the_value(self, x, y, steps):
+        z, model = ExactComplex(x, y), (x, y)
+        _assert_matches_model(z, model)
+        for op, u, v in steps:
+            w = ExactComplex(u, v)
+            if op == "/" and u == v == 0:
+                with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+                    z / w
+                continue
+            z, model = _OPS[op](z, w), _model_apply(op, model, (u, v))
+            _assert_matches_model(z, model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rational, _rational, _rational, _rational)
+    def test_equality_is_equality_of_the_pairs(self, x, y, u, v):
+        assert (ExactComplex(x, y) == ExactComplex(u, v)) == ((x, y) == (u, v))
+        assert (ExactComplex(x, y) == u) == ((x, y) == (u, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rational, st.integers(-50, 50))
+    def test_a_real_value_hashes_like_its_rational(self, q, k):
+        assert ExactComplex(q) == q and hash(ExactComplex(q)) == hash(q)
+        assert ExactComplex(k) == k and hash(ExactComplex(k)) == hash(k)
+        assert len({ExactComplex(q), q}) == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: ExactComplex(0.5), lambda: ExactComplex(1, 0.25),
+    ])
+    def test_a_float_part_is_refused(self, make):
+        with pytest.raises(TypeError, match="refusing inexact float"):
+            make()
+
+    def test_a_float_operand_is_refused(self):
+        with pytest.raises(TypeError, match="cannot coerce float"):
+            ExactComplex(1) + 0.5
+        with pytest.raises(TypeError, match="refusing inexact complex"):
+            ExactComplex(1) * 0.5j
+
+
+class TestRadicalFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), _gaussian_rational)
+    def test_results_match_the_validating_constructor(self, data, k):
+        a, base = data.draw(_radical())
+        b, _ = data.draw(_radical(base))
+
+        def fields(r):
+            return r.coeff, r.radicand
+
+        assert fields(a * k) == fields(Radical(a.coeff * k, a.radicand))
+        assert fields(-a) == fields(Radical(-a.coeff, a.radicand))
+        assert fields(a.conjugate()) == fields(Radical(a.coeff.conjugate(), a.radicand))
+        assert fields(a * 0) == fields(Radical(0)) == (ExactComplex(0), 1)
+        assert fields(a + (-a)) == fields(Radical(0))
+        if not (a.is_zero() or b.is_zero()):
+            ratio = fraction_sqrt(b.radicand / a.radicand)  # commensurable: rational
+            assert fields(a + b) == fields(Radical(a.coeff + b.coeff * ratio, a.radicand))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_radical(), st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
+    def test_equal_radicals_hash_equal(self, ra, k):
+        a, _ = ra
+        same = Radical(a.coeff / k, a.radicand * k * k)  # the same value written apart
+        assert same == a and hash(same) == hash(a)
+
+    def test_hash_examples(self):
+        assert len({Radical(1, 8), Radical(2, 2)}) == 1
+        assert hash(Radical(0, 5)) == hash(Radical(3, 0)) == hash(ExactComplex(0))
+        assert hash(Radical.of(Fraction(3, 4))) == hash(Fraction(3, 4))
+        from csym.waves import PlaneWaveFunction
+
+        kappa = (1, 0, 0, 1)
+        records = {PlaneWaveFunction([Radical(1, 8)], kappa),
+                   PlaneWaveFunction([Radical(2, 2)], kappa)}
+        assert len(records) == 1

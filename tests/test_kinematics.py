@@ -90,7 +90,7 @@ class TestVacuumTransition:
 
     def test_seeded_scan(self):
         res = infeasibility_scan(draws=10_000, seed=0)
-        assert res.all_infeasible
+        assert res.passed
         assert res.worst_relative_gap <= 1e-12
         assert res.max_closed_form <= 1e-12
 
@@ -105,7 +105,7 @@ class TestVacuumTransition:
 
         monkeypatch.setattr(kinematics, "closed_form_pair_mass_sq", nan_on_third_draw)
         res = infeasibility_scan(draws=10, seed=0)
-        assert not res.all_infeasible
+        assert not res.passed and res.feasible_draws == 0
         assert math.isnan(res.worst_relative_gap) and math.isnan(res.max_closed_form)
         calls.clear()
         report = run(RunConfig(suites=("kinematics",), samples=1))
@@ -128,7 +128,7 @@ class TestVacuumTransition:
         monkeypatch.setattr(kinematics, "vacuum_transition_feasible",
                             feasible_on_first_massive_draw)
         res = infeasibility_scan(draws=10, seed=0)
-        assert res.feasible_draws == 1 and not res.all_infeasible
+        assert res.feasible_draws == 1 and not res.passed
         calls.clear()
         report = run(RunConfig(suites=("kinematics",), samples=1))
         by_id = {c.id: c for c in report.checks}
