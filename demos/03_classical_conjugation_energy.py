@@ -9,8 +9,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from csym import PlaneWave, classical_conjugate_wave, energy_poynting, plane_wave_residual
+from csym import (
+    PlaneWave,
+    build_maxwell_system,
+    classical_conjugate_wave,
+    energy_poynting,
+    plane_wave_residual,
+)
 from csym.maxwell import energy_poynting_record
+
+system = build_maxwell_system()
 
 wave = PlaneWave.make(
     n=(Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)),
@@ -18,11 +26,11 @@ wave = PlaneWave.make(
     k0=Fraction(3, 2),
 )
 print(f"plane wave: n = {wave.n}, l = {wave.l}, m = n x l = {wave.m}")
-print(f"residual in the source-free system: {plane_wave_residual(wave)} (exact)")
+print(f"residual in the source-free system: {plane_wave_residual(system, wave)} (exact)")
 
 conj = classical_conjugate_wave(wave)
 print(f"conjugated: l -> {conj.l}, m -> {conj.m}, phase unchanged")
-print(f"conjugate still solves: residual = {plane_wave_residual(conj)}")
+print(f"conjugate still solves: residual = {plane_wave_residual(system, conj)}")
 print()
 
 rec, crec = energy_poynting_record(wave), energy_poynting_record(conj)

@@ -5,6 +5,8 @@ the sign of the speed of light.
 The package is organized as a small library:
 
 * ``exact``      exact Gaussian-rational scalars, matrices, and elimination
+* ``waves``      radicals, plane-wave records, and the plane-wave layer shared
+                 by photons and electrons (exponent, Dirac residual, sums)
 * ``gamma``      gamma-matrix sets: identity verification, conjugation spaces
 * ``signgroup``  the order-8 coordinate sign group and the 16 field symmetries
 * ``maxwell``    the field-equation system, invariance proofs, plane waves

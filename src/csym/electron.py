@@ -46,10 +46,9 @@ from .waves import (
     PlaneWaveFunction,
     Radical,
     bilinear,
-    free_dirac_residual_matrix,
-    matrix_times_radicals,
-    max_abs_radical,
+    dirac_residual,
     measured_momentum,
+    plane_wave,
 )
 
 MINUS_I = ExactComplex(0, -1)
@@ -188,11 +187,8 @@ def transform_wave(entry: DiracTransform, rec: PlaneWaveFunction) -> PlaneWaveFu
 def transformed_residual(entry: DiracTransform, rec: PlaneWaveFunction, m: Fraction,
                          c_sign: int, hbar_sign: int, gs: GammaSet) -> float:
     """Residual of the transformed wave against the equation with mapped constants."""
-    out = transform_wave(entry, rec)
-    mc = m * Fraction(c_sign * entry.c_sign)
-    hb = Fraction(hbar_sign * entry.hbar_sign)
-    matrix = free_dirac_residual_matrix(out.kappa, mc, hb, gs.vector)
-    return max_abs_radical(matrix_times_radicals(matrix, out.amp))
+    return dirac_residual(transform_wave(entry, rec), m * Fraction(c_sign * entry.c_sign),
+                          Fraction(hbar_sign * entry.hbar_sign), gs.vector)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +296,8 @@ class SpinorState:
     def _record(self) -> PlaneWaveFunction:
         pref = _inv_sqrt_radical(2 * self.p0)
         amp = [x * pref for x in self.bispinor()]
-        hb = Fraction(self.hbar_sign)
-        sign = -self.branch  # +branch: exp[-(i/h)(p0 x0 - p.x)], -branch: conjugated phase
-        kappa = [sign * self.p0 / hb] + [-sign * pk / hb for pk in self.p]
-        return PlaneWaveFunction(amp, kappa)
+        b = self.branch  # +branch: exp[-(i/h)(p0 x0 - p.x)], -branch: conjugated phase
+        return plane_wave(amp, b * self.p0, [b * pk for pk in self.p], Fraction(self.hbar_sign))
 
     @property
     def momentum_label(self) -> Vec3:
@@ -316,7 +310,7 @@ class SpinorState:
         return Fraction(self.c_sign) * p0l
 
 
-def build_spinor(p, m, z, branch: int = 1, c_sign: int = 1, hbar_sign: int = 1) -> SpinorState:
+def build_spinor(p, m, z, branch: int = 1) -> SpinorState:
     """Validated spinor-state constructor; rejections name the violated rule."""
     p = tuple(Fraction(x) for x in p)
     m = Fraction(m)
@@ -325,9 +319,9 @@ def build_spinor(p, m, z, branch: int = 1, c_sign: int = 1, hbar_sign: int = 1) 
         raise ValueError(f"rest mass must be positive, got {m}")
     if not (z[0] or z[1]):
         raise ValueError("spinor label z must be nonzero")
-    if branch not in (-1, 1) or c_sign not in (-1, 1) or hbar_sign not in (-1, 1):
-        raise ValueError("branch, c_sign and hbar_sign must be +1 or -1")
-    state = SpinorState(p=p, m=m, z=z, branch=branch, c_sign=c_sign, hbar_sign=hbar_sign)
+    if branch not in (-1, 1):
+        raise ValueError(f"branch must be +1 or -1, got {branch}")
+    state = SpinorState(p=p, m=m, z=z, branch=branch)
     state.energy  # force the rationality checks
     state.p_abs
     return state
@@ -341,11 +335,7 @@ def spinor_norm(state: SpinorState, gs: GammaSet) -> ExactComplex:
 
 def free_residual(state: SpinorState, gs: GammaSet) -> float:
     """Residual of the state's record in the free equation with its own signs."""
-    rec = state.record()
-    matrix = free_dirac_residual_matrix(
-        rec.kappa, state.mc, Fraction(state.hbar_sign), gs.vector
-    )
-    return max_abs_radical(matrix_times_radicals(matrix, rec.amp))
+    return dirac_residual(state.record(), state.mc, Fraction(state.hbar_sign), gs.vector)
 
 
 def _partner_z(z, branch: int) -> tuple[ExactComplex, ExactComplex]:

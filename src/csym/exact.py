@@ -11,12 +11,15 @@ row once by the inverse of its pivot.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
+
+_HASH_HALF = 1 << (sys.hash_info.width - 1)
 
 
 def _frac(x) -> Fraction:
@@ -139,10 +142,11 @@ class ExactComplex:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        if self._b:
-            return hash((self._a, self._b, self._d))
-        # a real value equals its int or Fraction, so it hashes like one
-        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        # CPython's complex hash of the two parts, wrapped to a signed machine
+        # word, so a value hashes like the int, Fraction or complex it equals
+        h = hash(self.re) + sys.hash_info.imag * hash(self.im) + _HASH_HALF
+        h = h % (2 * _HASH_HALF) - _HASH_HALF
+        return -2 if h == -1 else h
 
     def to_complex(self) -> complex:
         # int / int rounds correctly, as float(Fraction) does

@@ -9,6 +9,9 @@ the two vacuum photons, whose invariant mass squared is
 while producing a pair of rest mass m requires s >= (2 m c^2)^2 > 0.  The
 checker evaluates both sides numerically; the closed form above is derived
 by hand and cross-checked against direct four-vector arithmetic.
+
+Units: hbar = c = 1 throughout, so energies, momenta and frequencies share
+one scale.  Only invariant_mass_sq keeps c as an argument.
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ def _check_unit(name: str, n) -> tuple[float, float, float]:
     return n
 
 
-def pair_momentum_from_vacuum_photons(omega: float, omega_prime: float, n, n_prime,
-                                      hbar: float = 1.0, c: float = 1.0
+def pair_momentum_from_vacuum_photons(omega: float, omega_prime: float, n, n_prime
                                       ) -> list[FourMomentum]:
     """The four-momenta whose sum the would-be pair must carry.
 
@@ -59,16 +61,15 @@ def pair_momentum_from_vacuum_photons(omega: float, omega_prime: float, n, n_pri
     """
     n = _check_unit("n", n)
     n_prime = _check_unit("n_prime", n_prime)
-    before = FourMomentum(-hbar * omega, tuple(-hbar * omega * x / c for x in n))
-    after = FourMomentum(-hbar * omega_prime, tuple(-hbar * omega_prime * x / c for x in n_prime))
+    before = FourMomentum(-omega, tuple(-omega * x for x in n))
+    after = FourMomentum(-omega_prime, tuple(-omega_prime * x for x in n_prime))
     return [before, FourMomentum(-after.e, tuple(-x for x in after.p))]
 
 
-def closed_form_pair_mass_sq(omega: float, omega_prime: float, n, n_prime,
-                             hbar: float = 1.0) -> float:
+def closed_form_pair_mass_sq(omega: float, omega_prime: float, n, n_prime) -> float:
     """s = 2 hbar^2 w w' (n.n' - 1), the hand-expanded Minkowski norm."""
     ndot = math.fsum(a * b for a, b in zip(n, n_prime))
-    return 2.0 * hbar * hbar * omega * omega_prime * (ndot - 1.0)
+    return 2.0 * omega * omega_prime * (ndot - 1.0)
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,7 @@ class FeasibilityVerdict:
 
 
 def vacuum_transition_feasible(omega: float, omega_prime: float, n, n_prime,
-                               m: float, hbar: float = 1.0, c: float = 1.0
-                               ) -> FeasibilityVerdict:
+                               m: float) -> FeasibilityVerdict:
     """Can a vacuum photon drop to a deeper one and emit a real pair of mass m?
 
     Feasible iff the available invariant mass squared reaches the pair
@@ -94,12 +94,8 @@ def vacuum_transition_feasible(omega: float, omega_prime: float, n, n_prime,
         )
     if m < 0:
         raise ValueError(f"pair member mass must be nonnegative, got {m}")
-    n = _check_unit("n", n)
-    n_prime = _check_unit("n_prime", n_prime)
-    s = invariant_mass_sq(
-        pair_momentum_from_vacuum_photons(omega, omega_prime, n, n_prime, hbar, c), c
-    )
-    threshold = (2.0 * m * c * c) ** 2
+    s = invariant_mass_sq(pair_momentum_from_vacuum_photons(omega, omega_prime, n, n_prime))
+    threshold = (2.0 * m) ** 2
     feasible = s >= threshold
     if feasible and s == threshold:
         status = "at threshold (marginal)"
@@ -134,13 +130,13 @@ def _max_keeping_nan(a: float, b: float) -> float:
     return a if a != a or b <= a else b
 
 
-def infeasibility_scan(draws: int = 10_000, seed: int = 0, m: float = 1.0,
-                       hbar: float = 1.0, c: float = 1.0, tolerance: float = 1e-12
+def infeasibility_scan(draws: int = 10_000, seed: int = 0, tolerance: float = 1e-12
                        ) -> ScanResult:
-    """Seeded random scan: every draw must be infeasible and the closed form
-    must match direct four-vector evaluation to `tolerance`, relative to the
-    working scale max(|s_direct|, |s_closed|, (hbar (w + w'))^2) that bounds
-    the differenced terms.  A non-finite gap or closed form fails the scan.
+    """Seeded random scan: every draw must be infeasible for a pair of unit
+    mass and the closed form must match direct four-vector evaluation to
+    `tolerance`, relative to the working scale max(|s_direct|, |s_closed|,
+    (w + w')^2) that bounds the differenced terms.  A non-finite gap or
+    closed form fails the scan.
     """
     rng = np.random.default_rng(seed)
     feasible = 0
@@ -153,10 +149,10 @@ def infeasibility_scan(draws: int = 10_000, seed: int = 0, m: float = 1.0,
         n /= np.linalg.norm(n)
         n_prime = rng.normal(size=3)
         n_prime /= np.linalg.norm(n_prime)
-        verdict = vacuum_transition_feasible(omega, omega_prime, n, n_prime, m, hbar, c)
+        verdict = vacuum_transition_feasible(omega, omega_prime, n, n_prime, 1.0)
         feasible += verdict.feasible
-        s_closed = closed_form_pair_mass_sq(omega, omega_prime, n, n_prime, hbar)
-        scale = max(abs(verdict.s), abs(s_closed), (hbar * (omega + omega_prime)) ** 2)
+        s_closed = closed_form_pair_mass_sq(omega, omega_prime, n, n_prime)
+        scale = max(abs(verdict.s), abs(s_closed), (omega + omega_prime) ** 2)
         worst = _max_keeping_nan(worst, abs(verdict.s - s_closed) / scale)
         max_closed = _max_keeping_nan(max_closed, s_closed / scale)
     return ScanResult(

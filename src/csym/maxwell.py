@@ -9,6 +9,10 @@ transformed rows are reduced against that factorisation, which yields a
 certificate expressing each transformed row in the original basis, and the
 spans are proven equal by containment plus equal rank.
 
+Maxwell's equations are written once, as these rows.  A plane wave is
+checked against the same curl/div rows that the invariance proof
+certifies, with the derivatives acting on its phase.
+
 The source components carry the 4*pi factor absorbed into them (the row for
 div E = 4*pi*rho stores the single symbol "4*pi*rho"), which keeps every
 coefficient rational; sign transformations commute with that scaling.
@@ -17,17 +21,18 @@ coefficient rational; sign transformations commute with that scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import ExactComplex, ExactMatrix, RowSpan
+from .exact import EC_ONE, ExactComplex, ExactMatrix, RowSpan
 from .sampling import Vec3, cross, dot
 from .signgroup import FieldOperator, classical_conjugation_operator
 
 N_COMPONENTS = 16
 N_SLOTS = 5  # coefficient of (1, d0, d1, d2, d3) per component
 ROW_WIDTH = N_COMPONENTS * N_SLOTS
+N_FIELD_EQUATIONS = 8  # the curl/div rows; the potential links follow them
 
 # component indices (matching signgroup.COMPONENT_NAMES)
 E_IDX = (1, 2, 3)
@@ -69,73 +74,45 @@ class LinearFieldSystem:
         return RowSpan(self.rows)
 
 
-def build_maxwell_system() -> LinearFieldSystem:
-    """The 14 equations: curl/div pairs for E and H plus the potential links."""
-    rows = []
-    labels = []
+def _curl(i: int, field: tuple[int, int, int], sign: int = 1) -> dict[int, int]:
+    """sign * (curl F)_i = sign * eps_ijk d_j F_k as {column: coefficient}."""
+    return {_col(field[k], 2 + j): sign * eps for (a, j, k), eps in _EPS.items() if a == i}
 
+
+def _div(field: tuple[int, int, int]) -> dict[int, int]:
+    """div F = d_k F_k as {column: coefficient}."""
+    return {_col(f, 2 + k): 1 for k, f in enumerate(field)}
+
+
+def build_maxwell_system() -> LinearFieldSystem:
+    """The 14 equations: curl/div pairs for E and H plus the potential links.
+
+    The first N_FIELD_EQUATIONS rows are the curl/div pairs.
+    """
+    eqs: dict[str, dict[int, int]] = {}
     # curl H - d0 E = (4 pi J): (eps_ijk d_j H_k) - d0 E_i - J_i = 0
     for i in range(3):
-        row = [0] * ROW_WIDTH
-        for j in range(3):
-            for k in range(3):
-                eps = _EPS.get((i, j, k), 0)
-                if eps:
-                    row[_col(H_IDX[k], 2 + j)] = eps
-        row[_col(E_IDX[i], 1)] = -1
-        row[_col(J_IDX[i], 0)] = -1
-        rows.append(row)
-        labels.append(f"curlH-d0E-source[{i}]")
-
+        eqs[f"curlH-d0E-source[{i}]"] = {
+            **_curl(i, H_IDX), _col(E_IDX[i], 1): -1, _col(J_IDX[i], 0): -1,
+        }
     # div H = 0
-    row = [0] * ROW_WIDTH
-    for k in range(3):
-        row[_col(H_IDX[k], 2 + k)] = 1
-    rows.append(row)
-    labels.append("divH")
-
+    eqs["divH"] = _div(H_IDX)
     # curl E + d0 H = 0
     for i in range(3):
-        row = [0] * ROW_WIDTH
-        for j in range(3):
-            for k in range(3):
-                eps = _EPS.get((i, j, k), 0)
-                if eps:
-                    row[_col(E_IDX[k], 2 + j)] = eps
-        row[_col(H_IDX[i], 1)] = 1
-        rows.append(row)
-        labels.append(f"curlE+d0H[{i}]")
-
+        eqs[f"curlE+d0H[{i}]"] = {**_curl(i, E_IDX), _col(H_IDX[i], 1): 1}
     # div E = (4 pi rho)
-    row = [0] * ROW_WIDTH
-    for k in range(3):
-        row[_col(E_IDX[k], 2 + k)] = 1
-    row[_col(RHO_IDX, 0)] = -1
-    rows.append(row)
-    labels.append("divE-source")
-
+    eqs["divE-source"] = {**_div(E_IDX), _col(RHO_IDX, 0): -1}
     # E = -d0 A - grad phi  ->  E_i + d0 A_i + d_i phi = 0
     for i in range(3):
-        row = [0] * ROW_WIDTH
-        row[_col(E_IDX[i], 0)] = 1
-        row[_col(A_IDX[i], 1)] = 1
-        row[_col(PHI_IDX, 2 + i)] = 1
-        rows.append(row)
-        labels.append(f"E-potential-link[{i}]")
-
+        eqs[f"E-potential-link[{i}]"] = {
+            _col(E_IDX[i], 0): 1, _col(A_IDX[i], 1): 1, _col(PHI_IDX, 2 + i): 1,
+        }
     # H = curl A  ->  H_i - eps_ijk d_j A_k = 0
     for i in range(3):
-        row = [0] * ROW_WIDTH
-        row[_col(H_IDX[i], 0)] = 1
-        for j in range(3):
-            for k in range(3):
-                eps = _EPS.get((i, j, k), 0)
-                if eps:
-                    row[_col(A_IDX[k], 2 + j)] = -eps
-        rows.append(row)
-        labels.append(f"H-potential-link[{i}]")
+        eqs[f"H-potential-link[{i}]"] = {_col(H_IDX[i], 0): 1, **_curl(i, A_IDX, -1)}
 
-    return LinearFieldSystem(ExactMatrix.from_rows(rows), tuple(labels))
+    rows = [[terms.get(col, 0) for col in range(ROW_WIDTH)] for terms in eqs.values()]
+    return LinearFieldSystem(ExactMatrix.from_rows(rows), tuple(eqs))
 
 
 def transform_system(sys: LinearFieldSystem, op: FieldOperator) -> LinearFieldSystem:
@@ -226,28 +203,18 @@ class PlaneWave:
         return tuple(self.k0 * ni for ni in self.n)
 
 
-def plane_wave_residual(w: PlaneWave) -> Fraction:
-    """Max |equation value| over the source-free field equations.
+def plane_wave_residual(system: LinearFieldSystem, w: PlaneWave) -> Fraction:
+    """Max |equation value| of the system's curl/div rows on the wave.
 
-    Derivatives act analytically on the phase: d0 -> -i k0, d_j -> +i k_j.
-    The common phase factor is dropped (it never vanishes), leaving exact
-    rational residual components; a valid plane wave gives exactly zero.
+    The rows act on field_column(w) with the derivatives taken analytically
+    on the phase: d0 -> -i k0, d_j -> +i k_j.  The common phase factor is
+    dropped (it never vanishes), and the column's sources are zero, so a
+    valid plane wave gives exactly zero.
     """
-    k = w.k
-    residuals: list[ExactComplex] = []
-    # curl H - d0 E = 0  ->  i (k x m) + i k0 l = 0
-    km = cross(k, w.m)
-    for i in range(3):
-        residuals.append(ExactComplex(km[i] + w.k0 * w.l[i]))
-    # div H = 0 -> i k.m
-    residuals.append(ExactComplex(dot(k, w.m)))
-    # curl E + d0 H = 0 -> i (k x l) - i k0 m
-    kl = cross(k, w.l)
-    for i in range(3):
-        residuals.append(ExactComplex(kl[i] - w.k0 * w.m[i]))
-    # div E = 0 -> i k.l
-    residuals.append(ExactComplex(dot(k, w.l)))
-    return max(abs(r.re) + abs(r.im) for r in residuals)
+    slot = (EC_ONE, ExactComplex(0, -w.k0)) + tuple(ExactComplex(0, kj) for kj in w.k)
+    column = [ExactComplex(x) * d for x in field_column(w) for d in slot]
+    values = (system.rows @ ExactMatrix.column(column)).entries[:N_FIELD_EQUATIONS]
+    return max(abs(r.re) + abs(r.im) for r in values)
 
 
 def field_column(w: PlaneWave):
@@ -267,13 +234,7 @@ def classical_conjugate_column(phi: list) -> list:
 
 def classical_conjugate_wave(w: PlaneWave) -> PlaneWave:
     """Q1 Q2 on a plane wave: both polarization vectors flip, the phase stays."""
-    return PlaneWave(
-        l=tuple(-x for x in w.l),
-        m=tuple(-x for x in w.m),
-        n=w.n,
-        k0=w.k0,
-        c_sign=w.c_sign,
-    )
+    return replace(w, l=tuple(-x for x in w.l), m=tuple(-x for x in w.m))
 
 
 @dataclass(frozen=True)
@@ -307,11 +268,6 @@ def energy_poynting(w: PlaneWave, x) -> tuple[float, tuple[float, float, float]]
     e = [float(v) * cosph for v in w.l]
     h = [float(v) * cosph for v in w.m]
     W = (sum(v * v for v in e) + sum(v * v for v in h)) / (8 * math.pi)
-    exh = (
-        e[1] * h[2] - e[2] * h[1],
-        e[2] * h[0] - e[0] * h[2],
-        e[0] * h[1] - e[1] * h[0],
-    )
     c = float(w.c_sign)
-    S = tuple(c * v / (4 * math.pi) for v in exh)
+    S = tuple(c * v / (4 * math.pi) for v in cross(e, h))
     return W, S

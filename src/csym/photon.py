@@ -7,6 +7,10 @@ exact nullspace solving, and realizes the two conjugations on photon plane
 waves: the quantum charge conjugation C and the conjugation Q induced by
 flipping the signs of the speed of light and of the quantum of action.
 The central claim checked here is that C and Q produce the same function.
+
+A photon state is built on the classical wave `maxwell.PlaneWave`, which
+validates its data and supplies m = n x l.  Its exponent and its Dirac-form
+residual come from `waves`.
 """
 
 from __future__ import annotations
@@ -25,15 +29,17 @@ from .gamma import (  # GammaIdentityError and conjugation_constraint_rows are p
     conjugation_constraint_rows,
     solve_conjugation_space,
 )
+from .maxwell import PlaneWave
 from .sampling import Vec3, cross, dot
 from .waves import (
+    RADICAL_ZERO,
     PlaneWaveFunction,
     Radical,
     bilinear,
-    free_dirac_residual_matrix,
-    matrix_times_radicals,
-    max_abs_radical,
+    dirac_residual,
     measured_momentum,
+    plane_wave,
+    radical_sum,
 )
 
 #: all five matrices real; {g0, g5} = -2I and g5 anticommutes with g1, g2, g3
@@ -120,11 +126,6 @@ def solve_conjugation_8(gs: GammaSet) -> ConjugationSpace:
 # ---------------------------------------------------------------------------
 
 
-def _plane_wave(amp, p0: Fraction, p: Vec3, hbar: Fraction) -> PlaneWaveFunction:
-    """amp * exp[-(i/hbar)(p0 x0 - p.x)]."""
-    return PlaneWaveFunction(amp, [-p0 / hbar] + [pk / hbar for pk in p])
-
-
 @dataclass(frozen=True)
 class PhotonState:
     """A normalized photon plane wave in the 8-component Dirac form.
@@ -149,40 +150,31 @@ class PhotonState:
 
     def record(self) -> PlaneWaveFunction:
         norm_radicand = Fraction(1, 2) / dot(self.l, self.l)
-        amp = [Radical(0)] * 8
+        amp = [RADICAL_ZERO] * 8
         for i in range(3):
             amp[1 + i] = Radical(ExactComplex(self.l[i]), norm_radicand)
             amp[5 + i] = Radical(ExactComplex(self.m[i]), norm_radicand)
-        return _plane_wave(amp, self.p0, self.p, Fraction(self.hbar_sign))
+        return plane_wave(amp, self.p0, self.p, Fraction(self.hbar_sign))
 
     def norm_sq(self) -> ExactComplex:
-        rec = self.record()
-        acc = Radical(0)
-        for a in rec.amp:
-            acc = acc + a.conjugate() * a
-        return acc.to_exact()
+        return radical_sum(a.conjugate() * a for a in self.record().amp).to_exact()
 
 
 def photon_plane_wave(n, l, p0, hbar_sign: int = 1, c_sign: int = 1,
                       lam: ExactComplex | None = None) -> PhotonState:
-    """Build a photon state; rejects non-transverse or non-unit guiding data."""
-    n = tuple(Fraction(x) for x in n)
-    l = tuple(Fraction(x) for x in l)
-    p0 = Fraction(p0)
-    if dot(n, n) != 1:
-        raise ValueError(f"guiding vector must be exactly unit: |n|^2 = {dot(n, n)}")
-    if dot(n, l) != 0:
-        raise ValueError(f"polarization must be transverse: n.l = {dot(n, l)}")
-    if not any(l):
-        raise ValueError("polarization l must be nonzero")
-    if p0 == 0:
-        raise ValueError("p0 must be nonzero")
+    """Build a photon state on the classical wave with guiding vector n,
+    polarization l and wavenumber p0.
+
+    maxwell.PlaneWave.make validates the wave data and c_sign and supplies
+    the magnetic polarization m = n x l.
+    """
+    wave = PlaneWave.make(n, l, p0, c_sign)
     lam = ExactComplex(0, -1) if lam is None else ExactComplex.coerce(lam)
     if lam not in ALLOWED_LAMBDA:
         raise ValueError(f"lambda must be one of +1, -1, +i, -i, got {lam!r}")
-    if hbar_sign not in (-1, 1) or c_sign not in (-1, 1):
-        raise ValueError("hbar_sign and c_sign must be +1 or -1")
-    state = PhotonState(l=l, m=cross(n, l), n=n, p0=p0,
+    if hbar_sign not in (-1, 1):
+        raise ValueError(f"hbar_sign must be +1 or -1, got {hbar_sign}")
+    state = PhotonState(l=wave.l, m=wave.m, n=wave.n, p0=wave.k0,
                         hbar_sign=hbar_sign, c_sign=c_sign, lam=lam)
     if state.norm_sq() != EC_ONE:
         raise AssertionError("photon state failed exact normalization")
@@ -237,7 +229,7 @@ def _q_relabeled(state: PhotonState | ConjugatedPhoton) -> PlaneWaveFunction:
     else:
         kappa = state.record.kappa
         amp, p0, p = state.record.amp, -hbar * kappa[0], [hbar * k for k in kappa[1:]]
-    return _plane_wave(amp, -p0, [-pk for pk in p], -hbar)
+    return plane_wave(amp, -p0, [-pk for pk in p], -hbar)
 
 
 def apply_Q_photon(state: PhotonState | ConjugatedPhoton, gs: GammaSet) -> ConjugatedPhoton:
@@ -271,19 +263,15 @@ def phase_displacement_form(state: PhotonState) -> PlaneWaveFunction:
 
 def dirac_form_residual(rec: PlaneWaveFunction, hbar_sign: int, gs: GammaSet) -> float:
     """Max |component| of the massless Dirac-form operator applied to rec."""
-    m = free_dirac_residual_matrix(rec.kappa, Fraction(0), Fraction(hbar_sign), gs.vector)
-    return max_abs_radical(matrix_times_radicals(m, rec.amp))
+    return dirac_residual(rec, Fraction(0), Fraction(hbar_sign), gs.vector)
 
 
 def currents(state: PhotonState, conjugated: ConjugatedPhoton, gs: GammaSet
              ) -> tuple[ExactComplex, tuple, ExactComplex, tuple]:
     """The bilinears Psi-bar gamma^a Psi for the state and its conjugate."""
-    rec, crec = state.record(), conjugated.record
-    j0 = bilinear(rec.amp, gs.g0 @ gs.g0, rec.amp)
-    jk = tuple(bilinear(rec.amp, gs.g0 @ g, rec.amp) for g in (gs.g1, gs.g2, gs.g3))
-    j0c = bilinear(crec.amp, gs.g0 @ gs.g0, crec.amp)
-    jkc = tuple(bilinear(crec.amp, gs.g0 @ g, crec.amp) for g in (gs.g1, gs.g2, gs.g3))
-    return j0, jk, j0c, jkc
+    g0g = [gs.g0 @ g for g in gs.vector]  # each g0 g^a once per call
+    j, jc = ([bilinear(a, m, a) for m in g0g] for a in (state.record().amp, conjugated.record.amp))
+    return j[0], tuple(j[1:]), jc[0], tuple(jc[1:])
 
 
 def formal_energy_flux(rec: PlaneWaveFunction, c_sign: int
@@ -294,16 +282,7 @@ def formal_energy_flux(rec: PlaneWaveFunction, c_sign: int
     formulas applied to the possibly complex conjugated amplitudes: returns
     (sum_i amp_i^2)/8 and c (E_amp x H_amp)/4 as exact coefficients of 1/pi.
     """
-    sq = Radical(0)
-    for a in rec.amp:
-        sq = sq + a * a
-    energy = sq.to_exact() / 8
+    energy = radical_sum(a * a for a in rec.amp).to_exact() / 8
     e_amp, h_amp = rec.amp[1:4], rec.amp[5:8]
-
-    def _cross(j, k):
-        return (e_amp[j] * h_amp[k] - e_amp[k] * h_amp[j]).to_exact()
-
-    flux = tuple(
-        _cross(j, k) * Fraction(c_sign, 4) for j, k in ((1, 2), (2, 0), (0, 1))
-    )
+    flux = tuple(v.to_exact() * Fraction(c_sign, 4) for v in cross(e_amp, h_amp))
     return energy, flux

@@ -410,7 +410,7 @@ def _mutation(system):
 @_check("maxwell", "plane-wave-residual",
         "transverse plane waves solve the source-free system exactly, both c signs",
         "plane-wave solutions of the free equations")
-def _residual_zero():
+def _residual_zero(system):
     waves = [
         maxwell.PlaneWave.make((0, 0, 1), (1, 0, 0), 1),
         maxwell.PlaneWave.make(
@@ -419,18 +419,18 @@ def _residual_zero():
         ),
         maxwell.PlaneWave.make((0, 0, 1), (3, 4, 0), Fraction(5, 9), c_sign=-1),
     ]
-    residuals = [maxwell.plane_wave_residual(w) for w in waves]
+    residuals = [maxwell.plane_wave_residual(system, w) for w in waves]
     return all(r == 0 for r in residuals), f"residuals = {residuals}"
 
 
 @_check("maxwell", "wrong-polarity-control",
         "flipping the magnetic polarization breaks the curl equation",
         "falsifiability control for the residual checker")
-def _wrong_polarity():
+def _wrong_polarity(system):
     n, l = (Fraction(0), Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(0))
     bad_m = (0, -1, 0)  # minus the correct magnetic polarization
     w = maxwell.PlaneWave.make(n, l, 1, m=bad_m)
-    r = maxwell.plane_wave_residual(w)
+    r = maxwell.plane_wave_residual(system, w)
     return r != 0, f"flipped magnetic polarization leaves residual {r}"
 
 
@@ -703,12 +703,12 @@ def _currents(config, rng, lam, gamma8):
 # ---------------------------------------------------------------------------
 
 
-def random_spinor(rng, c_sign=1, hbar_sign=1, branch=1) -> electron.SpinorState:
+def random_spinor(rng, branch=1) -> electron.SpinorState:
     p_abs, mc, _ = momentum_mass_energy(rng)
     n = rational_unit_vector(rng)
     p = tuple(p_abs * ni for ni in n)
     z = gaussian_rational_spinor(rng)
-    return electron.build_spinor(p, mc, z, branch=branch, c_sign=c_sign, hbar_sign=hbar_sign)
+    return electron.build_spinor(p, mc, z, branch=branch)
 
 
 def _spinor_cq(rng, gamma4):

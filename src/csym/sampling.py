@@ -46,11 +46,11 @@ def rational_orthogonal_vector(rng: np.random.Generator, n: Vec3) -> Vec3:
             return w
 
 
-def rational_magnitude(rng: np.random.Generator, lo_exp: int = -3, hi_exp: int = 3) -> Fraction:
-    """A random positive rational spanning roughly [10^lo_exp, 10^hi_exp]."""
+def rational_magnitude(rng: np.random.Generator) -> Fraction:
+    """A random positive rational spanning roughly [1e-3, 1e3]."""
     num = int(rng.integers(1, 1000))
     den = int(rng.integers(1, 1000))
-    exp = int(rng.integers(lo_exp, hi_exp + 1))
+    exp = int(rng.integers(-3, 4))
     mag = Fraction(num, den)
     if exp >= 0:
         mag *= 10**exp
@@ -103,6 +103,6 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def spacetime_points(rng: np.random.Generator, count: int, scale: float = 10.0) -> np.ndarray:
-    """Random numeric spacetime points for pointwise spot checks."""
-    return rng.uniform(-scale, scale, size=(count, 4))
+def spacetime_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Random numeric spacetime points in [-10, 10]^4 for pointwise spot checks."""
+    return rng.uniform(-10.0, 10.0, size=(count, 4))

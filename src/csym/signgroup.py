@@ -166,9 +166,9 @@ class FieldOperator:
     def signature(self) -> tuple:
         return (self.arg_sig, self.comp_signs, self.charge_flip)
 
-    def compose(self, other: "FieldOperator", name: str | None = None) -> "FieldOperator":
+    def compose(self, other: "FieldOperator") -> "FieldOperator":
         return FieldOperator(
-            name=name or f"{self.name}*{other.name}",
+            name=f"{self.name}*{other.name}",
             arg_sig=tuple(a * b for a, b in zip(self.arg_sig, other.arg_sig)),
             comp_signs=tuple(a * b for a, b in zip(self.comp_signs, other.comp_signs)),
             charge_flip=self.charge_flip ^ other.charge_flip,

@@ -7,6 +7,10 @@ which holds for every state this package constructs.  A `PlaneWaveFunction`
 is an amplitude vector of radicals times exp(i * kappa . x) with rational
 kappa, so two realized wave functions can be compared for equality exactly
 and also evaluated numerically at sampled spacetime points.
+
+The plane-wave layer that the photon and electron modules share is written
+here once: the exponent (`plane_wave`), the Dirac-form residual
+(`dirac_residual`) and every exact radical sum (`radical_sum`).
 """
 
 from __future__ import annotations
@@ -155,6 +159,15 @@ def _radical(coeff: ExactComplex, radicand: Fraction) -> Radical:
     return r
 
 
+#: the zero radical every exact sum starts from
+RADICAL_ZERO = _radical(EC_ZERO, _ONE)
+
+
+def radical_sum(terms) -> Radical:
+    """The exact sum of the radicals in terms, added left to right."""
+    return sum(terms, RADICAL_ZERO)
+
+
 def radical_vector(values) -> tuple[Radical, ...]:
     return tuple(v if isinstance(v, Radical) else Radical.of(v) for v in values)
 
@@ -162,25 +175,17 @@ def radical_vector(values) -> tuple[Radical, ...]:
 def matrix_times_radicals(m: ExactMatrix, vec: tuple[Radical, ...]) -> tuple[Radical, ...]:
     if m.cols != len(vec):
         raise ValueError(f"cannot apply {m.rows}x{m.cols} matrix to length-{len(vec)} vector")
-    out = []
-    for i in range(m.rows):
-        acc = Radical(EC_ZERO)
-        for j, v in enumerate(vec):
-            e = m[i, j]
-            if not e.is_zero() and not v.is_zero():
-                acc = acc + v * e
-        out.append(acc)
-    return tuple(out)
+    return tuple(
+        radical_sum(v * e for e, v in zip(m.row(i), vec) if not e.is_zero() and not v.is_zero())
+        for i in range(m.rows)
+    )
 
 
 def bilinear(left: tuple[Radical, ...], m: ExactMatrix, right: tuple[Radical, ...]
              ) -> ExactComplex:
     """left^dagger @ m @ right, folded to an exact complex number."""
     mv = matrix_times_radicals(m, right)
-    acc = Radical(EC_ZERO)
-    for l, r in zip(left, mv):
-        acc = acc + l.conjugate() * r
-    return acc.to_exact()
+    return radical_sum(l.conjugate() * r for l, r in zip(left, mv)).to_exact()
 
 
 class PlaneWaveFunction:
@@ -237,18 +242,21 @@ class PlaneWaveFunction:
         return f"PlaneWaveFunction(amp={list(self.amp)!r}, kappa={list(self.kappa)!r})"
 
 
-def measured_momentum(wave: PlaneWaveFunction, hbar_mag: Fraction = Fraction(1)
+def plane_wave(amp, p0: Fraction, p, hbar: Fraction) -> PlaneWaveFunction:
+    """amp * exp[-(i/hbar)(p0 x0 - p.x)]."""
+    return PlaneWaveFunction(amp, [-p0 / hbar] + [pk / hbar for pk in p])
+
+
+def measured_momentum(wave: PlaneWaveFunction
                       ) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction]]:
     """Momentum labels (p0, p) read off a plane wave.
 
     Labels follow the bookkeeping convention of the conjugation analysis: the
-    derivative operators are weighted with the reference positive hbar, so
+    derivative operators are weighted with the reference hbar = +1, so
     exp(-(i/hbar)(p0 x0 - p.x)) reads off as (p0, p) and its complex conjugate
     as (-p0, -p).  The energy label is then c_signed * p0.
     """
-    p0 = -hbar_mag * wave.kappa[0]
-    p = tuple(hbar_mag * k for k in wave.kappa[1:])
-    return p0, p
+    return -wave.kappa[0], wave.kappa[1:]
 
 
 def free_dirac_residual_matrix(kappa, mass_term: Fraction, hbar_signed: Fraction,
@@ -269,5 +277,12 @@ def free_dirac_residual_matrix(kappa, mass_term: Fraction, hbar_signed: Fraction
     return m
 
 
-def max_abs_radical(values) -> float:
-    return max((abs(v.to_complex()) for v in values), default=0.0)
+def dirac_residual(rec: PlaneWaveFunction, mass_term: Fraction, hbar: Fraction,
+                   gammas) -> float:
+    """Max |component| of (i*hbar*gamma^a d_a - mass_term) applied to rec.
+
+    The photon's massless Dirac form and the electron's free equation, for
+    a state and for a transformed wave, are all this one residual.
+    """
+    m = free_dirac_residual_matrix(rec.kappa, mass_term, hbar, gammas)
+    return max((abs(v.to_complex()) for v in matrix_times_radicals(m, rec.amp)), default=0.0)

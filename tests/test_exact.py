@@ -602,6 +602,21 @@ class TestTripleAgainstFractionPairs:
         assert (ExactComplex(x, y) == ExactComplex(u, v)) == ((x, y) == (u, v))
         assert (ExactComplex(x, y) == u) == ((x, y) == (u, 0))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2**53, 2**53), st.integers(-2**53, 2**53), st.integers(0, 60))
+    def test_hash_agrees_with_an_equal_complex(self, a, b, k):
+        # a dyadic value is exactly a complex; with integer parts it is also ==
+        z = ExactComplex(Fraction(a, 2**k), Fraction(b, 2**k))
+        c = complex(a / 2**k, b / 2**k)
+        if k == 0:
+            assert z == c
+        assert hash(z) == hash(c)
+
+    def test_hash_examples_against_complex(self):
+        assert len({ExactComplex(1, 2), 1 + 2j}) == 1
+        assert hash(ExactComplex(0, -1)) == hash(-1j)
+        assert hash(ExactComplex(Fraction(3, 4), Fraction(-1, 8))) == hash(0.75 - 0.125j)
+
     @settings(max_examples=200, deadline=None)
     @given(_rational, st.integers(-50, 50))
     def test_a_real_value_hashes_like_its_rational(self, q, k):

@@ -21,7 +21,7 @@ from csym.maxwell import (
     plane_wave_residual,
     transform_system,
 )
-from csym.sampling import cross
+from csym.sampling import cross, dot, rational_orthogonal_vector, rational_unit_vector
 from csym.signgroup import (
     FieldOperator,
     build_field_operators,
@@ -68,6 +68,20 @@ def _rebuilt(sys, combo):
 def _solve_row(sys, row):
     """The per-row elimination oracle: solve sys.rows^T x = row, or None."""
     return solve(sys.rows.transpose(), ExactMatrix.column(row))
+
+
+def _k_space_residual(w):
+    """Maxwell's source-free equations re-derived by hand in k-space.
+
+    With d0 -> -i k0 and d_j -> +i k_j every equation value is i times a
+    rational, and the factor i is dropped: curl H - d0 E -> k x m + k0 l,
+    div H -> k.m, curl E + d0 H -> k x l - k0 m, div E -> k.l.
+    """
+    k = w.k
+    km, kl = cross(k, w.m), cross(k, w.l)
+    values = [km[i] + w.k0 * w.l[i] for i in range(3)] + [dot(k, w.m)]
+    values += [kl[i] - w.k0 * w.m[i] for i in range(3)] + [dot(k, w.l)]
+    return max(abs(v) for v in values)
 
 
 class TestSystemAssembly:
@@ -143,7 +157,7 @@ class TestInvariance:
         assert system.span is system.span
         assert system.span.rank == 14
 
-    def test_transformed_plane_wave_still_solves(self):
+    def test_transformed_plane_wave_still_solves(self, system):
         # independent cross-check of invariance: transform a plane-wave
         # solution by each operator's signs and verify the residual directly
         w = PlaneWave.make(
@@ -161,7 +175,7 @@ class TestInvariance:
             k0_new = w.k0  # overall phase rescale leaves the dispersion intact
             n2 = tuple(e0 * ex * x for x in w.n)
             probe = PlaneWave.make(n2, l2, k0_new, m=m2)
-            assert plane_wave_residual(probe) == 0, f"{name} broke the residual"
+            assert plane_wave_residual(system, probe) == 0, f"{name} broke the residual"
 
 
 class TestRankDeficientSystem:
@@ -189,15 +203,43 @@ class TestRankDeficientSystem:
 
 
 class TestPlaneWave:
-    def test_axis_wave_residual_zero(self):
+    def test_axis_wave_residual_zero(self, system):
         w = PlaneWave.make((0, 0, 1), (1, 0, 0), 1)
-        assert plane_wave_residual(w) == 0
+        assert plane_wave_residual(system, w) == 0
         assert w.m == (Fraction(0), Fraction(1), Fraction(0))
 
-    def test_both_c_signs(self):
+    def test_both_c_signs(self, system):
         for cs in (1, -1):
             w = PlaneWave.make((0, 0, 1), (2, 1, 0), Fraction(3, 4), c_sign=cs)
-            assert plane_wave_residual(w) == 0
+            assert plane_wave_residual(system, w) == 0
+
+    def test_system_rows_match_the_k_space_derivation(self, system, rng):
+        # the residual read off the system's rows equals Maxwell's equations
+        # written out by hand, on solutions and on wrong-m waves alike
+        for _ in range(10):
+            n = rational_unit_vector(rng)
+            l = rational_orthogonal_vector(rng, n)
+            k0 = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 50)))
+            good = PlaneWave.make(n, l, k0)
+            assert plane_wave_residual(system, good) == _k_space_residual(good) == 0
+            wrong_m = tuple(Fraction(int(v), 7) for v in rng.integers(-9, 10, size=3))
+            bad = PlaneWave.make(n, l, k0, m=wrong_m)
+            assert plane_wave_residual(system, bad) == _k_space_residual(bad)
+            if wrong_m != good.m:
+                assert plane_wave_residual(system, bad) != 0
+
+    def test_all_rows_vanish_with_the_wave_potential(self, system):
+        # A = -i l / k0 with phi = 0 generates the wave: E = -d0 A = l and
+        # H = curl A = n x l, so the potential links hold as well
+        w = PlaneWave.make(
+            (Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)), (3, -2, 0), Fraction(5, 3)
+        )
+        fields = [ExactComplex(x) for x in field_column(w)]
+        for idx, lk in zip(maxwell.A_IDX, w.l):
+            fields[idx] = ExactComplex(0, -lk / w.k0)
+        slot = (ExactComplex(1), ExactComplex(0, -w.k0)) + tuple(ExactComplex(0, k) for k in w.k)
+        column = ExactMatrix.column([f * d for f in fields for d in slot])
+        assert all(v.is_zero() for v in (system.rows @ column).entries)
 
     def test_longitudinal_rejected(self):
         with pytest.raises(ValueError, match="transverse"):
@@ -207,22 +249,20 @@ class TestPlaneWave:
         with pytest.raises(ValueError, match="unit"):
             PlaneWave.make((0, 0, 2), (1, 0, 0), 1)
 
-    def test_wrong_magnetic_polarity_nonzero_residual(self):
+    def test_wrong_magnetic_polarity_nonzero_residual(self, system):
         w = PlaneWave.make((0, 0, 1), (1, 0, 0), 1, m=(0, -1, 0))
-        assert plane_wave_residual(w) != 0
+        assert plane_wave_residual(system, w) != 0
 
-    def test_magnetic_choice_forced_by_curl(self, rng):
+    def test_magnetic_choice_forced_by_curl(self, system, rng):
         # the cross-product reading of the magnetic polarization is the one
         # and only sign that solves the curl equation
-        from csym.sampling import rational_orthogonal_vector, rational_unit_vector
-
         for _ in range(10):
             n = rational_unit_vector(rng)
             l = rational_orthogonal_vector(rng, n)
             good = PlaneWave.make(n, l, Fraction(5, 2))
-            assert plane_wave_residual(good) == 0
+            assert plane_wave_residual(system, good) == 0
             flipped = PlaneWave.make(n, l, Fraction(5, 2), m=tuple(-x for x in cross(n, l)))
-            assert plane_wave_residual(flipped) != 0
+            assert plane_wave_residual(system, flipped) != 0
 
 
 class TestClassicalConjugation:
@@ -239,10 +279,10 @@ class TestClassicalConjugation:
         assert cw.n == w.n and cw.k0 == w.k0
         assert classical_conjugate_wave(cw) == w
 
-    def test_conjugated_wave_still_solves(self):
+    def test_conjugated_wave_still_solves(self, system):
         n = (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))
         w = PlaneWave.make(n, (1, 1, Fraction(-3, 2)), 2)
-        assert plane_wave_residual(classical_conjugate_wave(w)) == 0
+        assert plane_wave_residual(system, classical_conjugate_wave(w)) == 0
 
     def test_commutes_with_all_operators(self):
         ce = classical_conjugation_operator()

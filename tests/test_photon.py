@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csym import photon
+from csym import photon, waves
 from csym.exact import EC_ONE, ExactComplex, ExactMatrix, anticommutator
 from csym.photon import (
     ALLOWED_LAMBDA,
@@ -21,6 +21,7 @@ from csym.photon import (
     photon_plane_wave,
     solve_conjugation_8,
 )
+from csym.maxwell import PlaneWave
 from csym.report import RunConfig, run
 from csym.sampling import (
     rational_magnitude,
@@ -125,6 +126,23 @@ class TestPhotonState:
         with pytest.raises(ValueError, match="lambda"):
             photon_plane_wave((0, 0, 1), (1, 0, 0), 1, lam=ExactComplex(2))
 
+    @pytest.mark.parametrize("p0", [0, Fraction(-3, 2)])
+    def test_nonpositive_p0_rejected(self, p0):
+        with pytest.raises(ValueError, match=f"wavenumber k0 must be positive, got {p0}"):
+            photon_plane_wave((0, 0, 1), (1, 0, 0), p0)
+
+    def test_bad_signs_rejected(self):
+        with pytest.raises(ValueError, match=r"hbar_sign must be \+1 or -1, got 2"):
+            photon_plane_wave((0, 0, 1), (1, 0, 0), 1, hbar_sign=2)
+        with pytest.raises(ValueError, match=r"c_sign must be \+1 or -1, got 0"):
+            photon_plane_wave((0, 0, 1), (1, 0, 0), 1, c_sign=0)
+
+    def test_state_is_built_on_the_classical_wave(self, rng):
+        for _ in range(5):
+            st = random_photon(rng, c_sign=-1)
+            wave = PlaneWave.make(st.n, st.l, st.p0, c_sign=-1)
+            assert (st.l, st.m, st.n, st.p0) == (wave.l, wave.m, wave.n, wave.k0)
+
 
 class TestConjugations:
     def test_c_matches_explicit_form(self):
@@ -196,7 +214,7 @@ class TestConjugations:
 
 def _hbar_only_relabeled(state):
     """A wrong Q relabeling: hbar flipped, the 4-momentum labels kept."""
-    return photon._plane_wave(state.record().amp, state.p0, state.p, Fraction(-state.hbar_sign))
+    return waves.plane_wave(state.record().amp, state.p0, state.p, Fraction(-state.hbar_sign))
 
 
 class TestWrongQControl:

@@ -120,7 +120,8 @@ class TestRunner:
 
     @pytest.mark.parametrize("suite, module, factory, broken", [
         ("maxwell", maxwell, "build_maxwell_system",
-         {"system-shape", "invariance-all-sixteen", "mutation-control"}),
+         {"system-shape", "invariance-all-sixteen", "mutation-control",
+          "plane-wave-residual", "wrong-polarity-control"}),
         ("group", signgroup, "generate_g8",
          {"sign-group-order", "sign-group-abelian-involutions", "sign-group-not-cyclic"}),
     ])

@@ -17,7 +17,7 @@ from csym.sampling import (
     rational_unit_vector,
     spacetime_points,
 )
-from csym.waves import PlaneWaveFunction, Radical, bilinear, measured_momentum
+from csym.waves import PlaneWaveFunction, Radical, bilinear, dirac_residual, measured_momentum
 
 
 class TestRadical:
@@ -96,12 +96,18 @@ def _scalar_formula(rec, x):
     return np.array([a.to_complex() * factor for a in rec.amp])
 
 
-def _records(gamma4, gamma8):
-    """Photon and electron records, plain and conjugated, with irrational radicands."""
+def _states():
+    """A photon and a moving electron state with irrational radicands."""
     ph = photon.photon_plane_wave((Fraction(3, 5), Fraction(4, 5), 0), (0, 0, 1), Fraction(7, 3),
                                   lam=ExactComplex(0, -1))
     sp = electron.build_spinor((Fraction(9, 13), Fraction(-12, 13), Fraction(36, 13)), 4,
                                (ExactComplex(1, 2), ExactComplex(-1, Fraction(1, 2))))
+    return ph, sp
+
+
+def _records(gamma4, gamma8):
+    """Photon and electron records, plain and conjugated, with irrational radicands."""
+    ph, sp = _states()
     return [
         ph.record(),
         photon.apply_Q_photon(ph, gamma8).record,
@@ -109,6 +115,22 @@ def _records(gamma4, gamma8):
         electron.apply_C_spinor(sp, gamma4).record(),
         electron.apply_Q_spinor(sp, gamma4).record,
     ]
+
+
+class TestDiracResidual:
+    """One residual serves the photon's massless form and the electron's equation."""
+
+    def test_one_perturbed_amplitude_is_caught(self, gamma4, gamma8):
+        ph, sp = _states()
+        cases = [(ph.record(), Fraction(0), gamma8.vector), (sp.record(), sp.mc, gamma4.vector)]
+        for rec, mass_term, gammas in cases:
+            assert dirac_residual(rec, mass_term, Fraction(1), gammas) == 0.0
+            nonzero = next(a for a in rec.amp if not a.is_zero())  # a commensurable radicand
+            for i, a in enumerate(rec.amp):
+                amp = list(rec.amp)
+                amp[i] = nonzero if a.is_zero() else a * 2
+                bad = PlaneWaveFunction(amp, rec.kappa)
+                assert dirac_residual(bad, mass_term, Fraction(1), gammas) > 0.0, i
 
 
 def _rowwise_gap(a, b) -> float:
