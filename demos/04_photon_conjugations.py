@@ -20,6 +20,7 @@ from csym import (
     solve_conjugation_8,
 )
 from csym.photon import dirac_form_residual, formal_energy_flux
+from csym.waves import labels
 
 gs = build_gamma8()
 print("8x8 matrix set built; construction-time identities verified exactly")
@@ -33,20 +34,21 @@ print()
 photon = photon_plane_wave(n=(0, 0, 1), l=(1, 0, 0), p0=Fraction(3, 2))
 print(f"photon state: n = {photon.n}, l = {photon.l}, p0 = {photon.p0}")
 print(f"  norm: {photon.norm_sq()} (exact)")
-print(f"  equation residual: {dirac_form_residual(photon.record(), 1, gs)}")
+print(f"  equation residual: {dirac_form_residual(photon, gs)}")
 print()
 
 c = apply_C_photon(photon)
 q = apply_Q_photon(photon, gs)
-print(f"C record == Q record: {c.record == q.record}")
-print(f"  C labels: momentum {c.momentum_label[1]}, energy {c.energy_label}, c sign {c.c_sign}")
-print(f"  Q labels: momentum {q.momentum_label[1]}, energy {q.energy_label}, c sign {q.c_sign}")
+print(f"C record == Q record: {c.record() == q.record()}")
+for name, image in (("C", c), ("Q", q)):
+    energy, p = labels(image)
+    print(f"  {name} labels: momentum {p}, energy {energy}, c sign {image.c_sign}")
 print()
 
 j0, jk, j0c, jkc = currents(photon, q, gs)
 print(f"currents: j = ({j0}, {jk})  conjugate j = ({j0c}, {jkc})")
 
-e0, f0 = formal_energy_flux(photon.record(), photon.c_sign)
-e1, f1 = formal_energy_flux(c.record, c.c_sign)
+e0, f0 = formal_energy_flux(photon)
+e1, f1 = formal_energy_flux(c)
 print(f"formal energy coefficient: {e0} -> {e1} under conjugation (lambda = -i)")
 print(f"formal flux coefficient:   {f0} -> {f1}")

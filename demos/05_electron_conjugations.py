@@ -16,6 +16,7 @@ from csym import (
     verify_symmetry,
 )
 from csym.electron import free_residual
+from csym.waves import labels
 
 gs = build_gamma4()
 space = solve_UQ(gs)
@@ -39,9 +40,10 @@ print()
 
 c = apply_C_spinor(state, gs)
 q = apply_Q_spinor(state, gs)
-print(f"C record == Q record: {c.record() == q.record}")
-print(f"  C labels: momentum {c.momentum_label}, energy {c.energy_label} (same hyperplane)")
-print(f"  Q labels: momentum {q.momentum_label}, energy {q.energy_label} "
+print(f"C record == Q record: {c.record() == q.record()}")
+(c_energy, c_p), (q_energy, q_p) = labels(c), labels(q)
+print(f"  C labels: momentum {c_p}, energy {c_energy} (same hyperplane)")
+print(f"  Q labels: momentum {q_p}, energy {q_energy} "
       f"(c sign {q.c_sign}, hbar sign {q.hbar_sign})")
 print(f"  negative-branch norm: {spinor_norm(c, gs)} (= -2 m c exactly)")
 print()

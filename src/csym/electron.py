@@ -21,8 +21,6 @@ Sign conventions baked in here and stated once:
 * Under Q the action quantum flips together with the speed of light, so all
   4-momentum labels flip while the realized exponent is unchanged.  The
   Pauli matrices flip too, so (n.sigma) is unchanged as n -> -n.
-* Momentum labels of a realized wave are read with the reference positive
-  hbar and the energy label is c_signed times the momentum label p0.
 """
 
 from __future__ import annotations
@@ -43,11 +41,11 @@ from .gamma import (  # GammaIdentityError is public here too
 )
 from .sampling import Vec3, dot
 from .waves import (
+    Image,
     PlaneWaveFunction,
     Radical,
     bilinear,
     dirac_residual,
-    measured_momentum,
     plane_wave,
 )
 
@@ -57,16 +55,17 @@ MINUS_I = ExactComplex(0, -1)
 GAMMA4 = GammaSpec(reality=(1, 1, -1, 1, 1), g5_anticommutator=(0, 0, 0, 0), g5_product=True)
 
 
-def _pauli() -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    sx = ExactMatrix.from_rows([[0, 1], [1, 0]])
-    sy = ExactMatrix.from_rows([[0, MINUS_I], [EC_I, 0]])
-    sz = ExactMatrix.from_rows([[1, 0], [0, -1]])
-    return sx, sy, sz
+#: the Pauli matrices sigma_x, sigma_y, sigma_z, built once
+PAULI = (
+    ExactMatrix.from_rows([[0, 1], [1, 0]]),
+    ExactMatrix.from_rows([[0, MINUS_I], [EC_I, 0]]),
+    ExactMatrix.from_rows([[1, 0], [0, -1]]),
+)
 
 
 def build_gamma4() -> GammaSet:
     """Construct and verify the Dirac set; rejects on any failed identity."""
-    sx, sy, sz = _pauli()
+    sx, sy, sz = PAULI
     z2 = ExactMatrix.zeros(2, 2)
     i2 = ExactMatrix.identity(2)
     mats = {
@@ -184,11 +183,10 @@ def transform_wave(entry: DiracTransform, rec: PlaneWaveFunction) -> PlaneWaveFu
     return PlaneWaveFunction(amp, kappa).apply_matrix(entry.matrix)
 
 
-def transformed_residual(entry: DiracTransform, rec: PlaneWaveFunction, m: Fraction,
-                         c_sign: int, hbar_sign: int, gs: GammaSet) -> float:
-    """Residual of the transformed wave against the equation with mapped constants."""
-    return dirac_residual(transform_wave(entry, rec), m * Fraction(c_sign * entry.c_sign),
-                          Fraction(hbar_sign * entry.hbar_sign), gs.vector)
+def transformed_residual(entry: DiracTransform, state: SpinorState, gs: GammaSet) -> float:
+    """Residual of the transformed state against the equation with mapped constants."""
+    return dirac_residual(transform_wave(entry, state.record()), state.mc * entry.c_sign,
+                          Fraction(state.hbar_sign * entry.hbar_sign), gs.vector)
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +297,6 @@ class SpinorState:
         b = self.branch  # +branch: exp[-(i/h)(p0 x0 - p.x)], -branch: conjugated phase
         return plane_wave(amp, b * self.p0, [b * pk for pk in self.p], Fraction(self.hbar_sign))
 
-    @property
-    def momentum_label(self) -> Vec3:
-        _, pl = measured_momentum(self.record())
-        return pl
-
-    @property
-    def energy_label(self) -> Fraction:
-        p0l, _ = measured_momentum(self.record())
-        return Fraction(self.c_sign) * p0l
-
 
 def build_spinor(p, m, z, branch: int = 1) -> SpinorState:
     """Validated spinor-state constructor; rejections name the violated rule."""
@@ -340,31 +328,18 @@ def free_residual(state: SpinorState, gs: GammaSet) -> float:
 
 def _partner_z(z, branch: int) -> tuple[ExactComplex, ExactComplex]:
     """The conjugation-partner 2-spinor: -sigma_y z* on the + branch, +sigma_y z* on -."""
-    out = _apply2(_pauli()[1], (z[0].conjugate(), z[1].conjugate()))
+    out = _apply2(PAULI[1], (z[0].conjugate(), z[1].conjugate()))
     if branch == 1:
         return (-out[0], -out[1])
     return out
 
 
 @dataclass(frozen=True)
-class ConjugatedSpinor:
+class ConjugatedSpinor(Image):
     """A conjugation image: the realized function plus its state labels."""
 
-    record: PlaneWaveFunction
     z_label: tuple[ExactComplex, ExactComplex]
     effective_branch: int
-    c_sign: int
-    hbar_sign: int
-
-    @property
-    def momentum_label(self) -> Vec3:
-        _, pl = measured_momentum(self.record)
-        return pl
-
-    @property
-    def energy_label(self) -> Fraction:
-        p0l, _ = measured_momentum(self.record)
-        return Fraction(self.c_sign) * p0l
 
 
 def apply_C_spinor(state: SpinorState | ConjugatedSpinor, gs: GammaSet
@@ -375,14 +350,14 @@ def apply_C_spinor(state: SpinorState | ConjugatedSpinor, gs: GammaSet
     branch, partner spinor); that template form is asserted against the
     directly computed matrix route before returning.
     """
+    out_rec = state.record().conjugate_function().apply_matrix(gs.g2)
     if isinstance(state, SpinorState):
-        out_rec = state.record().conjugate_function().apply_matrix(gs.g2)
         out_state = replace(state, z=_partner_z(state.z, state.branch), branch=-state.branch)
         if out_state.record() != out_rec:
             raise AssertionError("conjugated record does not match its template form")
         return out_state
     return ConjugatedSpinor(
-        record=state.record.conjugate_function().apply_matrix(gs.g2),
+        function=out_rec,
         z_label=_partner_z(state.z_label, state.effective_branch),
         effective_branch=-state.effective_branch,
         c_sign=state.c_sign,
@@ -400,7 +375,7 @@ def apply_Q_spinor(state: SpinorState, gs: GammaSet) -> ConjugatedSpinor:
         hbar_sign=-state.hbar_sign, sigma_sign=-state.sigma_sign,
     )
     return ConjugatedSpinor(
-        record=relabeled.record().conjugate_function().apply_matrix(-gs.g2),
+        function=relabeled.record().conjugate_function().apply_matrix(-gs.g2),
         z_label=_partner_z(state.z, state.branch),
         effective_branch=-state.branch,
         c_sign=relabeled.c_sign,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import EC_I, EC_ONE, ExactComplex, ExactMatrix
 from .gamma import (  # GammaIdentityError and conjugation_constraint_rows are public here too
@@ -33,11 +34,11 @@ from .maxwell import PlaneWave
 from .sampling import Vec3, cross, dot
 from .waves import (
     RADICAL_ZERO,
+    Image,
     PlaneWaveFunction,
     Radical,
     bilinear,
     dirac_residual,
-    measured_momentum,
     plane_wave,
     radical_sum,
 )
@@ -149,6 +150,10 @@ class PhotonState:
         return tuple(self.p0 * ni for ni in self.n)
 
     def record(self) -> PlaneWaveFunction:
+        return self._record
+
+    @cached_property
+    def _record(self) -> PlaneWaveFunction:
         norm_radicand = Fraction(1, 2) / dot(self.l, self.l)
         amp = [RADICAL_ZERO] * 8
         for i in range(3):
@@ -182,68 +187,51 @@ def photon_plane_wave(n, l, p0, hbar_sign: int = 1, c_sign: int = 1,
 
 
 @dataclass(frozen=True)
-class ConjugatedPhoton:
+class ConjugatedPhoton(Image):
     """The realized function after a conjugation, with its state labels."""
 
-    record: PlaneWaveFunction
     lam: ExactComplex
-    hbar_sign: int
-    c_sign: int
-
-    @property
-    def momentum_label(self) -> tuple[Fraction, Vec3]:
-        return measured_momentum(self.record)
-
-    @property
-    def energy_label(self) -> Fraction:
-        p0, _ = measured_momentum(self.record)
-        return Fraction(self.c_sign) * p0
 
 
-def apply_C_photon(state: PhotonState | ConjugatedPhoton) -> ConjugatedPhoton:
+def apply_C_photon(wave: PhotonState | ConjugatedPhoton) -> ConjugatedPhoton:
     """Charge conjugation: lam * g0 (Psi^dagger g0)^T, which reduces to lam Psi*.
 
     The reduction uses g0 g0 = I, which build_gamma8 verifies.
     """
-    rec = state.record() if isinstance(state, PhotonState) else state.record
     return ConjugatedPhoton(
-        record=rec.conjugate_function().scale(state.lam),
-        lam=state.lam,
-        hbar_sign=state.hbar_sign, c_sign=state.c_sign,
+        function=wave.record().conjugate_function().scale(wave.lam),
+        lam=wave.lam,
+        hbar_sign=wave.hbar_sign, c_sign=wave.c_sign,
     )
 
 
-def _q_relabeled(state: PhotonState | ConjugatedPhoton) -> PlaneWaveFunction:
-    """The state's function rebuilt with hbar and all 4-momentum labels flipped.
+def _q_relabeled(wave: PhotonState | ConjugatedPhoton) -> PlaneWaveFunction:
+    """The wave's function rebuilt with hbar and all 4-momentum labels flipped.
 
-    The labels are the state's own: p0, p and hbar_sign of a PhotonState, and
-    for a conjugated state the (p0, p) that its exponent carries with its own
-    hbar sign.  The massless amplitude holds no c or hbar, so nothing in it
-    flips, and the flip of c is carried by the image's c_sign label.  The
-    exponent -(i/hbar)(p0 x0 - p.x) is rebuilt from -p0, -p and -hbar, whose
-    sign flips cancel, so the realized function is unchanged.
+    The labels are the wave's own: the (p0, p) that its exponent carries with
+    its own hbar sign, which for a PhotonState are exactly its p0 and p.  The
+    massless amplitude holds no c or hbar, so nothing in it flips, and the
+    flip of c is carried by the image's c_sign label.  The exponent
+    -(i/hbar)(p0 x0 - p.x) is rebuilt from -p0, -p and -hbar, whose sign flips
+    cancel, so the realized function is unchanged.
     """
-    hbar = Fraction(state.hbar_sign)
-    if isinstance(state, PhotonState):
-        amp, p0, p = state.record().amp, state.p0, state.p
-    else:
-        kappa = state.record.kappa
-        amp, p0, p = state.record.amp, -hbar * kappa[0], [hbar * k for k in kappa[1:]]
-    return plane_wave(amp, -p0, [-pk for pk in p], -hbar)
+    rec = wave.record()
+    hbar = Fraction(wave.hbar_sign)
+    return plane_wave(rec.amp, hbar * rec.kappa[0], [-hbar * k for k in rec.kappa[1:]], -hbar)
 
 
-def apply_Q_photon(state: PhotonState | ConjugatedPhoton, gs: GammaSet) -> ConjugatedPhoton:
-    """Light-speed/action inversion: U_Q (Psi-bar)^T on the relabeled state.
+def apply_Q_photon(wave: PhotonState | ConjugatedPhoton, gs: GammaSet) -> ConjugatedPhoton:
+    """Light-speed/action inversion: U_Q (Psi-bar)^T on the relabeled wave.
 
     U_Q equals the charge-conjugation matrix lam * g0 because the massless
     equation is blind to the signs of c and hbar.
     """
-    relabeled = _q_relabeled(state)
-    out = relabeled.conjugate_function().apply_matrix(gs.g0).apply_matrix(gs.g0).scale(state.lam)
+    relabeled = _q_relabeled(wave)
+    out = relabeled.conjugate_function().apply_matrix(gs.g0).apply_matrix(gs.g0).scale(wave.lam)
     return ConjugatedPhoton(
-        record=out,
-        lam=state.lam,
-        hbar_sign=-state.hbar_sign, c_sign=-state.c_sign,
+        function=out,
+        lam=wave.lam,
+        hbar_sign=-wave.hbar_sign, c_sign=-wave.c_sign,
     )
 
 
@@ -261,20 +249,21 @@ def phase_displacement_form(state: PhotonState) -> PlaneWaveFunction:
     return PlaneWaveFunction(amp, kappa)
 
 
-def dirac_form_residual(rec: PlaneWaveFunction, hbar_sign: int, gs: GammaSet) -> float:
-    """Max |component| of the massless Dirac-form operator applied to rec."""
-    return dirac_residual(rec, Fraction(0), Fraction(hbar_sign), gs.vector)
+def dirac_form_residual(wave: PhotonState | ConjugatedPhoton, gs: GammaSet) -> float:
+    """Max |component| of the massless Dirac-form operator applied to the wave."""
+    return dirac_residual(wave.record(), Fraction(0), Fraction(wave.hbar_sign), gs.vector)
 
 
 def currents(state: PhotonState, conjugated: ConjugatedPhoton, gs: GammaSet
              ) -> tuple[ExactComplex, tuple, ExactComplex, tuple]:
     """The bilinears Psi-bar gamma^a Psi for the state and its conjugate."""
     g0g = [gs.g0 @ g for g in gs.vector]  # each g0 g^a once per call
-    j, jc = ([bilinear(a, m, a) for m in g0g] for a in (state.record().amp, conjugated.record.amp))
+    amps = (state.record().amp, conjugated.record().amp)
+    j, jc = ([bilinear(a, m, a) for m in g0g] for a in amps)
     return j[0], tuple(j[1:]), jc[0], tuple(jc[1:])
 
 
-def formal_energy_flux(rec: PlaneWaveFunction, c_sign: int
+def formal_energy_flux(wave: PhotonState | ConjugatedPhoton
                        ) -> tuple[ExactComplex, tuple[ExactComplex, ...]]:
     """Energy and flux bilinears evaluated formally on the amplitudes.
 
@@ -282,7 +271,7 @@ def formal_energy_flux(rec: PlaneWaveFunction, c_sign: int
     formulas applied to the possibly complex conjugated amplitudes: returns
     (sum_i amp_i^2)/8 and c (E_amp x H_amp)/4 as exact coefficients of 1/pi.
     """
-    energy = radical_sum(a * a for a in rec.amp).to_exact() / 8
-    e_amp, h_amp = rec.amp[1:4], rec.amp[5:8]
-    flux = tuple(v.to_exact() * Fraction(c_sign, 4) for v in cross(e_amp, h_amp))
+    amp = wave.record().amp
+    energy = radical_sum(a * a for a in amp).to_exact() / 8
+    flux = tuple(v.to_exact() * Fraction(wave.c_sign, 4) for v in cross(amp[1:4], amp[5:8]))
     return energy, flux

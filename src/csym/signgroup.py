@@ -11,7 +11,7 @@ composition algebra is verified here by exhaustive exact computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 from .exact import ExactMatrix
 
@@ -310,6 +310,22 @@ def verify_relations() -> list[RelationReport]:
     return reports
 
 
+def _canonical_index(canon: dict[str, FieldOperator]) -> dict[tuple, str]:
+    """Signature -> canonical name; the sixteen actions must be distinct."""
+    index = {op.signature(): name for name, op in canon.items()}
+    if len(index) != 16:
+        raise AssertionError(f"canonical list has {len(index)} distinct actions")
+    return index
+
+
+def _reduce(ops: dict, index: dict[tuple, str], names: tuple[str, ...]) -> str:
+    """The canonical name of the product of the named operators."""
+    name = index.get(_product_of(ops, names).signature())
+    if name is None:
+        raise AssertionError(f"product {'*'.join(names) or 'E'} matches no canonical operator")
+    return name
+
+
 def enumerate_distinct() -> tuple[dict[str, FieldOperator], dict[frozenset, str]]:
     """All 2^6 subset products collapsed onto the sixteen canonical operators.
 
@@ -318,28 +334,11 @@ def enumerate_distinct() -> tuple[dict[str, FieldOperator], dict[frozenset, str]
     """
     ops = build_field_operators()
     canon = canonical_operators()
-    name_map: dict[frozenset, str] = {}
-    for bits in product((0, 1), repeat=6):
-        subset = tuple(n for n, b in zip(_SIX, bits) if b)
-        prod = _product_of(ops, subset)
-        matches = [name for name, c in canon.items() if c.same_action(prod)]
-        if len(matches) != 1:
-            raise AssertionError(
-                f"product {'*'.join(subset) or 'E'} matched {len(matches)} canonical operators"
-            )
-        name_map[frozenset(subset) if subset else frozenset({"E"})] = matches[0]
-    distinct = {sig: None for sig in (canon[n].signature() for n in canon)}
-    if len(distinct) != 16:
-        raise AssertionError(f"canonical list has {len(distinct)} distinct actions")
-    return canon, name_map
+    index = _canonical_index(canon)
+    subsets = (tuple(compress(_SIX, bits)) for bits in product((0, 1), repeat=6))
+    return canon, {frozenset(s or {"E"}): _reduce(ops, index, s) for s in subsets}
 
 
 def reduce_product(names: tuple[str, ...]) -> str:
     """Canonical name of an arbitrary product of the six named operators."""
-    ops = build_field_operators()
-    canon = canonical_operators()
-    prod = _product_of(ops, names)
-    for name, c in canon.items():
-        if c.same_action(prod):
-            return name
-    raise AssertionError("product fell outside the sixteen canonical operators")
+    return _reduce(build_field_operators(), _canonical_index(canonical_operators()), names)

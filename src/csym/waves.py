@@ -10,12 +10,14 @@ and also evaluated numerically at sampled spacetime points.
 
 The plane-wave layer that the photon and electron modules share is written
 here once: the exponent (`plane_wave`), the Dirac-form residual
-(`dirac_residual`) and every exact radical sum (`radical_sum`).
+(`dirac_residual`), every exact radical sum (`radical_sum`) and the label
+rule (`labels`).  Every state and `Image` answers record(), c_sign, hbar_sign.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -247,16 +249,27 @@ def plane_wave(amp, p0: Fraction, p, hbar: Fraction) -> PlaneWaveFunction:
     return PlaneWaveFunction(amp, [-p0 / hbar] + [pk / hbar for pk in p])
 
 
-def measured_momentum(wave: PlaneWaveFunction
-                      ) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction]]:
-    """Momentum labels (p0, p) read off a plane wave.
+def labels(wave) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction]]:
+    """The one label rule: (energy, p) of a state or conjugation image.
 
-    Labels follow the bookkeeping convention of the conjugation analysis: the
-    derivative operators are weighted with the reference hbar = +1, so
-    exp(-(i/hbar)(p0 x0 - p.x)) reads off as (p0, p) and its complex conjugate
-    as (-p0, -p).  The energy label is then c_signed * p0.
+    (p0, p) are read off the record with the reference hbar = +1, so
+    exp[-(i/hbar)(p0 x0 - p.x)] reads (p0, p) and its conjugate (-p0, -p);
+    the energy is the wave's signed c times p0.
     """
-    return -wave.kappa[0], wave.kappa[1:]
+    kappa = wave.record().kappa
+    return -wave.c_sign * kappa[0], kappa[1:]
+
+
+@dataclass(frozen=True)
+class Image:
+    """A conjugation image: its realized function and the signs of c and hbar."""
+
+    function: PlaneWaveFunction
+    c_sign: int
+    hbar_sign: int
+
+    def record(self) -> PlaneWaveFunction:
+        return self.function
 
 
 def free_dirac_residual_matrix(kappa, mass_term: Fraction, hbar_signed: Fraction,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from csym import electron
 from csym.electron import (
     FIXED_POTENTIAL,
     FLIPPED_POTENTIAL,
@@ -30,7 +31,7 @@ from csym.electron import (
 from csym.exact import EC_I, ExactComplex, ExactMatrix, anticommutator
 from csym.report import RunConfig, random_spinor, run
 from csym.sampling import spacetime_points
-from csym.waves import PlaneWaveFunction, Radical, measured_momentum
+from csym.waves import PlaneWaveFunction, Radical, labels
 
 MINUS_I = ExactComplex(0, -1)
 
@@ -59,6 +60,12 @@ def _reference_q_record(st, gs):
     kappa = [sign * p0 / hb] + [-sign * pk / hb for pk in p]
     relabeled = PlaneWaveFunction([x * snorm * pref for x in parts], kappa)
     return relabeled.conjugate_function().apply_matrix(-gs.g2)
+
+
+def _branch_blind_partner(monkeypatch):
+    """Make the partner 2-spinor ignore its branch: always -sigma_y z*."""
+    partner = electron._partner_z
+    monkeypatch.setattr(electron, "_partner_z", lambda z, branch: partner(z, 1))
 
 
 def _sigma_unflipped(monkeypatch):
@@ -167,10 +174,8 @@ class TestTransformTable:
 
     def test_spot_residuals_all_entries(self, gamma4, rng):
         st = random_spinor(rng)
-        rec = st.record()
         for name, entry in build_transform_table(gamma4).items():
-            r = transformed_residual(entry, rec, st.m, st.c_sign, st.hbar_sign, gamma4)
-            assert r == 0.0, name
+            assert transformed_residual(entry, st, gamma4) == 0.0, name
 
     def test_singular_matrix_rejected(self, gamma4):
         with pytest.raises(ValueError, match="singular"):
@@ -243,9 +248,7 @@ class TestConjugations:
     def test_c_labels(self, gamma4, rng):
         st = random_spinor(rng)
         neg = apply_C_spinor(st, gamma4)
-        _, p_label = measured_momentum(neg.record())
-        assert p_label == tuple(-x for x in st.p)
-        assert neg.energy_label == -st.energy
+        assert labels(neg) == (-st.energy, tuple(-x for x in st.p))
 
     def test_c_involution(self, gamma4, rng):
         st = random_spinor(rng)
@@ -257,19 +260,19 @@ class TestConjugations:
         st = random_spinor(rng)
         q = apply_Q_spinor(st, gamma4)
         assert (q.c_sign, q.hbar_sign) == (-st.c_sign, -st.hbar_sign)
-        assert q.momentum_label == tuple(-x for x in st.p)
-        assert q.energy_label == st.energy  # positive energy on the flipped hyperplane
+        # positive energy on the flipped hyperplane
+        assert labels(q) == (st.energy, tuple(-x for x in st.p))
 
     def test_cq_record_equality_exact(self, gamma4, rng):
         for _ in range(200):
             st = random_spinor(rng)
-            assert apply_C_spinor(st, gamma4).record() == apply_Q_spinor(st, gamma4).record
+            assert apply_C_spinor(st, gamma4).record() == apply_Q_spinor(st, gamma4).record()
 
     def test_cq_pointwise(self, gamma4, rng):
         for _ in range(50):
             st = random_spinor(rng)
             crec = apply_C_spinor(st, gamma4).record()
-            qrec = apply_Q_spinor(st, gamma4).record
+            qrec = apply_Q_spinor(st, gamma4).record()
             x = spacetime_points(rng, 20)
             cv, qv = crec.evaluate(x), qrec.evaluate(x)
             scale = np.maximum(np.max(np.abs(cv), axis=1), 1e-300)
@@ -280,7 +283,7 @@ class TestConjugations:
         # one uniform radical branch turns C psi = Q psi into C psi = -Q psi
         def negated_q(state, gs):
             q = apply_Q_spinor(state, gs)
-            return dataclasses.replace(q, record=q.record.scale(-1))
+            return dataclasses.replace(q, function=q.function.scale(-1))
 
         monkeypatch.setattr("csym.electron.apply_Q_spinor", negated_q)
         report = run(RunConfig(suites=("electron",), samples=3))
@@ -292,17 +295,17 @@ class TestConjugations:
     def test_q_record_matches_the_written_out_substitution(self, gamma4, rng, branch):
         for _ in range(200):
             st = random_spinor(rng, branch=branch)
-            assert apply_Q_spinor(st, gamma4).record == _reference_q_record(st, gamma4)
+            assert apply_Q_spinor(st, gamma4).record() == _reference_q_record(st, gamma4)
 
     def test_commutator_vanishes(self, gamma4, rng):
         for _ in range(25):
             st = random_spinor(rng)
             cq = apply_C_spinor(apply_Q_spinor(st, gamma4), gamma4)
             qc = apply_Q_spinor(apply_C_spinor(st, gamma4), gamma4)
-            assert cq.record == qc.record
+            assert cq.record() == qc.record()
             assert (cq.c_sign, cq.hbar_sign) == (qc.c_sign, qc.hbar_sign)
-            assert cq.z_label == qc.z_label
-            assert cq.record == st.record()
+            assert cq.z_label == st.z and qc.z_label == st.z
+            assert cq.record() == st.record()
 
     def test_q_on_negative_branch(self, gamma4, rng):
         # the conjugation applied to a negative-branch state lands on the
@@ -314,7 +317,26 @@ class TestConjugations:
         q = apply_Q_spinor(st, gamma4)
         assert q.effective_branch == 1
         mass_term = st.m * Fraction(q.c_sign)
-        assert dirac_residual(q.record, mass_term, Fraction(q.hbar_sign), gamma4.vector) == 0.0
+        assert dirac_residual(q.record(), mass_term, Fraction(q.hbar_sign), gamma4.vector) == 0.0
+
+
+class TestCommutatorControl:
+    """The commutator check compares each order's spin label with the state's."""
+
+    def test_branch_blind_partner_keeps_the_orders_equal_on_minus_z(self, gamma4, rng, monkeypatch):
+        _branch_blind_partner(monkeypatch)
+        st = random_spinor(rng)
+        cq = apply_C_spinor(apply_Q_spinor(st, gamma4), gamma4)
+        qc = apply_Q_spinor(apply_C_spinor(st, gamma4), gamma4)
+        assert cq.z_label == qc.z_label  # comparing the two orders cannot see it
+        assert cq.z_label == tuple(-x for x in st.z)
+
+    def test_suite_check_rejects_branch_blind_partner(self, monkeypatch):
+        _branch_blind_partner(monkeypatch)
+        report = run(RunConfig(suites=("electron",), samples=3))
+        check = {c.id: c for c in report.checks}["electron.conjugation-commutator"]
+        assert check.status == "fail"
+        assert check.details == "spin labels of the two orders do not restore the state's"
 
 
 class TestWrongQControl:
@@ -323,14 +345,14 @@ class TestWrongQControl:
     def test_unflipped_sigma_changes_the_q_record(self, gamma4, monkeypatch):
         st = build_spinor((Fraction(3, 2), 0, 0), 2, (1, 0))
         _sigma_unflipped(monkeypatch)
-        assert apply_C_spinor(st, gamma4).record() != apply_Q_spinor(st, gamma4).record
+        assert apply_C_spinor(st, gamma4).record() != apply_Q_spinor(st, gamma4).record()
 
     def test_rest_frame_cannot_tell(self, gamma4, monkeypatch):
         # at rest sqrt(p0 - mc) vanishes on the flipped hyperplane, so the
         # (n.sigma) pair carries no weight and the sign of sigma is invisible
         st = build_spinor((0, 0, 0), 2, (1, 1))
         _sigma_unflipped(monkeypatch)
-        assert apply_C_spinor(st, gamma4).record() == apply_Q_spinor(st, gamma4).record
+        assert apply_C_spinor(st, gamma4).record() == apply_Q_spinor(st, gamma4).record()
 
     def test_suite_checks_reject_unflipped_sigma(self, monkeypatch):
         _sigma_unflipped(monkeypatch)

@@ -17,7 +17,7 @@ from csym.sampling import (
     rational_unit_vector,
     spacetime_points,
 )
-from csym.waves import PlaneWaveFunction, Radical, bilinear, dirac_residual, measured_momentum
+from csym.waves import Image, PlaneWaveFunction, Radical, bilinear, dirac_residual, labels
 
 
 class TestRadical:
@@ -82,12 +82,6 @@ class TestPlaneWaveFunction:
         val = f.evaluate((3.0, 0.0, 0.0, 0.0))
         assert val[0] == pytest.approx(2 * cmath.exp(1.5j))
 
-    def test_measured_momentum(self):
-        # exp[-(i/h)(p0 x0 - p.x)] reads off as (p0, p)
-        f = PlaneWaveFunction([Radical(1, 1)] * 2, [-3, 1, 2, -5])
-        p0, p = measured_momentum(f)
-        assert p0 == 3 and p == (1, 2, -5)
-
 
 def _scalar_formula(rec, x):
     """A record's value at one point by the per-point cos/sin formula."""
@@ -110,11 +104,33 @@ def _records(gamma4, gamma8):
     ph, sp = _states()
     return [
         ph.record(),
-        photon.apply_Q_photon(ph, gamma8).record,
+        photon.apply_Q_photon(ph, gamma8).record(),
         sp.record(),
         electron.apply_C_spinor(sp, gamma4).record(),
-        electron.apply_Q_spinor(sp, gamma4).record,
+        electron.apply_Q_spinor(sp, gamma4).record(),
     ]
+
+
+def _flip(v):
+    return tuple(-x for x in v)
+
+
+def test_labels_of_every_kind_of_wave(gamma4, gamma8):
+    """(energy, p): p0 and p read off exp[-(i/h)(p0 x0 - p.x)] at h = +1, energy c p0."""
+    ph, sp = _states()
+    q_sp = electron.apply_Q_spinor(sp, gamma4)
+    cases = [
+        (Image(PlaneWaveFunction([Radical(1, 1)] * 2, [-3, 1, 2, -5]), -1, 1), (-3, (1, 2, -5))),
+        (ph, (ph.p0, ph.p)),
+        (photon.apply_C_photon(ph), (-ph.p0, _flip(ph.p))),  # negative energy, same hyperplane
+        (photon.apply_Q_photon(ph, gamma8), (ph.p0, _flip(ph.p))),  # positive, flipped hyperplane
+        (sp, (sp.energy, sp.p)),
+        (electron.apply_C_spinor(sp, gamma4), (-sp.energy, _flip(sp.p))),
+        (q_sp, (sp.energy, _flip(sp.p))),
+        (electron.apply_C_spinor(q_sp, gamma4), (-sp.energy, sp.p)),  # C Q restores the function
+    ]
+    for wave, want in cases:
+        assert labels(wave) == want, type(wave).__name__
 
 
 class TestDiracResidual:
