@@ -37,18 +37,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="suite to run (repeatable; default all)",
     )
-    verify.add_argument("--samples", type=int, default=100, help="random draws per sampled check")
-    verify.add_argument("--seed", type=int, default=0, help="seed for all random draws")
+    verify.add_argument("--samples", type=int, default=RunConfig.samples,
+                        help="random draws per sampled check")
+    verify.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for all random draws")
     verify.add_argument(
-        "--tolerance", type=float, default=1e-12,
+        "--tolerance", type=float, default=RunConfig.tolerance,
         help="relative tolerance for floating-point spot checks (exact checks ignore it)",
     )
     verify.add_argument(
-        "--lambda", dest="lam", choices=sorted(LAMBDA_TOKENS), default="-i",
+        "--lambda", dest="lam", choices=sorted(LAMBDA_TOKENS), default=RunConfig.lam,
         help="conjugation phase factor; write a negative value as --lambda=-i",
     )
     verify.add_argument(
-        "--potential-rule", choices=POTENTIAL_RULE_TOKENS, default="both",
+        "--potential-rule", choices=POTENTIAL_RULE_TOKENS, default=RunConfig.potential_rule,
         help="which 4-potential rule(s) to exercise on the charged equation",
     )
     verify.add_argument("--json", metavar="PATH", default=None, help="also write a JSON report")
@@ -60,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = RunConfig(
-            suites=tuple(args.suite) if args.suite else ("all",),
+            suites=tuple(args.suite) if args.suite else RunConfig.suites,
             samples=args.samples,
             seed=args.seed,
             tolerance=args.tolerance,

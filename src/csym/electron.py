@@ -175,12 +175,11 @@ def verify_symmetry(entry: DiracTransform, gs: GammaSet) -> SymmetryCertificate:
 
 def transform_wave(entry: DiracTransform, rec: PlaneWaveFunction) -> PlaneWaveFunction:
     """Apply a table entry to a realized plane wave."""
-    amp = rec.amp
-    kappa = [rec.kappa[0] * entry.arg_sig[0]] + [k * entry.arg_sig[1] for k in rec.kappa[1:]]
+    e0, ex = entry.arg_sig
+    out = PlaneWaveFunction(rec.amp, [e0 * rec.kappa[0]] + [ex * k for k in rec.kappa[1:]])
     if entry.conj:
-        amp = tuple(a.conjugate() for a in amp)
-        kappa = [-k for k in kappa]
-    return PlaneWaveFunction(amp, kappa).apply_matrix(entry.matrix)
+        out = out.conjugate_function()
+    return out.apply_matrix(entry.matrix)
 
 
 def transformed_residual(entry: DiracTransform, state: SpinorState, gs: GammaSet) -> float:
@@ -206,15 +205,6 @@ def _apply2(m: ExactMatrix, z: tuple[ExactComplex, ExactComplex]) -> tuple[Exact
         m[0, 0] * z[0] + m[0, 1] * z[1],
         m[1, 0] * z[0] + m[1, 1] * z[1],
     )
-
-
-def _inv_sqrt_radical(x: Fraction) -> Radical:
-    """1/sqrt(x) with the principal branch: x < 0 gives 1/(i sqrt|x|) = -i/sqrt|x|."""
-    if x == 0:
-        raise ZeroDivisionError("1/sqrt(0)")
-    if x > 0:
-        return Radical(1, 1 / x)
-    return Radical(MINUS_I, 1 / (-x))
 
 
 @dataclass(frozen=True)
@@ -292,7 +282,8 @@ class SpinorState:
 
     @cached_property
     def _record(self) -> PlaneWaveFunction:
-        pref = _inv_sqrt_radical(2 * self.p0)
+        # the principal 1/sqrt(x) is the -i branch of sqrt(1/x): 1/(i sqrt|x|) = -i/sqrt|x|
+        pref = Radical.sqrt(1 / (2 * self.p0), negative_branch=MINUS_I)
         amp = [x * pref for x in self.bispinor()]
         b = self.branch  # +branch: exp[-(i/h)(p0 x0 - p.x)], -branch: conjugated phase
         return plane_wave(amp, b * self.p0, [b * pk for pk in self.p], Fraction(self.hbar_sign))

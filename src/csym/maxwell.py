@@ -27,20 +27,20 @@ from functools import cached_property
 
 from .exact import EC_ONE, ExactComplex, ExactMatrix, RowSpan
 from .sampling import Vec3, cross, dot
-from .signgroup import FieldOperator, classical_conjugation_operator
+from .signgroup import BLOCKS, FieldOperator, classical_conjugation_operator
 
 N_COMPONENTS = 16
 N_SLOTS = 5  # coefficient of (1, d0, d1, d2, d3) per component
 ROW_WIDTH = N_COMPONENTS * N_SLOTS
 N_FIELD_EQUATIONS = 8  # the curl/div rows; the potential links follow them
 
-# component indices (matching signgroup.COMPONENT_NAMES)
-E_IDX = (1, 2, 3)
-H_IDX = (5, 6, 7)
-RHO_IDX = 8
-J_IDX = (9, 10, 11)
-PHI_IDX = 12
-A_IDX = (13, 14, 15)
+# component indices of the one 16-component layout, signgroup.BLOCKS
+E_IDX = BLOCKS["E"]
+H_IDX = BLOCKS["H"]
+(RHO_IDX,) = BLOCKS["rho"]
+J_IDX = BLOCKS["J"]
+(PHI_IDX,) = BLOCKS["phi"]
+A_IDX = BLOCKS["A"]
 
 _EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
         (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
@@ -217,8 +217,8 @@ def plane_wave_residual(system: LinearFieldSystem, w: PlaneWave) -> Fraction:
     return max(abs(r.re) + abs(r.im) for r in values)
 
 
-def field_column(w: PlaneWave):
-    """The 16-entry amplitude column for this wave (sources and potentials 0)."""
+def field_column(w):
+    """The 16-entry column (0, l, 0, m, 0, ...) of a wave's polarizations l, m."""
     phi = [Fraction(0)] * 16
     for idx, val in zip(E_IDX, w.l):
         phi[idx] = val

@@ -30,10 +30,9 @@ from .gamma import (  # GammaIdentityError and conjugation_constraint_rows are p
     conjugation_constraint_rows,
     solve_conjugation_space,
 )
-from .maxwell import PlaneWave
+from .maxwell import PlaneWave, field_column
 from .sampling import Vec3, cross, dot
 from .waves import (
-    RADICAL_ZERO,
     Image,
     PlaneWaveFunction,
     Radical,
@@ -131,7 +130,7 @@ def solve_conjugation_8(gs: GammaSet) -> ConjugationSpace:
 class PhotonState:
     """A normalized photon plane wave in the 8-component Dirac form.
 
-    The amplitude is column(0, l, 0, m)/sqrt(2 |l|^2) so that the norm is
+    The amplitude is maxwell's field column (0, l, 0, m)/sqrt(2 |l|^2), so the norm is
     exactly 1, times exp[-(i/hbar)(p0 x0 - p.x)] with p = p0 n.  The signs
     of c and hbar are carried as labels with unit magnitudes; lam is the
     conjugation phase, one of +1, -1, +i, -i.
@@ -155,10 +154,7 @@ class PhotonState:
     @cached_property
     def _record(self) -> PlaneWaveFunction:
         norm_radicand = Fraction(1, 2) / dot(self.l, self.l)
-        amp = [RADICAL_ZERO] * 8
-        for i in range(3):
-            amp[1 + i] = Radical(ExactComplex(self.l[i]), norm_radicand)
-            amp[5 + i] = Radical(ExactComplex(self.m[i]), norm_radicand)
+        amp = [Radical(x, norm_radicand) for x in field_column(self)[:8]]
         return plane_wave(amp, self.p0, self.p, Fraction(self.hbar_sign))
 
     def norm_sq(self) -> ExactComplex:

@@ -102,6 +102,12 @@ class RunConfig:
     potential_rule: str = "both"
 
     def __post_init__(self):
+        if isinstance(self.suites, str):
+            raise ValueError(f"suites must be a tuple of suite names, not a string: {self.suites!r}")
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         for s in self.suites:
             if s != "all" and s not in SUITES:
                 raise ValueError(f"unknown suite {s!r}; valid: {('all',) + SUITES}")
@@ -296,19 +302,15 @@ def _group_not_cyclic(group_table, structure):
 def _defining_rows(ops):
     t1 = ops["T1"]
     ok = t1.arg_sig == (-1, 1, 1) and not t1.charge_flip
-    ok &= all(t1.comp_signs[i] == 1 for i in signgroup.BLOCKS["E"])
-    ok &= all(t1.comp_signs[i] == -1 for i in signgroup.BLOCKS["H"])
-    ok &= t1.comp_signs[8] == 1
-    ok &= all(t1.comp_signs[i] == -1 for i in signgroup.BLOCKS["J"])
-    ok &= t1.comp_signs[12] == 1
-    ok &= all(t1.comp_signs[i] == -1 for i in signgroup.BLOCKS["A"])
+    for blk, sign in (("E", 1), ("H", -1), ("rho", 1), ("J", -1), ("phi", 1), ("A", -1)):
+        ok &= all(t1.comp_signs[i] == sign for i in signgroup.BLOCKS[blk])
     q2 = ops["Q2"]
     ok &= q2.arg_sig == (1, 1, -1) and not q2.charge_flip
     ok &= all(s == 1 for s in q2.comp_signs)
     q1 = ops["Q1"]
     ok &= q1.arg_sig == (1, 1, -1) and q1.charge_flip
     ok &= all(q1.comp_signs[i] == -1 for i in signgroup.PHYSICAL_SLOTS)
-    ok &= ops["E"].is_identity()
+    ok &= ops["E"] == signgroup.IDENTITY
     return ok, None
 
 
@@ -328,7 +330,7 @@ def _relations():
         "count of distinct field-function symmetries")
 def _sixteen(distinct):
     canon, name_map = distinct
-    distinct = {op.signature() for op in canon.values()}
+    distinct = set(canon.values())
     return (
         len(distinct) == 16 and len(name_map) == 64,
         f"{len(name_map)} subset products collapse onto {len(distinct)} operators",
@@ -352,7 +354,7 @@ def _conjugation_composite():
     ce = signgroup.classical_conjugation_operator()
     ok = ce.arg_sig == (1, 1, 1) and ce.charge_flip
     ok &= all(ce.comp_signs[i] == -1 for i in signgroup.PHYSICAL_SLOTS)
-    ok &= ce.compose(ce).is_identity()
+    ok &= ce.compose(ce) == signgroup.IDENTITY
     return ok, "Q1Q2 fixes the arguments, negates all 14 components, flips e"
 
 
@@ -467,9 +469,7 @@ def _classical_conjugation(distinct):
     ok &= negated == [-x for x in phi]
     ce = signgroup.classical_conjugation_operator()
     canon, _ = distinct
-    ok &= all(
-        ce.compose(op).same_action(op.compose(ce)) for op in canon.values()
-    )
+    ok &= all(ce.compose(op) == op.compose(ce) for op in canon.values())
     return ok, "polarizations negated, involution holds, composite is central"
 
 

@@ -10,7 +10,7 @@ composition algebra is verified here by exhaustive exact computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import compress, product
 
 from .exact import ExactMatrix
@@ -144,10 +144,12 @@ class FieldOperator:
     arg_sig holds the signs applied to (x0, x, c) in the argument,
     comp_signs the per-component sign factors, and charge_flip whether the
     charge label e flips to -e.  Composition multiplies signs componentwise
-    and xors the charge flip, so every operator is its own inverse.
+    and xors the charge flip, so every operator is its own inverse.  Two
+    operators are equal, and hash equal, when they act alike, whatever their
+    names.
     """
 
-    name: str
+    name: str = field(compare=False)
     arg_sig: tuple[int, int, int]
     comp_signs: tuple[int, ...]
     charge_flip: bool
@@ -163,9 +165,6 @@ class FieldOperator:
             signs[z] = 1
         object.__setattr__(self, "comp_signs", tuple(signs))
 
-    def signature(self) -> tuple:
-        return (self.arg_sig, self.comp_signs, self.charge_flip)
-
     def compose(self, other: "FieldOperator") -> "FieldOperator":
         return FieldOperator(
             name=f"{self.name}*{other.name}",
@@ -174,25 +173,15 @@ class FieldOperator:
             charge_flip=self.charge_flip ^ other.charge_flip,
         )
 
-    def same_action(self, other: "FieldOperator") -> bool:
-        return self.signature() == other.signature()
-
-    def is_identity(self) -> bool:
-        return (
-            self.arg_sig == (1, 1, 1)
-            and all(s == 1 for s in self.comp_signs)
-            and not self.charge_flip
-        )
-
-    def as_matrix(self) -> ExactMatrix:
-        """The component action as a diagonal 16x16 sign matrix."""
-        return ExactMatrix.diagonal(self.comp_signs)
-
     def apply(self, phi: list) -> list:
         """Apply the component signs to a 16-entry field column."""
         if len(phi) != 16:
             raise ValueError(f"field column must have 16 entries, got {len(phi)}")
         return [s * v for s, v in zip(self.comp_signs, phi)]
+
+
+#: the operator that changes nothing
+IDENTITY = FieldOperator("E", (1, 1, 1), (1,) * 16, False)
 
 
 def _from_blocks(name, arg_sig, block_signs, charge_flip) -> FieldOperator:
@@ -266,7 +255,7 @@ def canonical_operators() -> dict[str, FieldOperator]:
     out = {}
     for name in CANONICAL_SIXTEEN:
         op = _product_of(ops, _split_name(name))
-        out[name] = FieldOperator(name, op.arg_sig, op.comp_signs, op.charge_flip)
+        out[name] = replace(op, name=name)
     return out
 
 
@@ -287,13 +276,13 @@ def verify_relations() -> list[RelationReport]:
     reports = []
     for n in _SIX:
         reports.append(
-            RelationReport(f"{n}^2 = E", ops[n].compose(ops[n]).is_identity())
+            RelationReport(f"{n}^2 = E", ops[n].compose(ops[n]) == IDENTITY)
         )
     p1p2 = ops["P1"].compose(ops["P2"])
     t1t2 = ops["T1"].compose(ops["T2"])
     q1q2 = ops["Q1"].compose(ops["Q2"])
-    reports.append(RelationReport("P1P2 = T1T2", p1p2.same_action(t1t2)))
-    reports.append(RelationReport("T1T2 = Q1Q2", t1t2.same_action(q1q2)))
+    reports.append(RelationReport("P1P2 = T1T2", p1p2 == t1t2))
+    reports.append(RelationReport("T1T2 = Q1Q2", t1t2 == q1q2))
     bracket_pairs = [
         (("P1", "T1"), ("P2", "T2")),
         (("P1", "Q1"), ("P2", "Q2")),
@@ -305,22 +294,22 @@ def verify_relations() -> list[RelationReport]:
     for (a1, a2), (b1, b2) in bracket_pairs:
         left = ops[a1].compose(ops[a2])
         right = ops[b1].compose(ops[b2])
-        holds = left.compose(right).same_action(right.compose(left))
+        holds = left.compose(right) == right.compose(left)
         reports.append(RelationReport(f"[{a1}{a2}, {b1}{b2}] = 0", holds))
     return reports
 
 
-def _canonical_index(canon: dict[str, FieldOperator]) -> dict[tuple, str]:
-    """Signature -> canonical name; the sixteen actions must be distinct."""
-    index = {op.signature(): name for name, op in canon.items()}
+def _canonical_index(canon: dict[str, FieldOperator]) -> dict[FieldOperator, str]:
+    """Operator -> canonical name; the sixteen actions must be distinct."""
+    index = {op: name for name, op in canon.items()}
     if len(index) != 16:
         raise AssertionError(f"canonical list has {len(index)} distinct actions")
     return index
 
 
-def _reduce(ops: dict, index: dict[tuple, str], names: tuple[str, ...]) -> str:
+def _reduce(ops: dict, index: dict[FieldOperator, str], names: tuple[str, ...]) -> str:
     """The canonical name of the product of the named operators."""
-    name = index.get(_product_of(ops, names).signature())
+    name = index.get(_product_of(ops, names))
     if name is None:
         raise AssertionError(f"product {'*'.join(names) or 'E'} matches no canonical operator")
     return name

@@ -170,10 +170,6 @@ def radical_sum(terms) -> Radical:
     return sum(terms, RADICAL_ZERO)
 
 
-def radical_vector(values) -> tuple[Radical, ...]:
-    return tuple(v if isinstance(v, Radical) else Radical.of(v) for v in values)
-
-
 def matrix_times_radicals(m: ExactMatrix, vec: tuple[Radical, ...]) -> tuple[Radical, ...]:
     if m.cols != len(vec):
         raise ValueError(f"cannot apply {m.rows}x{m.cols} matrix to length-{len(vec)} vector")
@@ -190,19 +186,22 @@ def bilinear(left: tuple[Radical, ...], m: ExactMatrix, right: tuple[Radical, ..
     return radical_sum(l.conjugate() * r for l, r in zip(left, mv)).to_exact()
 
 
+@dataclass(frozen=True, slots=True)
 class PlaneWaveFunction:
-    """amp * exp(i * sum_a kappa_a x^a) with radical amplitudes, rational kappa."""
+    """amp * exp(i * sum_a kappa_a x^a) with radical amplitudes, rational kappa.
 
-    __slots__ = ("amp", "kappa")
+    A record is plain exact data: amp holds Radicals and kappa rationals, as
+    given; equal records compare and hash equal.
+    """
 
-    def __init__(self, amp, kappa):
-        object.__setattr__(self, "amp", radical_vector(amp))
-        object.__setattr__(self, "kappa", tuple(Fraction(k) for k in kappa))
+    amp: tuple[Radical, ...]
+    kappa: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "amp", tuple(self.amp))
+        object.__setattr__(self, "kappa", tuple(self.kappa))
         if len(self.kappa) != 4:
             raise ValueError(f"kappa must have 4 components, got {len(self.kappa)}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneWaveFunction is immutable")
 
     def conjugate_function(self) -> "PlaneWaveFunction":
         return PlaneWaveFunction(
@@ -214,16 +213,6 @@ class PlaneWaveFunction:
 
     def scale(self, factor) -> "PlaneWaveFunction":
         return PlaneWaveFunction([a * factor for a in self.amp], self.kappa)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PlaneWaveFunction):
-            return NotImplemented
-        return self.kappa == other.kappa and len(self.amp) == len(other.amp) and all(
-            a == b for a, b in zip(self.amp, other.amp)
-        )
-
-    def __hash__(self):
-        return hash((self.amp, self.kappa))
 
     def evaluate(self, x) -> np.ndarray:
         """Numeric value at spacetime points x.
@@ -239,9 +228,6 @@ class PlaneWaveFunction:
         amp = np.array([a.to_complex() for a in self.amp])
         phase = (np.asarray(x, dtype=float) * kappa).sum(axis=-1)
         return np.multiply.outer(np.exp(1j * phase), amp)
-
-    def __repr__(self) -> str:
-        return f"PlaneWaveFunction(amp={list(self.amp)!r}, kappa={list(self.kappa)!r})"
 
 
 def plane_wave(amp, p0: Fraction, p, hbar: Fraction) -> PlaneWaveFunction:
@@ -272,30 +258,20 @@ class Image:
         return self.function
 
 
-def free_dirac_residual_matrix(kappa, mass_term: Fraction, hbar_signed: Fraction,
-                               gammas) -> ExactMatrix:
-    """Coefficient matrix of (i*hbar*gamma^a d_a - mass_term) on exp(i kappa.x).
-
-    d_a brings down i*kappa_a, so the operator reduces to
-    -hbar * sum_a kappa_a gamma^a - mass_term * identity.
-    """
-    g0, g1, g2, g3 = gammas
-    n = g0.rows
-    m = ExactMatrix.zeros(n, n)
-    for k, g in zip(kappa, (g0, g1, g2, g3)):
-        if k != 0:
-            m = m + g.scale(ExactComplex(-hbar_signed * k))
-    if mass_term != 0:
-        m = m - ExactMatrix.identity(n).scale(ExactComplex(mass_term))
-    return m
-
-
 def dirac_residual(rec: PlaneWaveFunction, mass_term: Fraction, hbar: Fraction,
                    gammas) -> float:
     """Max |component| of (i*hbar*gamma^a d_a - mass_term) applied to rec.
 
     The photon's massless Dirac form and the electron's free equation, for
-    a state and for a transformed wave, are all this one residual.
+    a state and for a transformed wave, are all this one residual.  On
+    exp(i kappa.x), d_a brings down i*kappa_a, so the operator's coefficient
+    matrix is -hbar * sum_a kappa_a gamma^a - mass_term * identity.
     """
-    m = free_dirac_residual_matrix(rec.kappa, mass_term, hbar, gammas)
+    n = gammas[0].rows
+    m = ExactMatrix.zeros(n, n)
+    for k, g in zip(rec.kappa, gammas):
+        if k != 0:
+            m = m + g.scale(ExactComplex(-hbar * k))
+    if mass_term != 0:
+        m = m - ExactMatrix.identity(n).scale(ExactComplex(mass_term))
     return max((abs(v.to_complex()) for v in matrix_times_radicals(m, rec.amp)), default=0.0)

@@ -62,6 +62,38 @@ def _reference_q_record(st, gs):
     return relabeled.conjugate_function().apply_matrix(-gs.g2)
 
 
+def _reference_transform_wave(entry, rec):
+    """psi'(x) = M psi^(*)(eps x) written out on the record by hand.
+
+    The argument signs scale kappa; conjugation conjugates every amplitude
+    and negates kappa; the matrix then acts on the amplitudes.
+    """
+    amp = rec.amp
+    kappa = [rec.kappa[0] * entry.arg_sig[0]] + [k * entry.arg_sig[1] for k in rec.kappa[1:]]
+    if entry.conj:
+        amp = tuple(a.conjugate() for a in amp)
+        kappa = [-k for k in kappa]
+    return PlaneWaveFunction(amp, kappa).apply_matrix(entry.matrix)
+
+
+def _kappa_kept_under_conjugation(entry, rec):
+    """A wrong transform: conjugates the amplitudes but keeps kappa's sign."""
+    amp = tuple(a.conjugate() for a in rec.amp) if entry.conj else rec.amp
+    kappa = [rec.kappa[0] * entry.arg_sig[0]] + [k * entry.arg_sig[1] for k in rec.kappa[1:]]
+    return PlaneWaveFunction(amp, kappa).apply_matrix(entry.matrix)
+
+
+def _matches_reference_transform(transform, gs, rng):
+    """Entry names where transform agrees with the reference, over both branches."""
+    agree = set()
+    for branch in (1, -1):
+        rec = random_spinor(rng, branch=branch).record()
+        for name, entry in build_transform_table(gs).items():
+            if transform(entry, rec) == _reference_transform_wave(entry, rec):
+                agree.add((branch, name))
+    return agree
+
+
 def _branch_blind_partner(monkeypatch):
     """Make the partner 2-spinor ignore its branch: always -sigma_y z*."""
     partner = electron._partner_z
@@ -176,6 +208,16 @@ class TestTransformTable:
         st = random_spinor(rng)
         for name, entry in build_transform_table(gamma4).items():
             assert transformed_residual(entry, st, gamma4) == 0.0, name
+
+    def test_transform_wave_matches_the_reference(self, gamma4, rng):
+        agree = _matches_reference_transform(electron.transform_wave, gamma4, rng)
+        assert len(agree) == 2 * 11
+
+    def test_reference_rejects_a_transform_that_keeps_kappa(self, gamma4, rng):
+        # the control: only the five entries without conjugation still agree
+        agree = _matches_reference_transform(_kappa_kept_under_conjugation, gamma4, rng)
+        table = build_transform_table(gamma4)
+        assert {name for _, name in agree} == {n for n, e in table.items() if not e.conj}
 
     def test_singular_matrix_rejected(self, gamma4):
         with pytest.raises(ValueError, match="singular"):

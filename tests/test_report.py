@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csym import electron, maxwell, photon, report as report_module, signgroup
+from csym import cli, electron, maxwell, photon, report as report_module, signgroup
 from csym.cli import build_parser
 from csym.report import (
     SUITES,
@@ -52,6 +52,20 @@ class TestRunConfig:
             RunConfig(lam="2i")
         with pytest.raises(ValueError, match="potential_rule"):
             RunConfig(potential_rule="spiral")
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 2.5), ("samples", "100"), ("samples", True),
+        ("seed", 1.5), ("seed", None), ("seed", False),
+    ])
+    def test_non_int_count_rejected(self, field, value):
+        # 2.5 samples used to fail photon checks, a 1.5 seed to crash numpy
+        with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
+            RunConfig(**{field: value})
+
+    def test_bare_string_suites_rejected(self):
+        # a string would be read letter by letter: "unknown suite 'g'"
+        with pytest.raises(ValueError, match="suites must be a tuple of suite names"):
+            RunConfig(suites="group")
 
     @pytest.mark.parametrize("tolerance, invariant", [
         (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "positive"),
@@ -259,6 +273,13 @@ class TestCli:
                 build_parser().parse_args(argv[1:])
             except SystemExit:
                 pytest.fail(f"argparse rejects the README command {shlex.join(argv)!r}")
+
+    def test_verify_without_flags_builds_the_default_config(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config)
+                            or VerificationReport(config=config, checks=()))
+        assert cli.main(["verify"]) == 0
+        assert seen == [RunConfig()]
 
     def _run(self, *args):
         return subprocess.run(

@@ -8,6 +8,7 @@ from csym.exact import ExactMatrix
 from csym.signgroup import (
     BLOCKS,
     CANONICAL_SIXTEEN,
+    IDENTITY,
     PHYSICAL_SLOTS,
     FieldOperator,
     alpha_matrices,
@@ -78,7 +79,7 @@ class TestFieldOperators:
         q1 = ops["Q1"]
         assert q1.charge_flip
         assert all(q1.comp_signs[i] == -1 for i in PHYSICAL_SLOTS)
-        assert ops["E"].is_identity()
+        assert ops["E"] == IDENTITY
 
     def test_zero_slots_canonicalized(self):
         signs = [1] * 16
@@ -89,7 +90,7 @@ class TestFieldOperators:
 
     def test_every_operator_self_inverse(self):
         for op in build_field_operators().values():
-            assert op.compose(op).is_identity()
+            assert op.compose(op) == IDENTITY
 
     def test_relations(self):
         assert all(r.holds for r in verify_relations())
@@ -99,18 +100,18 @@ class TestFieldOperators:
         p1p2 = ops["P1"].compose(ops["P2"])
         t1t2 = ops["T1"].compose(ops["T2"])
         q1q2 = ops["Q1"].compose(ops["Q2"])
-        assert p1p2.same_action(t1t2) and t1t2.same_action(q1q2)
+        assert p1p2 == t1t2 and t1t2 == q1q2
 
     def test_sixteen_distinct(self):
         canon, name_map = enumerate_distinct()
         assert len(canon) == 16
         assert set(canon) == set(CANONICAL_SIXTEEN)
-        assert len({op.signature() for op in canon.values()}) == 16
+        assert len(set(canon.values())) == 16
         assert len(name_map) == 64
         assert set(name_map.values()) <= set(CANONICAL_SIXTEEN)
 
     def test_brute_force_count(self):
-        # independent exhaustive count over raw signatures
+        # independent exhaustive count over raw sign data
         ops = build_field_operators()
         six = ["P1", "P2", "T1", "T2", "Q1", "Q2"]
         seen = set()
@@ -119,7 +120,7 @@ class TestFieldOperators:
             for b, n in zip(bits, six):
                 if b:
                     op = op.compose(ops[n])
-            seen.add(op.signature())
+            seen.add((op.arg_sig, op.comp_signs, op.charge_flip))
         assert len(seen) == 16
 
     def test_worked_collapses(self):
@@ -132,7 +133,7 @@ class TestFieldOperators:
         ops = list(canon.values())[:8]
         for a in ops:
             for b in ops:
-                assert a.compose(b).same_action(b.compose(a))
+                assert a.compose(b) == b.compose(a)
 
     def test_classical_conjugation_composite(self):
         ce = classical_conjugation_operator()
@@ -140,14 +141,12 @@ class TestFieldOperators:
         assert ce.charge_flip
         assert all(ce.comp_signs[i] == -1 for i in PHYSICAL_SLOTS)
 
-    def test_as_matrix_roundtrip(self):
+    def test_apply_signs_each_component(self):
         op = build_field_operators()["P1"]
-        m = op.as_matrix()
-        assert m.shape == (16, 16)
         phi = list(range(16))
-        assert op.apply(phi) == [
-            int(m[i, i].re) * v for i, v in enumerate(phi)
-        ]
+        assert op.apply(phi) == [s * v for s, v in zip(op.comp_signs, phi)]
+        assert op.apply(phi)[1:4] == [-1, -2, -3]  # P1 negates E
+        assert op.apply(phi)[5:8] == [5, 6, 7]  # and keeps H
 
     def test_apply_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="16"):
