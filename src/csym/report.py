@@ -102,12 +102,14 @@ class RunConfig:
     potential_rule: str = "both"
 
     def __post_init__(self):
-        if isinstance(self.suites, str):
-            raise ValueError(f"suites must be a tuple of suite names, not a string: {self.suites!r}")
-        for name in ("samples", "seed"):
+        if not isinstance(self.suites, (tuple, list)):
+            raise ValueError(f"suites must be a tuple of suite names, got {self.suites!r}")
+        for name, kind, what in (("samples", int, "an int"), ("seed", int, "an int"),
+                                 ("tolerance", (int, float), "a number"),
+                                 ("lam", str, "a str"), ("potential_rule", str, "a str")):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         for s in self.suites:
             if s != "all" and s not in SUITES:
                 raise ValueError(f"unknown suite {s!r}; valid: {('all',) + SUITES}")

@@ -1,8 +1,8 @@
 """Four-momentum arithmetic and the pair-creation feasibility argument."""
 
-import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from csym import kinematics
@@ -94,54 +94,148 @@ class TestVacuumTransition:
         assert res.worst_relative_gap <= 1e-12
         assert res.max_closed_form <= 1e-12
 
-    def test_nan_closed_form_fails_the_scan(self, monkeypatch):
-        # a running max() keeps its old value against NaN; the scan must not
+    @staticmethod
+    def _assert_nan_fails(monkeypatch, index):
+        """The array-valued closed form gives NaN at draw `index`, counted
+        over a scan of one full block and one partial block."""
         closed_form = kinematics.closed_form_pair_mass_sq
-        calls = []
+        blocks = []
 
-        def nan_on_third_draw(*args, **kwargs):
-            calls.append(None)
-            return math.nan if len(calls) == 3 else closed_form(*args, **kwargs)
+        def nan_at_index(omega, *args):
+            out = closed_form(omega, *args)
+            local = index - sum(blocks)
+            blocks.append(len(omega))
+            if 0 <= local < len(omega):
+                out[local] = math.nan
+            return out
 
-        monkeypatch.setattr(kinematics, "closed_form_pair_mass_sq", nan_on_third_draw)
-        res = infeasibility_scan(draws=10, seed=0)
+        monkeypatch.setattr(kinematics, "closed_form_pair_mass_sq", nan_at_index)
+        res = infeasibility_scan(draws=kinematics.SCAN_BLOCK + 500, seed=0)
+        assert blocks == [kinematics.SCAN_BLOCK, 500]
         assert not res.passed and res.feasible_draws == 0
         assert math.isnan(res.worst_relative_gap) and math.isnan(res.max_closed_form)
-        calls.clear()
+        blocks.clear()
         report = run(RunConfig(suites=("kinematics",), samples=1))
         check = {c.id: c for c in report.checks}["kinematics.vacuum-transition-infeasible"]
         assert check.status == "fail"
         assert check.details.endswith("worst closed-form relative gap nan")
 
+    def test_nan_closed_form_fails_the_scan(self, monkeypatch):
+        # a running max() keeps its old value against NaN; np.max over a block must not
+        self._assert_nan_fails(monkeypatch, 2)
+
+    def test_nan_in_a_later_block_fails_the_scan(self, monkeypatch):
+        # the NaN maximum of the second block must survive the first block's finite one
+        self._assert_nan_fails(monkeypatch, kinematics.SCAN_BLOCK + 200)
+
     def test_feasible_draw_fails_the_scan_and_is_counted(self, monkeypatch):
-        feasible = kinematics.vacuum_transition_feasible
-        calls = []
+        # lower the unit-mass pair threshold to the largest s of the report's
+        # 10,000 draws: that draw alone becomes feasible, and every gap and
+        # closed form keeps its value, so only the feasible count can fail the scan
+        s_top = max(vacuum_transition_feasible(*draw, 1.0).s
+                    for draw in _reference_draws(10_000, 0))
+        reached = kinematics._pair_threshold_reached
 
-        def feasible_on_first_massive_draw(omega, omega_prime, n, n_prime, m, *args):
-            verdict = feasible(omega, omega_prime, n, n_prime, m, *args)
-            if m > 0:  # the collinear-marginal check passes m = 0
-                calls.append(None)
-                if len(calls) == 1:
-                    return dataclasses.replace(verdict, feasible=True)
-            return verdict
+        def lowered(s, m):
+            if m == 0:  # the massless pair of collinear-marginal keeps its threshold
+                return reached(s, m)
+            return s_top, s >= s_top
 
-        monkeypatch.setattr(kinematics, "vacuum_transition_feasible",
-                            feasible_on_first_massive_draw)
-        res = infeasibility_scan(draws=10, seed=0)
+        monkeypatch.setattr(kinematics, "_pair_threshold_reached", lowered)
+        res = infeasibility_scan(draws=10_000, seed=0)
         assert res.feasible_draws == 1 and not res.passed
-        calls.clear()
+        assert res.worst_relative_gap <= 1e-12 and res.max_closed_form <= 1e-12
         report = run(RunConfig(suites=("kinematics",), samples=1))
         by_id = {c.id: c for c in report.checks}
         assert by_id["kinematics.collinear-marginal"].status == "pass"
         check = by_id["kinematics.vacuum-transition-infeasible"]
         assert check.status == "fail"
         assert "all infeasible" not in check.details
-        assert check.details.startswith("10000 seeded draws (seed 0): 1 feasible; ")
+        assert check.details == ("10000 seeded draws (seed 0): 1 feasible; "
+                                 "worst closed-form relative gap 7.605935559739658e-16")
+
+    @pytest.mark.parametrize("draws", [0, -5])
+    def test_empty_scan_rejected(self, draws):
+        # with no draws the scan would pass whatever the code computes
+        with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
+            infeasibility_scan(draws=draws)
+
+    def test_draw_preconditions_checked_on_arrays(self, monkeypatch):
+        draw_block = kinematics._draw_block
+
+        def swapped(rng, size):
+            omega, ratio, z = draw_block(rng, size)
+            ratio[-1] = 0.5  # omega_prime < omega in the last draw
+            return omega, ratio, z
+
+        monkeypatch.setattr(kinematics, "_draw_block", swapped)
+        with pytest.raises(ValueError, match="omega_prime > omega > 0"):
+            infeasibility_scan(draws=10, seed=0)
+        with pytest.raises(ValueError, match=r"n_prime must be a unit vector: \|n_prime\|\^2 = 4"):
+            kinematics._check_unit("n_prime", [[0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
 
     def test_scan_reproducible(self):
         a = infeasibility_scan(draws=500, seed=7)
         b = infeasibility_scan(draws=500, seed=7)
         assert a == b
+
+
+def _reference_draws(draws: int, seed: int):
+    """(w, w', n, n') of each draw, taken from the generator as the scan
+    did before the draws were evaluated in numpy blocks."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        omega = float(rng.uniform(1e-3, 1e3))
+        omega_prime = omega * float(rng.uniform(1.0 + 1e-9, 1e3))
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        n_prime = rng.normal(size=3)
+        n_prime /= np.linalg.norm(n_prime)
+        yield omega, omega_prime, n, n_prime
+
+
+def _reference_scan(draws: int, seed: int) -> kinematics.ScanResult:
+    """The scan draw by draw through the single-draw API."""
+    feasible = 0
+    worst = 0.0
+    max_closed = -math.inf
+    for omega, omega_prime, n, n_prime in _reference_draws(draws, seed):
+        verdict = vacuum_transition_feasible(omega, omega_prime, n, n_prime, 1.0)
+        feasible += verdict.feasible
+        s_closed = closed_form_pair_mass_sq(omega, omega_prime, n, n_prime)
+        scale = max(abs(verdict.s), abs(s_closed), (omega + omega_prime) ** 2)
+        worst = kinematics._max_keeping_nan(worst, abs(verdict.s - s_closed) / scale)
+        max_closed = kinematics._max_keeping_nan(max_closed, s_closed / scale)
+    return kinematics.ScanResult(
+        seed=seed,
+        draws=draws,
+        feasible_draws=feasible,
+        passed=feasible == 0 and worst <= 1e-12 and max_closed <= 1e-12,
+        worst_relative_gap=worst,
+        max_closed_form=max_closed,
+    )
+
+
+class TestBlockedScan:
+    # 2,345 is not a multiple of SCAN_BLOCK, so the last block is partial
+    @pytest.mark.parametrize("draws", [10_000, 2_345])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_matches_the_draw_by_draw_scan(self, seed, draws):
+        assert infeasibility_scan(draws=draws, seed=seed) == _reference_scan(draws, seed)
+
+    @pytest.mark.parametrize("seed, gap", [
+        (0, "7.605935559739658e-16"),
+        (1, "9.150122605552102e-16"),
+        (7, "8.469097098707183e-16"),
+    ])
+    def test_report_details_are_byte_stable(self, seed, gap):
+        report = run(RunConfig(suites=("kinematics",), samples=1, seed=seed))
+        check = {c.id: c for c in report.checks}["kinematics.vacuum-transition-infeasible"]
+        assert check.status == "pass"
+        assert check.details == (
+            f"10000 seeded draws (seed {seed}): all infeasible; "
+            f"worst closed-form relative gap {gap}"
+        )
 
 
 class TestScalarInvariants:

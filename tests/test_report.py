@@ -62,6 +62,23 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, invariant", [
+        ("tolerance", True, "a number"), ("tolerance", "1e-12", "a number"),
+        ("lam", ["-i"], "a str"), ("potential_rule", 1, "a str"),
+    ])
+    def test_mistyped_field_named(self, field, value, invariant):
+        # True was read as a tolerance of 1.0; the others raised a TypeError naming no field
+        with pytest.raises(ValueError, match=f"{field} must be {invariant}, got "):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("suites", [None, {"group"}])
+    def test_non_sequence_suites_rejected(self, suites):
+        with pytest.raises(ValueError, match="suites must be a tuple of suite names"):
+            RunConfig(suites=suites)
+
+    def test_list_suites_accepted(self):
+        assert RunConfig(suites=["group"]).selected_suites() == ("group",)
+
     def test_bare_string_suites_rejected(self):
         # a string would be read letter by letter: "unknown suite 'g'"
         with pytest.raises(ValueError, match="suites must be a tuple of suite names"):
