@@ -33,9 +33,9 @@ print(f"conjugated: l -> {conj.l}, m -> {conj.m}, phase unchanged")
 print(f"conjugate still solves: residual = {plane_wave_residual(system, conj)}")
 print()
 
-rec, crec = energy_poynting_record(wave), energy_poynting_record(conj)
-print(f"energy coefficient (of cos^2/pi):  {rec.energy_coeff} == {crec.energy_coeff}")
-print(f"flux coefficient:                  {rec.flux_coeff} == {crec.flux_coeff}")
+(energy, flux), (cenergy, cflux) = energy_poynting_record(wave), energy_poynting_record(conj)
+print(f"energy coefficient (of cos^2/pi):  {energy} == {cenergy}")
+print(f"flux coefficient:                  {flux} == {cflux}")
 print()
 
 rng = np.random.default_rng(0)

@@ -19,7 +19,8 @@ from csym import (
     photon_plane_wave,
     solve_conjugation_8,
 )
-from csym.photon import dirac_form_residual, formal_energy_flux
+from csym.maxwell import energy_poynting_record
+from csym.photon import dirac_form_residual
 from csym.waves import labels
 
 gs = build_gamma8()
@@ -48,7 +49,7 @@ print()
 j0, jk, j0c, jkc = currents(photon, q, gs)
 print(f"currents: j = ({j0}, {jk})  conjugate j = ({j0c}, {jkc})")
 
-e0, f0 = formal_energy_flux(photon)
-e1, f1 = formal_energy_flux(c)
+e0, f0 = energy_poynting_record(photon)
+e1, f1 = energy_poynting_record(c)
 print(f"formal energy coefficient: {e0} -> {e1} under conjugation (lambda = -i)")
 print(f"formal flux coefficient:   {f0} -> {f1}")

@@ -144,7 +144,6 @@ CORRESPONDENCE_PAIRS = (("C", "Q"), ("CP", "QP"), ("CT", "QT"), ("CPT", "QPT"))
 class SymmetryCertificate:
     """Operator-level proof data for one table entry."""
 
-    name: str
     holds: bool
     per_index: tuple[bool, bool, bool, bool]
 
@@ -170,7 +169,7 @@ def verify_symmetry(entry: DiracTransform, gs: GammaSet) -> SymmetryCertificate:
         else:
             target = entry.matrix @ g.scale(s * eps)
         per.append(g @ entry.matrix == target)
-    return SymmetryCertificate(entry.name, all(per), tuple(per))
+    return SymmetryCertificate(all(per), tuple(per))
 
 
 def transform_wave(entry: DiracTransform, rec: PlaneWaveFunction) -> PlaneWaveFunction:
@@ -388,31 +387,30 @@ class ChargedEquation:
     """Sign record of (gamma^a p_a - mc) psi = (e/c) gamma^a A_a psi.
 
     mass_sign +1 means the canonical -mc term; charge_sign is the sign of e;
-    a0_sign / a_sign are the signs carried by the potential components.  The
+    potential_sign is the one sign carried by all four potential components.  The
     c_sign / hbar_sign context records which hyperplane the equation lives
     on and is excluded from formal equality of the equation shape.
     """
 
     charge_sign: int = 1
-    a0_sign: int = 1
-    a_sign: int = 1
+    potential_sign: int = 1
     mass_sign: int = 1
     c_sign: int = 1
     hbar_sign: int = 1
 
     def form(self) -> tuple[int, int, int, int]:
-        return (self.charge_sign, self.a0_sign, self.a_sign, self.mass_sign)
+        return (self.charge_sign, self.potential_sign, self.potential_sign, self.mass_sign)
 
     def terms(self, gs: GammaSet) -> dict[str, ExactMatrix]:
         """Coefficient matrices per formal symbol, all terms moved left."""
-        e = self.charge_sign
+        e = self.charge_sign * self.potential_sign
         out = {
             "p0": gs.g0, "p1": gs.g1, "p2": gs.g2, "p3": gs.g3,
             "m": ExactMatrix.identity(4).scale(-self.mass_sign),
-            "A0": gs.g0.scale(-e * self.a0_sign),
+            "A0": gs.g0.scale(-e),
         }
         for k, g in enumerate((gs.g1, gs.g2, gs.g3), start=1):
-            out[f"A{k}"] = g.scale(e * self.a_sign)  # gamma^a A_a lowers the index
+            out[f"A{k}"] = g.scale(e)  # gamma^a A_a lowers the index
         return out
 
 
@@ -460,7 +458,7 @@ def _extract_record(terms: dict[str, ExactMatrix], gs: GammaSet,
         raise AssertionError("potential couplings do not share a single sign")
     # the coupling is charge_sign * potential_sign; report with potentials +
     return ChargedEquation(
-        charge_sign=couplings.pop(), a0_sign=1, a_sign=1, mass_sign=mass_sign,
+        charge_sign=couplings.pop(), mass_sign=mass_sign,
         c_sign=context[0], hbar_sign=context[1],
     )
 
@@ -477,17 +475,11 @@ def transform_charged_equation(eq: ChargedEquation, potential_rule: str,
 
     The coupling is e A, so (e, -A) and (-e, A) are the same equation: the
     chain carries the product of the charge and potential signs, and the
-    result reports it as the charge with unit potential signs.  The two
-    potential signs must agree, or the coupling is not e times a 4-vector.
+    result reports it as the charge with a unit potential sign.
     """
     if potential_rule not in POTENTIAL_RULES:
         raise ValueError(
             f"potential_rule must be one of {POTENTIAL_RULES}, got {potential_rule!r}"
-        )
-    if eq.a0_sign != eq.a_sign:
-        raise ValueError(
-            "the potential components must carry one common sign (a0_sign == a_sign), "
-            f"got a0_sign={eq.a0_sign}, a_sign={eq.a_sign}"
         )
     terms = eq.terms(gs)
     terms = _chain_step_conjugate_transpose(terms, gs)
@@ -495,9 +487,6 @@ def transform_charged_equation(eq: ChargedEquation, potential_rule: str,
     out = _extract_record(terms, gs, context=(-eq.c_sign, -eq.hbar_sign))
     if potential_rule == FLIPPED_POTENTIAL:
         # rewrite in terms of the negated potential components: the coupling
-        # sign folds back and the record keeps unit potential signs
-        out = ChargedEquation(
-            charge_sign=-out.charge_sign, a0_sign=out.a0_sign, a_sign=out.a_sign,
-            mass_sign=out.mass_sign, c_sign=out.c_sign, hbar_sign=out.hbar_sign,
-        )
+        # sign folds back and the record keeps a unit potential sign
+        out = replace(out, charge_sign=-out.charge_sign)
     return out

@@ -11,7 +11,7 @@ checker evaluates both sides numerically; the closed form above is derived
 by hand and cross-checked against direct four-vector arithmetic.
 
 Units: hbar = c = 1 throughout, so energies, momenta and frequencies share
-one scale.  Only invariant_mass_sq keeps c as an argument.
+one scale.
 """
 
 from __future__ import annotations
@@ -35,20 +35,21 @@ class FourMomentum:
         object.__setattr__(self, "e", float(self.e))
 
 
-def invariant_mass_sq(momenta: Sequence[FourMomentum], c: float = 1.0) -> float:
-    """s = (sum e)^2 - c^2 |sum p|^2, with order-independent summation."""
+def invariant_mass_sq(momenta: Sequence[FourMomentum]) -> float:
+    """s = (sum e)^2 - |sum p|^2, with order-independent summation."""
     if not momenta:
         raise ValueError("invariant_mass_sq needs at least one four-momentum")
     e = math.fsum(m.e for m in momenta)
     p = [math.fsum(m.p[i] for m in momenta) for i in range(3)]
-    return e * e - c * c * math.fsum(x * x for x in p)
+    return e * e - math.fsum(x * x for x in p)
 
 
 def _check_unit(name: str, n) -> np.ndarray:
-    """n as float 3-vectors (shape (3,) or (N, 3)), each of unit length to 1e-9."""
+    """n as float 3-vectors (shape (3,) or (N, 3)), each of unit length to 1e-9;
+    a NaN length is not unit."""
     n = np.asarray(n, dtype=float)
     norm = np.atleast_1d((n * n).sum(axis=-1))
-    off = np.abs(norm - 1.0) > 1e-9
+    off = ~(np.abs(norm - 1.0) <= 1e-9)
     if off.any():
         raise ValueError(f"{name} must be a unit vector: |{name}|^2 = {norm[off][0]}")
     return n
@@ -125,8 +126,10 @@ def vacuum_transition_feasible(omega: float, omega_prime: float, n, n_prime,
         raise ValueError(
             f"need omega_prime > omega > 0, got omega={omega}, omega_prime={omega_prime}"
         )
-    if m < 0:
-        raise ValueError(f"pair member mass must be nonnegative, got {m}")
+    if not math.isfinite(omega_prime):
+        raise ValueError(f"omega_prime must be finite, got {omega_prime}")
+    if not 0 <= m < math.inf:
+        raise ValueError(f"pair member mass m must be finite and nonnegative, got {m}")
     s = invariant_mass_sq(pair_momentum_from_vacuum_photons(omega, omega_prime, n, n_prime))
     threshold, feasible = _pair_threshold_reached(s, m)
     if feasible and s == threshold:

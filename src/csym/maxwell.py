@@ -11,7 +11,8 @@ spans are proven equal by containment plus equal rank.
 
 Maxwell's equations are written once, as these rows.  A plane wave is
 checked against the same curl/div rows that the invariance proof
-certifies, with the derivatives acting on its phase.
+certifies, with the derivatives acting on the phase of its `waves` record;
+its energy and flux are read off the same record.
 
 The source components carry the 4*pi factor absorbed into them (the row for
 div E = 4*pi*rho stores the single symbol "4*pi*rho"), which keeps every
@@ -28,6 +29,7 @@ from functools import cached_property
 from .exact import EC_ONE, ExactComplex, ExactMatrix, RowSpan
 from .sampling import Vec3, cross, dot
 from .signgroup import BLOCKS, FieldOperator, classical_conjugation_operator
+from .waves import PlaneWaveFunction, Radical, plane_wave
 
 N_COMPONENTS = 16
 N_SLOTS = 5  # coefficient of (1, d0, d1, d2, d3) per component
@@ -169,9 +171,10 @@ def check_invariance(sys: LinearFieldSystem, op: FieldOperator) -> InvarianceCer
 class PlaneWave:
     """A transverse electromagnetic plane wave with exact rational data.
 
-    Fields are E = l exp[-i(k0 x0 - k.x)], H = m exp[same], k = k0 n.  The
-    constructor enforces n.l = 0 and |n| = 1 exactly; m defaults to n x l
-    but may be overridden to probe the residual check.
+    Fields are E = l exp[-i(k0 x0 - k.x)], H = m exp[same], k = k0 n, as
+    record() writes them.  The constructor enforces n.l = 0 and |n| = 1
+    exactly; m defaults to n x l but may be overridden to probe the residual
+    check.
     """
 
     l: Vec3
@@ -202,17 +205,22 @@ class PlaneWave:
     def k(self) -> Vec3:
         return tuple(self.k0 * ni for ni in self.n)
 
+    def record(self) -> PlaneWaveFunction:
+        """field_column(self) times exp[-i(k0 x0 - k.x)]: the waves record, hbar = +1."""
+        return plane_wave([Radical.of(x) for x in field_column(self)], self.k0, self.k, Fraction(1))
+
 
 def plane_wave_residual(system: LinearFieldSystem, w: PlaneWave) -> Fraction:
     """Max |equation value| of the system's curl/div rows on the wave.
 
-    The rows act on field_column(w) with the derivatives taken analytically
-    on the phase: d0 -> -i k0, d_j -> +i k_j.  The common phase factor is
-    dropped (it never vanishes), and the column's sources are zero, so a
-    valid plane wave gives exactly zero.
+    The rows act on the amplitudes of w.record() with the derivatives taken
+    analytically on its phase exp(i kappa.x): d_a -> i kappa_a.  The common
+    phase factor is dropped (it never vanishes), and the column's sources are
+    zero, so a valid plane wave gives exactly zero.
     """
-    slot = (EC_ONE, ExactComplex(0, -w.k0)) + tuple(ExactComplex(0, kj) for kj in w.k)
-    column = [ExactComplex(x) * d for x in field_column(w) for d in slot]
+    rec = w.record()
+    factors = (EC_ONE,) + tuple(ExactComplex(0, k) for k in rec.kappa)  # 1, then d_a
+    column = [a.to_exact() * d for a in rec.amp for d in factors]
     values = (system.rows @ ExactMatrix.column(column)).entries[:N_FIELD_EQUATIONS]
     return max(abs(r.re) + abs(r.im) for r in values)
 
@@ -237,37 +245,37 @@ def classical_conjugate_wave(w: PlaneWave) -> PlaneWave:
     return replace(w, l=tuple(-x for x in w.l), m=tuple(-x for x in w.m))
 
 
-@dataclass(frozen=True)
-class QuadraticRecord:
-    """Exact rational coefficients (of 1/pi) of the energy and flux bilinears.
+def _energy_flux(column, c_sign: int):
+    """The one energy-flux formula, in units of 1/pi, on a field column's
+    entries: W = (E.E + H.H)/8 and S = c (E x H)/4."""
+    e, h = [column[i] for i in E_IDX], [column[i] for i in H_IDX]
+    return (dot(e, e) + dot(h, h)) / 8, tuple(c_sign * v / 4 for v in cross(e, h))
 
-    energy_coeff is (|l|^2 + |m|^2)/8 and flux_coeff is c_sign (l x m)/4;
-    the realized densities multiply these by cos^2(phase)/pi.
+
+def energy_poynting_record(wave) -> tuple[ExactComplex, tuple[ExactComplex, ...]]:
+    """Exact energy and flux coefficients (of 1/pi) of a wave's amplitudes.
+
+    wave is a PlaneWave, a photon state or a conjugation image: anything that
+    answers record() and c_sign.  The squares are plain (no complex
+    conjugation), so on a real classical wave the realized densities are these
+    coefficients times cos^2(phase)/pi, and on a conjugated photon with
+    imaginary lambda the formal energy comes out negative.
     """
-
-    energy_coeff: Fraction
-    flux_coeff: Vec3
-
-
-def energy_poynting_record(w: PlaneWave) -> QuadraticRecord:
-    return QuadraticRecord(
-        energy_coeff=(dot(w.l, w.l) + dot(w.m, w.m)) / 8,
-        flux_coeff=tuple(Fraction(w.c_sign) * x / 4 for x in cross(w.l, w.m)),
-    )
+    energy, flux = _energy_flux(wave.record().amp, wave.c_sign)
+    return energy.to_exact(), tuple(v.to_exact() for v in flux)
 
 
-def energy_poynting(w: PlaneWave, x) -> tuple[float, tuple[float, float, float]]:
+def energy_poynting(w: PlaneWave, x):
     """Energy density W and flux S from the real parts of the fields at x.
 
-    W = (E^2 + H^2)/(8 pi) and S = c (E x H)/(4 pi) with E, H the real field
-    values; the stored c carries only its sign (unit magnitude).
+    The fields are the real part of w.record().evaluate(x), and W and S are
+    the formula of energy_poynting_record on them: W = (E^2 + H^2)/(8 pi) and
+    S = c (E x H)/(4 pi), the stored c carrying only its sign.  x is one point
+    (x0, x1, x2, x3), giving floats, or an (N, 4) array of points, giving
+    arrays with one entry per point.
     """
-    x0, x1, x2, x3 = (float(v) for v in x)
-    phase = float(w.k0) * x0 - sum(float(ki) * xi for ki, xi in zip(w.k, (x1, x2, x3)))
-    cosph = math.cos(phase)
-    e = [float(v) * cosph for v in w.l]
-    h = [float(v) * cosph for v in w.m]
-    W = (sum(v * v for v in e) + sum(v * v for v in h)) / (8 * math.pi)
-    c = float(w.c_sign)
-    S = tuple(c * v / (4 * math.pi) for v in cross(e, h))
-    return W, S
+    fields = w.record().evaluate(x).real.T
+    if fields.ndim == 1:
+        fields = fields.tolist()  # one point: plain floats
+    W, S = _energy_flux(fields, w.c_sign)
+    return W / math.pi, tuple(v / math.pi for v in S)

@@ -10,7 +10,8 @@ The central claim checked here is that C and Q produce the same function.
 
 A photon state is built on the classical wave `maxwell.PlaneWave`, which
 validates its data and supplies m = n x l.  Its exponent and its Dirac-form
-residual come from `waves`.
+residual come from `waves`, its formal energy and flux from
+`maxwell.energy_poynting_record`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .gamma import (  # GammaIdentityError and conjugation_constraint_rows are p
     solve_conjugation_space,
 )
 from .maxwell import PlaneWave, field_column
-from .sampling import Vec3, cross, dot
+from .sampling import Vec3, dot
 from .waves import (
     Image,
     PlaneWaveFunction,
@@ -257,17 +258,3 @@ def currents(state: PhotonState, conjugated: ConjugatedPhoton, gs: GammaSet
     amps = (state.record().amp, conjugated.record().amp)
     j, jc = ([bilinear(a, m, a) for m in g0g] for a in amps)
     return j[0], tuple(j[1:]), jc[0], tuple(jc[1:])
-
-
-def formal_energy_flux(wave: PhotonState | ConjugatedPhoton
-                       ) -> tuple[ExactComplex, tuple[ExactComplex, ...]]:
-    """Energy and flux bilinears evaluated formally on the amplitudes.
-
-    Uses the plain squares (no complex conjugation), i.e. the classical
-    formulas applied to the possibly complex conjugated amplitudes: returns
-    (sum_i amp_i^2)/8 and c (E_amp x H_amp)/4 as exact coefficients of 1/pi.
-    """
-    amp = wave.record().amp
-    energy = radical_sum(a * a for a in amp).to_exact() / 8
-    flux = tuple(v.to_exact() * Fraction(wave.c_sign, 4) for v in cross(amp[1:4], amp[5:8]))
-    return energy, flux

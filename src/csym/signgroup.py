@@ -17,17 +17,12 @@ from .exact import ExactMatrix
 
 GENERATOR_ORDER = ("T", "P", "Q")
 
-#: index layout of the 16-component field function column(0, E, 0, H, rho, J, phi, A)
-COMPONENT_NAMES = (
-    "zero1", "E1", "E2", "E3",
-    "zero2", "H1", "H2", "H3",
-    "rho", "J1", "J2", "J3",
-    "phi", "A1", "A2", "A3",
-)
 ZERO_SLOTS = (0, 4)
 PHYSICAL_SLOTS = tuple(i for i in range(16) if i not in ZERO_SLOTS)
 
-#: block -> component indices, for building sign vectors from per-block signs
+#: block -> component indices in the index layout of the 16-component field
+#: function column(0, E, 0, H, rho, J, phi, A), slots 0 and 4 held at zero;
+#: sign vectors are built from per-block signs
 BLOCKS = {
     "E": (1, 2, 3),
     "H": (5, 6, 7),
@@ -63,11 +58,11 @@ def alpha_matrices() -> dict[str, ExactMatrix]:
 
 @dataclass(frozen=True)
 class GroupTable:
-    """A finite group of named matrices with an explicit composition map."""
+    """A finite group of named matrices with an explicit composition map; the
+    identity is named "E"."""
 
     elements: dict[str, ExactMatrix]
     compose: dict[tuple[str, str], str]
-    identity: str = "E"
 
     @property
     def order(self) -> int:
@@ -105,7 +100,6 @@ def generate_g8() -> GroupTable:
 
 @dataclass(frozen=True)
 class GroupStructure:
-    order: int
     element_orders: dict[str, int]
     is_abelian: bool
     is_cyclic: bool
@@ -117,7 +111,7 @@ def classify_group(table: GroupTable) -> GroupStructure:
     orders = {}
     for name in table.elements:
         k, cur = 1, name
-        while cur != table.identity:
+        while cur != "E":
             cur = table.compose[(cur, name)]
             k += 1
         orders[name] = k
@@ -129,7 +123,6 @@ def classify_group(table: GroupTable) -> GroupStructure:
     cyclic = any(k == table.order for k in orders.values())
     involutions = all(k <= 2 for k in orders.values())
     return GroupStructure(
-        order=table.order,
         element_orders=orders,
         is_abelian=abelian,
         is_cyclic=cyclic,

@@ -102,8 +102,13 @@ class Radical:
             )
         return _radical(self.coeff + other.coeff * (s / self.radicand), self.radicand)
 
+    __radd__ = __add__
+
     def __sub__(self, other) -> "Radical":
         return self + (-other if isinstance(other, Radical) else Radical.of(other) * -1)
+
+    def __truediv__(self, k) -> "Radical":
+        return _radical(self.coeff / k, self.radicand)
 
     def conjugate(self) -> "Radical":
         return _radical(self.coeff.conjugate(), self.radicand)

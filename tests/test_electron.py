@@ -446,7 +446,7 @@ class TestChargedEquation:
 
     def test_negated_potential_equals_negated_charge(self, gamma4):
         # e(-A) and (-e)A are the same coupling, so both spellings map alike
-        negated_potential = ChargedEquation(charge_sign=1, a0_sign=-1, a_sign=-1)
+        negated_potential = ChargedEquation(charge_sign=1, potential_sign=-1)
         negated_charge = ChargedEquation(charge_sign=-1)
         for rule in POTENTIAL_RULES:
             a = transform_charged_equation(negated_potential, rule, gamma4)
@@ -454,10 +454,3 @@ class TestChargedEquation:
             assert a.form() == b.form()
         fixed = transform_charged_equation(negated_potential, FIXED_POTENTIAL, gamma4)
         assert fixed.form() == (1, 1, 1, 1)
-
-    @pytest.mark.parametrize("a0_sign, a_sign", [(-1, 1), (1, -1)])
-    def test_mismatched_potential_signs_rejected(self, gamma4, a0_sign, a_sign):
-        eq = ChargedEquation(a0_sign=a0_sign, a_sign=a_sign)
-        for rule in POTENTIAL_RULES:
-            with pytest.raises(ValueError, match="a0_sign == a_sign"):
-                transform_charged_equation(eq, rule, gamma4)

@@ -52,10 +52,6 @@ class TestInvariantMass:
             perm = [moms[i] for i in rng.permutation(len(moms))]
             assert invariant_mass_sq(perm) == s0
 
-    def test_c_scaling(self):
-        p = FourMomentum(3.0, (1.0, 0.0, 0.0))
-        assert invariant_mass_sq([p], c=2.0) == 9.0 - 4.0
-
 
 class TestVacuumTransition:
     def test_pair_momentum_hand_oracle(self):
@@ -87,6 +83,20 @@ class TestVacuumTransition:
             vacuum_transition_feasible(1.0, 2.0, (0, 0, 2.0), (0, 0, 1.0), m=1.0)
         with pytest.raises(ValueError, match="mass"):
             vacuum_transition_feasible(1.0, 2.0, (0, 0, 1.0), (0, 0, 1.0), m=-1.0)
+
+    def test_nan_direction_rejected(self):
+        # |n|^2 = nan is not within 1e-9 of 1, though nan > 1e-9 is false too
+        with pytest.raises(ValueError, match=r"n must be a unit vector: \|n\|\^2 = nan"):
+            vacuum_transition_feasible(1.0, 2.0, (math.nan, 0.0, 0.0), (0.0, 0.0, 1.0), m=1.0)
+
+    def test_infinite_omega_prime_rejected(self):
+        with pytest.raises(ValueError, match="omega_prime must be finite, got inf"):
+            vacuum_transition_feasible(1.0, math.inf, (0.0, 0.0, 1.0), (0.0, 0.0, 1.0), m=1.0)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_non_finite_mass_rejected(self, m):
+        with pytest.raises(ValueError, match=f"mass m must be finite and nonnegative, got {m}"):
+            vacuum_transition_feasible(1.0, 2.0, (0.0, 0.0, 1.0), (0.0, 0.0, 1.0), m=m)
 
     def test_seeded_scan(self):
         res = infeasibility_scan(draws=10_000, seed=0)

@@ -1,5 +1,6 @@
 """The exact field-equation system, invariance proofs, and plane waves."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -21,13 +22,22 @@ from csym.maxwell import (
     plane_wave_residual,
     transform_system,
 )
-from csym.sampling import cross, dot, rational_orthogonal_vector, rational_unit_vector
+from csym.photon import photon_plane_wave
+from csym.report import RunConfig, run
+from csym.sampling import (
+    cross,
+    dot,
+    rational_magnitude,
+    rational_orthogonal_vector,
+    rational_unit_vector,
+)
 from csym.signgroup import (
     FieldOperator,
     build_field_operators,
     canonical_operators,
     classical_conjugation_operator,
 )
+from csym.waves import Radical
 
 
 CANONICAL = canonical_operators()
@@ -306,6 +316,10 @@ class TestEnergyPoynting:
     def test_symbolic_record_invariant_under_conjugation(self):
         w = PlaneWave.make((Fraction(3, 5), Fraction(4, 5), 0), (4, -3, 1), Fraction(7, 3))
         assert energy_poynting_record(w) == energy_poynting_record(classical_conjugate_wave(w))
+        # (|l|^2 + |m|^2)/8 and c (l x m)/4, written out by hand
+        energy, flux = energy_poynting_record(w)
+        assert energy == (dot(w.l, w.l) + dot(w.m, w.m)) / 8
+        assert flux == tuple(x / 4 for x in cross(w.l, w.m))
 
     def test_sampled_points_invariant(self, rng):
         w = PlaneWave.make((0, 0, 1), (2, -1, 0), Fraction(5, 4))
@@ -316,3 +330,67 @@ class TestEnergyPoynting:
             assert Wv >= 0 and Wc >= 0
             assert Wc == pytest.approx(Wv, rel=1e-12, abs=1e-300)
             assert np.allclose(Sv, Sc, rtol=1e-12, atol=1e-300)
+
+    def test_point_array_matches_each_point(self, rng):
+        w = PlaneWave.make((Fraction(3, 5), Fraction(4, 5), 0), (4, -3, 1), Fraction(7, 3),
+                           c_sign=-1)
+        x = rng.uniform(-20, 20, size=(50, 4))
+        W, S = energy_poynting(w, x)
+        assert W.shape == (50,) and all(s.shape == (50,) for s in S)
+        for i, xi in enumerate(x):
+            Wi, Si = energy_poynting(w, xi)
+            assert type(Wi) is float and all(type(s) is float for s in Si)
+            assert W[i] == Wi and tuple(s[i] for s in S) == Si
+
+
+class TestPlaneWaveRecord:
+    """Maxwell's wave and the photon state read one waves record."""
+
+    def test_record_is_the_field_column_times_the_phase(self):
+        w = PlaneWave.make(
+            (Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)), (3, -2, 0), Fraction(5, 3)
+        )
+        rec = w.record()
+        assert rec.amp == tuple(Radical.of(x) for x in field_column(w))
+        assert rec.kappa == (-w.k0,) + w.k  # exp[-i(k0 x0 - k.x)]
+
+    def test_photon_record_is_the_normalized_wave_record(self, rng):
+        for _ in range(10):
+            n = rational_unit_vector(rng)
+            l = rational_orthogonal_vector(rng, n)
+            p0 = rational_magnitude(rng)
+            wave_rec = PlaneWave.make(n, l, p0).record()
+            photon_rec = photon_plane_wave(n, l, p0, hbar_sign=1).record()
+            assert photon_rec.kappa == wave_rec.kappa
+            # photon amplitude times sqrt(2 |l|^2) is the wave's, first 8 entries
+            root = Radical.sqrt(2 * dot(l, l))
+            assert tuple(a * root for a in photon_rec.amp) == wave_rec.amp[:8]
+
+
+def _energy_flux_check(monkeypatch, name, replacement):
+    monkeypatch.setattr(maxwell, name, replacement)
+    report = run(RunConfig(suites=("maxwell",), samples=20))
+    return {c.id: c for c in report.checks}["maxwell.energy-flux-invariance"]
+
+
+class TestEnergyFluxControls:
+    """maxwell.energy-flux-invariance fails, and says why, on a wrong conjugate."""
+
+    def test_flux_reversing_conjugate_fails_on_the_records(self, monkeypatch):
+        # negating only l reverses the flux c (l x m)
+        check = _energy_flux_check(
+            monkeypatch, "classical_conjugate_wave",
+            lambda w: dataclasses.replace(w, l=tuple(-x for x in w.l)),
+        )
+        assert check.status == "fail"
+        assert "records equal" not in check.details and "within tolerance" not in check.details
+        assert check.details.startswith("symbolic records differ: (1/4, (0, 0, 1/4)) vs ")
+
+    def test_sampled_points_fail_when_the_records_are_not_compared(self, monkeypatch):
+        # with every record reading alike, the flux reversal shows at a sampled point
+        wrong = lambda w: dataclasses.replace(w, l=tuple(-x for x in w.l))  # noqa: E731
+        monkeypatch.setattr(maxwell, "classical_conjugate_wave", wrong)
+        check = _energy_flux_check(monkeypatch, "energy_poynting_record", lambda w: (0, ()))
+        assert check.status == "fail"
+        assert "within tolerance" not in check.details
+        assert check.details.startswith("sampled point 0: W = ")
