@@ -192,20 +192,6 @@ def transformed_residual(entry: DiracTransform, state: SpinorState, gs: GammaSet
 # ---------------------------------------------------------------------------
 
 
-def _nsigma(n: Vec3) -> ExactMatrix:
-    return ExactMatrix.from_rows([
-        [ExactComplex(n[2]), ExactComplex(n[0], -n[1])],
-        [ExactComplex(n[0], n[1]), ExactComplex(-n[2])],
-    ])
-
-
-def _apply2(m: ExactMatrix, z: tuple[ExactComplex, ExactComplex]) -> tuple[ExactComplex, ExactComplex]:
-    return (
-        m[0, 0] * z[0] + m[0, 1] * z[1],
-        m[1, 0] * z[0] + m[1, 1] * z[1],
-    )
-
-
 @dataclass(frozen=True)
 class SpinorState:
     """A plane-wave Dirac spinor with exact rational state data.
@@ -262,19 +248,22 @@ class SpinorState:
             return (Fraction(0), Fraction(0), Fraction(1))  # direction is immaterial at rest
         return tuple(pi / self.p_abs for pi in self.p)
 
-    def bispinor(self) -> tuple[Radical, ...]:
-        """The 4 amplitude entries without the 1/sqrt(2 p0) prefactor."""
-        snorm = Radical(1, 1 / self.s)
-        radp = Radical.sqrt(self.p0 + self.mc, negative_branch=MINUS_I)
-        radm = Radical.sqrt(self.p0 - self.mc, negative_branch=MINUS_I)
-        nsz = _apply2(_nsigma(self.n), self.z)
-        if self.sigma_sign == -1:
-            nsz = (-nsz[0], -nsz[1])
+    def bispinor(self, prefactor: Radical | None = None) -> tuple[Radical, ...]:
+        """The 4 amplitude entries, times prefactor when one is given.
+
+        1/sqrt(z^dagger z) and the prefactor are multiplied first, so each
+        entry is one radical times a complex number.
+        """
+        factor = Radical(1, 1 / self.s)
+        if prefactor is not None:
+            factor = factor * prefactor
+        radp = Radical.sqrt(self.p0 + self.mc, negative_branch=MINUS_I) * factor
+        radm = Radical.sqrt(self.p0 - self.mc, negative_branch=MINUS_I) * factor
+        (n1, n2, n3), (z0, z1) = (self.sigma_sign * x for x in self.n), self.z
+        nsz = (z0 * n3 + ExactComplex(n1, -n2) * z1, ExactComplex(n1, n2) * z0 - z1 * n3)
         if self.branch == 1:
-            parts = [radp * self.z[0], radp * self.z[1], radm * nsz[0], radm * nsz[1]]
-        else:
-            parts = [radm * nsz[0], radm * nsz[1], radp * self.z[0], radp * self.z[1]]
-        return tuple(x * snorm for x in parts)
+            return (radp * z0, radp * z1, radm * nsz[0], radm * nsz[1])
+        return (radm * nsz[0], radm * nsz[1], radp * z0, radp * z1)
 
     def record(self) -> PlaneWaveFunction:
         return self._record
@@ -282,8 +271,7 @@ class SpinorState:
     @cached_property
     def _record(self) -> PlaneWaveFunction:
         # the principal 1/sqrt(x) is the -i branch of sqrt(1/x): 1/(i sqrt|x|) = -i/sqrt|x|
-        pref = Radical.sqrt(1 / (2 * self.p0), negative_branch=MINUS_I)
-        amp = [x * pref for x in self.bispinor()]
+        amp = self.bispinor(Radical.sqrt(1 / (2 * self.p0), negative_branch=MINUS_I))
         b = self.branch  # +branch: exp[-(i/h)(p0 x0 - p.x)], -branch: conjugated phase
         return plane_wave(amp, b * self.p0, [b * pk for pk in self.p], Fraction(self.hbar_sign))
 
@@ -318,10 +306,8 @@ def free_residual(state: SpinorState, gs: GammaSet) -> float:
 
 def _partner_z(z, branch: int) -> tuple[ExactComplex, ExactComplex]:
     """The conjugation-partner 2-spinor: -sigma_y z* on the + branch, +sigma_y z* on -."""
-    out = _apply2(PAULI[1], (z[0].conjugate(), z[1].conjugate()))
-    if branch == 1:
-        return (-out[0], -out[1])
-    return out
+    i = EC_I * branch  # -sigma_y z* = (i z1*, -i z0*)
+    return (i * z[1].conjugate(), -i * z[0].conjugate())
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,9 @@ def plane_wave_residual(system: LinearFieldSystem, w: PlaneWave) -> Fraction:
     rec = w.record()
     factors = (EC_ONE,) + tuple(ExactComplex(0, k) for k in rec.kappa)  # 1, then d_a
     column = [a.to_exact() * d for a in rec.amp for d in factors]
-    values = (system.rows @ ExactMatrix.column(column)).entries[:N_FIELD_EQUATIONS]
+    field_rows = ExactMatrix(N_FIELD_EQUATIONS, ROW_WIDTH,
+                             system.rows.entries[:N_FIELD_EQUATIONS * ROW_WIDTH])
+    values = (field_rows @ ExactMatrix.column(column)).entries
     return max(abs(r.re) + abs(r.im) for r in values)
 
 

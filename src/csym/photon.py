@@ -154,8 +154,8 @@ class PhotonState:
 
     @cached_property
     def _record(self) -> PlaneWaveFunction:
-        norm_radicand = Fraction(1, 2) / dot(self.l, self.l)
-        amp = [Radical(x, norm_radicand) for x in field_column(self)[:8]]
+        norm = Radical(1, Fraction(1, 2) / dot(self.l, self.l))
+        amp = [norm * x for x in field_column(self)[:8]]
         return plane_wave(amp, self.p0, self.p, Fraction(self.hbar_sign))
 
     def norm_sq(self) -> ExactComplex:

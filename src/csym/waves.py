@@ -1,9 +1,10 @@
 """Plane-wave function records built from exact square-root scalars.
 
-A `Radical` is coeff * sqrt(radicand) with an exact complex coefficient and a
-nonnegative rational radicand; sums and products stay exact as long as the
-radicands involved are commensurable (their ratio is a rational square),
-which holds for every state this package constructs.  A `PlaneWaveFunction`
+A `Radical` is coeff * sqrt(radicand) with an exact complex coefficient and an
+int radicand, 1 or a non-square: a rational p/q is folded once, sqrt(p/q) =
+sqrt(p q) / q.  Sums and products stay exact as long as the radicands
+involved are commensurable (their product is a square), which holds for
+every state this package constructs.  A `PlaneWaveFunction`
 is an amplitude vector of radicals times exp(i * kappa . x) with rational
 kappa, so two realized wave functions can be compared for equality exactly
 and also evaluated numerically at sampled spacetime points.
@@ -22,33 +23,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import EC_ONE, EC_ZERO, ExactComplex, ExactMatrix, fraction_sqrt
-
-
-_ONE = Fraction(1)
+from .exact import EC_ONE, EC_ZERO, ExactComplex, ExactMatrix, _frac, _reduced
 
 
 class Radical:
-    """Exact scalar of the form coeff * sqrt(radicand), radicand >= 0."""
+    """Exact scalar coeff * sqrt(radicand); radicand is an int, 1 or a non-square."""
 
     __slots__ = ("coeff", "radicand")
 
-    def __init__(self, coeff, radicand: Fraction | int = 1):
+    def __new__(cls, coeff, radicand: Fraction | int = 1):
         coeff = ExactComplex.coerce(coeff)
-        radicand = Fraction(radicand)
-        if radicand < 0:
+        q = radicand if radicand.__class__ is int else _frac(radicand)
+        if q < 0:
             raise ValueError(
-                f"radicand must be nonnegative, got {radicand}; "
+                f"radicand must be nonnegative, got {q}; "
                 "use Radical.sqrt to choose an imaginary branch explicitly"
             )
-        if radicand == 0 or coeff.is_zero():
-            coeff, radicand = EC_ZERO, _ONE
-        else:
-            root = fraction_sqrt(radicand)
-            if root is not None:
-                coeff, radicand = coeff * root, _ONE
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "radicand", radicand)
+        d = q.denominator  # sqrt(p/d) = sqrt(p d) / d
+        return _folded(_reduced(coeff._a, coeff._b, coeff._d * d), q.numerator * d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Radical is immutable")
@@ -60,7 +52,7 @@ class Radical:
         negative_branch is the unit to multiply sqrt(|x|) by when x < 0,
         normally +i (principal) or -i (conjugate).
         """
-        x = Fraction(x)
+        x = _frac(x)
         if x >= 0:
             return Radical(EC_ONE, x)
         if negative_branch is None:
@@ -76,7 +68,7 @@ class Radical:
 
     def __mul__(self, other) -> "Radical":
         if isinstance(other, Radical):
-            return Radical(self.coeff * other.coeff, self.radicand * other.radicand)
+            return _folded(self.coeff * other.coeff, self.radicand * other.radicand)
         return _radical(self.coeff * other, self.radicand)
 
     __rmul__ = __mul__
@@ -91,16 +83,16 @@ class Radical:
             return self
         if self.is_zero():
             return other
-        if self.radicand == other.radicand:
-            return _radical(self.coeff + other.coeff, self.radicand)
-        # commensurable radicands: sqrt(r2) = (s / r1) * sqrt(r1) when r1 r2 = s^2
-        s = fraction_sqrt(self.radicand * other.radicand)
-        if s is None:
+        r = self.radicand
+        if r == other.radicand:
+            return _radical(self.coeff + other.coeff, r)
+        ratio = _root_ratio(other, r)
+        if ratio is None:
             raise ValueError(
                 f"cannot add radicals with incommensurable radicands "
-                f"{self.radicand} and {other.radicand}"
+                f"{r} and {other.radicand}"
             )
-        return _radical(self.coeff + other.coeff * (s / self.radicand), self.radicand)
+        return _radical(self.coeff + ratio, r)
 
     __radd__ = __add__
 
@@ -115,8 +107,6 @@ class Radical:
 
     def to_exact(self) -> ExactComplex:
         """The value as a plain ExactComplex; requires a rational radicand root."""
-        if self.is_zero():
-            return EC_ZERO
         if self.radicand == 1:
             return self.coeff
         raise ValueError(f"value sqrt({self.radicand}) is irrational")
@@ -127,14 +117,11 @@ class Radical:
                 other = Radical.of(ExactComplex.coerce(other))
             except TypeError:
                 return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
+        # zero holds radicand 1, and no other normal-form radicand is commensurable with 1
         if self.radicand == other.radicand:
             return self.coeff == other.coeff
-        ratio = fraction_sqrt(other.radicand / self.radicand)
-        if ratio is None:
-            return False
-        return self.coeff == other.coeff * ratio
+        ratio = _root_ratio(other, self.radicand)
+        return ratio is not None and self.coeff == ratio
 
     def __hash__(self):
         # equal radicals have equal squares; a rational one hashes like its value
@@ -143,7 +130,7 @@ class Radical:
         return hash(self.coeff * self.coeff * self.radicand)
 
     def to_complex(self) -> complex:
-        return self.coeff.to_complex() * math.sqrt(float(self.radicand))
+        return self.coeff.to_complex() * math.sqrt(self.radicand)
 
     def __repr__(self) -> str:
         if self.radicand == 1:
@@ -151,7 +138,7 @@ class Radical:
         return f"({self.coeff!r})*sqrt({self.radicand})"
 
 
-def _radical(coeff: ExactComplex, radicand: Fraction) -> Radical:
+def _radical(coeff: ExactComplex, radicand: int) -> Radical:
     """coeff * sqrt(radicand) for a radicand some Radical already holds.
 
     Such a radicand is 1 or a positive non-square, so only a zero coefficient
@@ -160,14 +147,36 @@ def _radical(coeff: ExactComplex, radicand: Fraction) -> Radical:
     """
     r = object.__new__(Radical)
     if coeff.is_zero():
-        coeff, radicand = EC_ZERO, _ONE
+        coeff, radicand = EC_ZERO, 1
     object.__setattr__(r, "coeff", coeff)
     object.__setattr__(r, "radicand", radicand)
     return r
 
 
+def _folded(coeff: ExactComplex, radicand: int) -> Radical:
+    """coeff * sqrt(radicand) for an int radicand >= 0, a square folded into coeff."""
+    if radicand != 1:
+        s = math.isqrt(radicand)
+        if s * s == radicand:
+            coeff, radicand = coeff * s, 1
+    return _radical(coeff, radicand)
+
+
+def _root_ratio(x: Radical, r: int) -> ExactComplex | None:
+    """c with c * sqrt(r) == x, or None when x's radicand and r are incommensurable.
+
+    sqrt(r2) = (s / r) * sqrt(r) when r * r2 = s^2.
+    """
+    prod = r * x.radicand
+    s = math.isqrt(prod)
+    if s * s != prod:
+        return None
+    c = x.coeff
+    return _reduced(c._a * s, c._b * s, c._d * r)
+
+
 #: the zero radical every exact sum starts from
-RADICAL_ZERO = _radical(EC_ZERO, _ONE)
+RADICAL_ZERO = _radical(EC_ZERO, 1)
 
 
 def radical_sum(terms) -> Radical:

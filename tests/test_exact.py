@@ -482,6 +482,53 @@ class TestRadicalProperties:
         assert Radical.sqrt(x, negative_branch=minus_i) == Radical(minus_i, -x)
 
 
+def _in_normal_form(r) -> bool:
+    q = r.radicand
+    return type(q) is int and q >= 1 and (q == 1 or math.isqrt(q) ** 2 != q)
+
+
+_radicand_base = st.sampled_from(
+    [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(7, 3)]
+)
+_root_scale = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+class TestRadicalNormalForm:
+    """A radicand is an int, 1 or a non-square, whatever a radical was built from.
+
+    Each operand is coeff * sqrt(t^2 base) with a Fraction radicand, whose
+    value is coeff * t * sqrt(base); so every result has an oracle that the
+    constructor builds from the Fraction radicand base, or base * base'.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), _gaussian_rational.filter(bool))
+    def test_results_stay_normal_and_equal_their_oracle(self, data, k):
+        base, other = data.draw(_radicand_base), data.draw(_radicand_base)
+        (ca, ta), (cb, tb) = [(data.draw(_gaussian_rational), data.draw(_root_scale))
+                              for _ in range(2)]
+        a, b = Radical(ca, ta * ta * base), Radical(cb, tb * tb * base)
+        c = Radical(cb, tb * tb * other)
+        cases = [
+            (a, Radical(ca * ta, base)),
+            (a * c, Radical(ca * cb * ta * tb, base * other)),
+            (a + b, Radical(ca * ta + cb * tb, base)),
+            (a - b, Radical(ca * ta - cb * tb, base)),
+            (a.conjugate(), Radical(ca.conjugate() * ta, base)),
+            (a / k, Radical(ca * ta / k, base)),
+        ]
+        for got, oracle in cases:
+            assert _in_normal_form(got) and _in_normal_form(oracle)
+            assert got == oracle and oracle == got
+            assert hash(got) == hash(oracle)
+
+    @pytest.mark.parametrize("make", [lambda: Radical(1, 0.1), lambda: Radical.sqrt(0.3)],
+                             ids=["constructor", "sqrt"])
+    def test_a_float_radicand_is_refused(self, make):
+        with pytest.raises(TypeError, match="refusing inexact float"):
+            make()
+
+
 # --- rowspace_equal: an equivalence relation on matrices of one width ------
 
 @st.composite
@@ -654,7 +701,7 @@ class TestRadicalFastPath:
         assert fields(a * 0) == fields(Radical(0)) == (ExactComplex(0), 1)
         assert fields(a + (-a)) == fields(Radical(0))
         if not (a.is_zero() or b.is_zero()):
-            ratio = fraction_sqrt(b.radicand / a.radicand)  # commensurable: rational
+            ratio = fraction_sqrt(Fraction(b.radicand, a.radicand))  # commensurable: rational
             assert fields(a + b) == fields(Radical(a.coeff + b.coeff * ratio, a.radicand))
 
     @settings(max_examples=200, deadline=None)

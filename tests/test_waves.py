@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csym import electron, photon
+from csym import electron, photon, report
 from csym.exact import EC_I, ExactComplex, ExactMatrix
 from csym.sampling import (
     cross,
@@ -147,6 +147,29 @@ class TestDiracResidual:
                 amp[i] = nonzero if a.is_zero() else a * 2
                 bad = PlaneWaveFunction(amp, rec.kappa)
                 assert dirac_residual(bad, mass_term, Fraction(1), gammas) > 0.0, i
+
+
+def _fields(rec):
+    return [(a.coeff, a.radicand) for a in rec.amp], rec.kappa
+
+
+class TestCQRecordsFieldByField:
+    """C and Q build records alike, not only equal in value.
+
+    Equal (coeff, radicand) pairs make the two float evaluations identical,
+    which keeps both cq-pointwise-equality gaps at exactly 0.0.
+    """
+
+    @pytest.mark.parametrize("lam", photon.ALLOWED_LAMBDA, ids=repr)
+    def test_photon(self, gamma8, rng, lam):
+        for _ in range(50):
+            st, c_rec, q_rec = report._photon_cq(rng, lam, gamma8)
+            assert _fields(c_rec) == _fields(q_rec), st
+
+    def test_electron(self, gamma4, rng):
+        for _ in range(50):
+            st, c_rec, q_rec = report._spinor_cq(rng, gamma4)
+            assert _fields(c_rec) == _fields(q_rec), st
 
 
 def _rowwise_gap(a, b) -> float:
