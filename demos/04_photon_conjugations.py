@@ -33,7 +33,7 @@ print(f"conjugation-matrix solution space: dimension {space.nullity} of 64")
 print()
 
 photon = photon_plane_wave(n=(0, 0, 1), l=(1, 0, 0), p0=Fraction(3, 2))
-print(f"photon state: n = {photon.n}, l = {photon.l}, p0 = {photon.p0}")
+print(f"photon state: n = {photon.wave.n}, l = {photon.wave.l}, k0 = {photon.wave.k0}")
 print(f"  norm: {photon.norm_sq()} (exact)")
 print(f"  equation residual: {dirac_form_residual(photon, gs)}")
 print()

@@ -200,39 +200,32 @@ class SpinorState:
     folds in 1/sqrt(z^dagger z) so the effective w satisfies w^dagger w = 1
     exactly.  branch +1 is the positive-frequency solution built on w, and
     branch -1 the negative-frequency partner built on w' (the stored z then
-    plays the w' role).  Exactness requires sqrt(|p|^2 + (mc)^2) rational,
-    which the random-state generator guarantees by Pythagorean construction.
+    plays the w' role).  The labels p_abs = |p| and energy = sqrt(|p|^2 + (mc)^2)
+    must be rational (the random-state generator guarantees it by Pythagorean
+    construction); build_spinor computes them, construction checks their squares.
     sigma_sign -1 flips the Pauli matrices, as light-speed inversion does.
     """
 
     p: Vec3
     m: Fraction
     z: tuple[ExactComplex, ExactComplex]
+    energy: Fraction
+    p_abs: Fraction
     branch: int = 1
     c_sign: int = 1
     hbar_sign: int = 1
     sigma_sign: int = 1
 
+    def __post_init__(self):
+        p_sq = dot(self.p, self.p)
+        for name, label, square in (("p_abs", self.p_abs, p_sq),
+                                    ("energy", self.energy, p_sq + self.m * self.m)):
+            if label < 0 or label * label != square:
+                raise ValueError(f"{name} label {label} is not the nonnegative root of {square}")
+
     @property
     def s(self) -> Fraction:
         return self.z[0].norm_sq() + self.z[1].norm_sq()
-
-    @cached_property
-    def p_abs(self) -> Fraction:
-        r = fraction_sqrt(dot(self.p, self.p))
-        if r is None:
-            raise ValueError(f"|p| must be rational: |p|^2 = {dot(self.p, self.p)}")
-        return r
-
-    @cached_property
-    def energy(self) -> Fraction:
-        e = fraction_sqrt(dot(self.p, self.p) + self.m * self.m)
-        if e is None:
-            raise ValueError(
-                "energy must be rational: |p|^2 + (mc)^2 = "
-                f"{dot(self.p, self.p) + self.m * self.m} is not a perfect square"
-            )
-        return e
 
     @property
     def p0(self) -> Fraction:
@@ -285,12 +278,17 @@ def build_spinor(p, m, z, branch: int = 1) -> SpinorState:
         raise ValueError(f"rest mass must be positive, got {m}")
     if not (z[0] or z[1]):
         raise ValueError("spinor label z must be nonzero")
-    if branch not in (-1, 1):
+    if isinstance(branch, bool) or branch not in (-1, 1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
-    state = SpinorState(p=p, m=m, z=z, branch=branch)
-    state.energy  # force the rationality checks
-    state.p_abs
-    return state
+    p_sq = dot(p, p)
+    energy = fraction_sqrt(p_sq + m * m)
+    if energy is None:
+        raise ValueError(f"energy must be rational: |p|^2 + (mc)^2 = {p_sq + m * m} "
+                         "is not a perfect square")
+    p_abs = fraction_sqrt(p_sq)
+    if p_abs is None:
+        raise ValueError(f"|p| must be rational: |p|^2 = {p_sq}")
+    return SpinorState(p=p, m=m, z=z, energy=energy, p_abs=p_abs, branch=branch)
 
 
 def spinor_norm(state: SpinorState, gs: GammaSet) -> ExactComplex:
@@ -343,9 +341,12 @@ def apply_C_spinor(state: SpinorState | ConjugatedSpinor, gs: GammaSet
 
 def apply_Q_spinor(state: SpinorState, gs: GammaSet) -> ConjugatedSpinor:
     """Light-speed inversion: the state's own record with c, hbar, sigma and
-    hence all 4-momentum labels negated, conjugated and multiplied by the
-    sigma-flipped conjugation matrix -g2.
+    hence all 4-momentum labels negated (|p| and the energy label are kept),
+    conjugated and multiplied by the sigma-flipped conjugation matrix -g2.
     """
+    if not isinstance(state, SpinorState):
+        raise TypeError("Q relabels a SpinorState's own c, hbar, p and sigma, which an image "
+                        f"does not carry; got {type(state).__name__}")
     relabeled = replace(
         state, p=tuple(-pk for pk in state.p), c_sign=-state.c_sign,
         hbar_sign=-state.hbar_sign, sigma_sign=-state.sigma_sign,

@@ -196,7 +196,7 @@ class PlaneWave:
             raise ValueError("electric polarization l must be nonzero")
         if k0 <= 0:
             raise ValueError(f"wavenumber k0 must be positive, got {k0}")
-        if c_sign not in (-1, 1):
+        if isinstance(c_sign, bool) or c_sign not in (-1, 1):
             raise ValueError(f"c_sign must be +1 or -1, got {c_sign}")
         m = cross(n, l) if m is None else tuple(Fraction(x) for x in m)
         return PlaneWave(l=l, m=m, n=n, k0=k0, c_sign=c_sign)

@@ -8,8 +8,9 @@ waves: the quantum charge conjugation C and the conjugation Q induced by
 flipping the signs of the speed of light and of the quantum of action.
 The central claim checked here is that C and Q produce the same function.
 
-A photon state is built on the classical wave `maxwell.PlaneWave`, which
-validates its data and supplies m = n x l.  Its exponent and its Dirac-form
+A photon state holds the classical wave `maxwell.PlaneWave` it is built on,
+which validates its data and supplies m = n x l; the state adds only the
+sign of hbar and the conjugation phase.  Its exponent and its Dirac-form
 residual come from `waves`, its formal energy and flux from
 `maxwell.energy_poynting_record`.
 """
@@ -32,7 +33,7 @@ from .gamma import (  # GammaIdentityError and conjugation_constraint_rows are p
     solve_conjugation_space,
 )
 from .maxwell import PlaneWave, field_column
-from .sampling import Vec3, dot
+from .sampling import dot
 from .waves import (
     Image,
     PlaneWaveFunction,
@@ -131,32 +132,29 @@ def solve_conjugation_8(gs: GammaSet) -> ConjugationSpace:
 class PhotonState:
     """A normalized photon plane wave in the 8-component Dirac form.
 
-    The amplitude is maxwell's field column (0, l, 0, m)/sqrt(2 |l|^2), so the norm is
-    exactly 1, times exp[-(i/hbar)(p0 x0 - p.x)] with p = p0 n.  The signs
-    of c and hbar are carried as labels with unit magnitudes; lam is the
-    conjugation phase, one of +1, -1, +i, -i.
+    The state holds its classical wave (maxwell.PlaneWave: polarizations l
+    and m, guiding vector n, wavenumber k0 and the sign of c) and adds the
+    sign of hbar and the conjugation phase lam, one of +1, -1, +i, -i.  The
+    amplitude is the wave's field column (0, l, 0, m)/sqrt(2 |l|^2), so the
+    norm is exactly 1, times exp[-(i/hbar)(k0 x0 - k.x)] with k = k0 n.
     """
 
-    l: Vec3
-    m: Vec3
-    n: Vec3
-    p0: Fraction
+    wave: PlaneWave
     hbar_sign: int = 1
-    c_sign: int = 1
     lam: ExactComplex = ExactComplex(0, -1)
 
     @property
-    def p(self) -> Vec3:
-        return tuple(self.p0 * ni for ni in self.n)
+    def c_sign(self) -> int:
+        return self.wave.c_sign
 
     def record(self) -> PlaneWaveFunction:
         return self._record
 
     @cached_property
     def _record(self) -> PlaneWaveFunction:
-        norm = Radical(1, Fraction(1, 2) / dot(self.l, self.l))
-        amp = [norm * x for x in field_column(self)[:8]]
-        return plane_wave(amp, self.p0, self.p, Fraction(self.hbar_sign))
+        norm = Radical(1, Fraction(1, 2) / dot(self.wave.l, self.wave.l))
+        amp = [norm * x for x in field_column(self.wave)[:8]]
+        return plane_wave(amp, self.wave.k0, self.wave.k, Fraction(self.hbar_sign))
 
     def norm_sq(self) -> ExactComplex:
         return radical_sum(a.conjugate() * a for a in self.record().amp).to_exact()
@@ -168,16 +166,15 @@ def photon_plane_wave(n, l, p0, hbar_sign: int = 1, c_sign: int = 1,
     polarization l and wavenumber p0.
 
     maxwell.PlaneWave.make validates the wave data and c_sign and supplies
-    the magnetic polarization m = n x l.
+    the magnetic polarization m = n x l; the state holds that wave.
     """
     wave = PlaneWave.make(n, l, p0, c_sign)
     lam = ExactComplex(0, -1) if lam is None else ExactComplex.coerce(lam)
     if lam not in ALLOWED_LAMBDA:
         raise ValueError(f"lambda must be one of +1, -1, +i, -i, got {lam!r}")
-    if hbar_sign not in (-1, 1):
+    if isinstance(hbar_sign, bool) or hbar_sign not in (-1, 1):
         raise ValueError(f"hbar_sign must be +1 or -1, got {hbar_sign}")
-    state = PhotonState(l=wave.l, m=wave.m, n=wave.n, p0=wave.k0,
-                        hbar_sign=hbar_sign, c_sign=c_sign, lam=lam)
+    state = PhotonState(wave, hbar_sign, lam)
     if state.norm_sq() != EC_ONE:
         raise AssertionError("photon state failed exact normalization")
     return state
@@ -206,7 +203,7 @@ def _q_relabeled(wave: PhotonState | ConjugatedPhoton) -> PlaneWaveFunction:
     """The wave's function rebuilt with hbar and all 4-momentum labels flipped.
 
     The labels are the wave's own: the (p0, p) that its exponent carries with
-    its own hbar sign, which for a PhotonState are exactly its p0 and p.  The
+    its own hbar sign, which for a PhotonState are its wave's k0 and k.  The
     massless amplitude holds no c or hbar, so nothing in it flips, and the
     flip of c is carried by the image's c_sign label.  The exponent
     -(i/hbar)(p0 x0 - p.x) is rebuilt from -p0, -p and -hbar, whose sign flips

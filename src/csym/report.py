@@ -621,7 +621,7 @@ def _photon_c_action(rng, lam):
     back = photon.apply_C_photon(conj)
     ok &= back.record() == rec
     energy, _ = labels(conj)
-    ok &= energy == -st.p0
+    ok &= energy == -st.wave.k0
     return ok, "conjugate is lambda * conjugated record; double application restores"
 
 
@@ -700,8 +700,8 @@ def _currents(config, rng, lam, gamma8):
         j0, jk, j0c, jkc = photon.currents(st, conj, gamma8)
         if j0 != EC_ONE or j0c != EC_ONE:
             return False, f"time components {j0}, {j0c} differ from 1"
-        if any(jk[i] != ExactComplex(st.n[i]) for i in range(3)):
-            return False, f"space components {jk} differ from n = {st.n}"
+        if any(jk[i] != ExactComplex(st.wave.n[i]) for i in range(3)):
+            return False, f"space components {jk} differ from n = {st.wave.n}"
         if any(jk[i] != jkc[i] for i in range(3)):
             return False, "conjugated current differs"
     return True, "j = (1, n) exactly for state and conjugate"

@@ -159,7 +159,7 @@ def test_criterion_07_photon_conjugation_equality():
             assert _worst_pointwise_gap(c.record(), q.record(), x) <= 1e-12
             j0, jk, j0c, jkc = csym.currents(st, q, g8)
             assert j0 == EC_ONE and j0c == EC_ONE
-            assert jk == tuple(ExactComplex(x) for x in st.n) and jkc == jk
+            assert jk == tuple(ExactComplex(x) for x in st.wave.n) and jkc == jk
 
     _criterion(7, "photon conjugation equality", body)
 

@@ -257,6 +257,21 @@ class TestSpinorStates:
         with pytest.raises(ValueError, match="perfect square"):
             build_spinor((1, 0, 0), 1, (1, 0))
 
+    def test_irrational_momentum_rejected(self):
+        with pytest.raises(ValueError, match=r"\|p\| must be rational: \|p\|\^2 = 2"):
+            build_spinor((1, 1, 0), Fraction(1, 2), (1, 0))  # energy 3/2 is rational
+
+    @pytest.mark.parametrize("energy, p_abs, message", [
+        (Fraction(7, 2), Fraction(3, 2), "energy label 7/2 "),   # |p|^2 + m^2 = 25/4
+        (Fraction(-5, 2), Fraction(3, 2), "energy label -5/2 "),  # the negative root
+        (Fraction(5, 2), Fraction(2), "p_abs label 2 "),
+        (Fraction(5, 2), Fraction(-3, 2), "p_abs label -3/2 "),
+    ])
+    def test_direct_state_with_wrong_labels_rejected(self, energy, p_abs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            SpinorState(p=(Fraction(3, 2), Fraction(0), Fraction(0)), m=Fraction(2),
+                        z=(ExactComplex(1), ExactComplex(0)), energy=energy, p_abs=p_abs)
+
     def test_zero_spinor_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             build_spinor((0, 0, 0), 1, (0, 0))
@@ -360,6 +375,31 @@ class TestConjugations:
         assert q.effective_branch == 1
         mass_term = st.m * Fraction(q.c_sign)
         assert dirac_residual(q.record(), mass_term, Fraction(q.hbar_sign), gamma4.vector) == 0.0
+
+
+class TestImageLabels:
+    """C and Q images reuse their source's exact energy and |p| labels."""
+
+    def test_images_take_no_square_roots(self, gamma4, rng, monkeypatch):
+        states = [random_spinor(rng, branch=b) for b in (1, -1) for _ in range(10)]
+        calls = []
+        sqrt = electron.fraction_sqrt
+        monkeypatch.setattr(electron, "fraction_sqrt", lambda q: calls.append(q) or sqrt(q))
+        for st in states:
+            neg = apply_C_spinor(st, gamma4)
+            q = apply_Q_spinor(st, gamma4)
+            apply_C_spinor(q, gamma4)
+            q_of_neg = apply_Q_spinor(neg, gamma4)
+            assert (neg.energy, neg.p_abs) == (st.energy, st.p_abs)
+            energy, p = labels(st)
+            assert labels(q) == (energy, tuple(-x for x in p))
+            assert labels(q_of_neg) == (-energy, p)
+        assert calls == []
+
+    def test_q_of_an_image_names_the_rule(self, gamma4, rng):
+        q = apply_Q_spinor(random_spinor(rng), gamma4)
+        with pytest.raises(TypeError, match="Q relabels a SpinorState's own c, hbar, p and sigma"):
+            apply_Q_spinor(q, gamma4)
 
 
 class TestCommutatorControl:

@@ -355,16 +355,18 @@ class TestPlaneWaveRecord:
         assert rec.kappa == (-w.k0,) + w.k  # exp[-i(k0 x0 - k.x)]
 
     def test_photon_record_is_the_normalized_wave_record(self, rng):
-        for _ in range(10):
-            n = rational_unit_vector(rng)
-            l = rational_orthogonal_vector(rng, n)
-            p0 = rational_magnitude(rng)
-            wave_rec = PlaneWave.make(n, l, p0).record()
-            photon_rec = photon_plane_wave(n, l, p0, hbar_sign=1).record()
-            assert photon_rec.kappa == wave_rec.kappa
-            # photon amplitude times sqrt(2 |l|^2) is the wave's, first 8 entries
-            root = Radical.sqrt(2 * dot(l, l))
-            assert tuple(a * root for a in photon_rec.amp) == wave_rec.amp[:8]
+        for hbar_sign in (1, -1):
+            for _ in range(10):
+                n = rational_unit_vector(rng)
+                l = rational_orthogonal_vector(rng, n)
+                p0 = rational_magnitude(rng)
+                wave_rec = PlaneWave.make(n, l, p0).record()
+                photon_rec = photon_plane_wave(n, l, p0, hbar_sign=hbar_sign).record()
+                # exp[-(i/hbar)(k0 x0 - k.x)]: a negative hbar negates kappa
+                assert photon_rec.kappa == tuple(hbar_sign * k for k in wave_rec.kappa)
+                # photon amplitude times sqrt(2 |l|^2) is the wave's, first 8 entries
+                root = Radical.sqrt(2 * dot(l, l))
+                assert tuple(a * root for a in photon_rec.amp) == wave_rec.amp[:8]
 
 
 def _energy_flux_check(monkeypatch, name, replacement):

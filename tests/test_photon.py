@@ -1,5 +1,6 @@
 """The 8-component Dirac form: gamma algebra, conjugations, currents."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -137,10 +138,18 @@ class TestPhotonState:
             photon_plane_wave((0, 0, 1), (1, 0, 0), 1, c_sign=0)
 
     def test_state_is_built_on_the_classical_wave(self, rng):
-        for _ in range(5):
-            st = random_photon(rng, c_sign=-1)
-            wave = PlaneWave.make(st.n, st.l, st.p0, c_sign=-1)
-            assert (st.l, st.m, st.n, st.p0) == (wave.l, wave.m, wave.n, wave.k0)
+        for c in (1, -1):
+            for _ in range(5):
+                n = rational_unit_vector(rng)
+                l = rational_orthogonal_vector(rng, n)
+                p0 = rational_magnitude(rng)
+                st = photon_plane_wave(n, l, p0, c_sign=c)
+                assert st.wave == PlaneWave.make(n, l, p0, c)
+                assert st.c_sign == c
+
+    def test_state_holds_only_its_wave_and_two_labels(self):
+        fields = [f.name for f in dataclasses.fields(photon.PhotonState)]
+        assert fields == ["wave", "hbar_sign", "lam"]
 
 
 class TestConjugations:
@@ -154,7 +163,7 @@ class TestConjugations:
     def test_c_labels_negative_energy(self):
         st = photon_plane_wave((0, 0, 1), (1, 0, 0), Fraction(3, 2))
         conj = apply_C_photon(st)
-        assert waves.labels(conj) == (-st.p0, tuple(-x for x in st.p))
+        assert waves.labels(conj) == (-st.wave.k0, tuple(-x for x in st.wave.k))
 
     def test_c_twice_restores(self, rng):
         st = random_photon(rng)
@@ -165,7 +174,7 @@ class TestConjugations:
         q = apply_Q_photon(st, gamma8)
         assert q.c_sign == -1 and q.hbar_sign == -1
         # positive again on the flipped hyperplane
-        assert waves.labels(q) == (st.p0, tuple(-x for x in st.p))
+        assert waves.labels(q) == (st.wave.k0, tuple(-x for x in st.wave.k))
 
     def test_cq_equality_records(self, gamma8, rng):
         for lam in ALLOWED_LAMBDA:
@@ -259,7 +268,7 @@ class TestCurrentsAndEnergy:
             st = random_photon(rng)
             j0, jk, j0c, jkc = currents(st, apply_Q_photon(st, gamma8), gamma8)
             assert j0 == EC_ONE and j0c == EC_ONE
-            assert jk == tuple(ExactComplex(x) for x in st.n)
+            assert jk == tuple(ExactComplex(x) for x in st.wave.n)
             assert jkc == jk
 
     def test_conjugate_energy_negative_for_imaginary_lambda(self, rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csym import electron, photon, report
+from csym import electron, maxwell, photon, report
 from csym.exact import EC_I, ExactComplex, ExactMatrix
 from csym.sampling import (
     cross,
@@ -119,11 +119,12 @@ def test_labels_of_every_kind_of_wave(gamma4, gamma8):
     """(energy, p): p0 and p read off exp[-(i/h)(p0 x0 - p.x)] at h = +1, energy c p0."""
     ph, sp = _states()
     q_sp = electron.apply_Q_spinor(sp, gamma4)
+    w = ph.wave
     cases = [
         (Image(PlaneWaveFunction([Radical(1, 1)] * 2, [-3, 1, 2, -5]), -1, 1), (-3, (1, 2, -5))),
-        (ph, (ph.p0, ph.p)),
-        (photon.apply_C_photon(ph), (-ph.p0, _flip(ph.p))),  # negative energy, same hyperplane
-        (photon.apply_Q_photon(ph, gamma8), (ph.p0, _flip(ph.p))),  # positive, flipped hyperplane
+        (ph, (w.k0, w.k)),
+        (photon.apply_C_photon(ph), (-w.k0, _flip(w.k))),  # negative energy, same hyperplane
+        (photon.apply_Q_photon(ph, gamma8), (w.k0, _flip(w.k))),  # positive, flipped hyperplane
         (sp, (sp.energy, sp.p)),
         (electron.apply_C_spinor(sp, gamma4), (-sp.energy, _flip(sp.p))),
         (q_sp, (sp.energy, _flip(sp.p))),
@@ -131,6 +132,18 @@ def test_labels_of_every_kind_of_wave(gamma4, gamma8):
     ]
     for wave, want in cases:
         assert labels(wave) == want, type(wave).__name__
+
+
+@pytest.mark.parametrize("field, build", [
+    ("branch", lambda: electron.build_spinor((0, 0, 0), 1, (1, 0), branch=True)),
+    ("hbar_sign", lambda: photon.photon_plane_wave((0, 0, 1), (1, 0, 0), 1, hbar_sign=True)),
+    ("c_sign", lambda: photon.photon_plane_wave((0, 0, 1), (1, 0, 0), 1, c_sign=True)),
+    ("c_sign", lambda: maxwell.PlaneWave.make((0, 0, 1), (1, 0, 0), 1, c_sign=True)),
+], ids=["build_spinor-branch", "photon-hbar_sign", "photon-c_sign", "PlaneWave-c_sign"])
+def test_bool_sign_rejected(field, build):
+    """True == 1, so a bool passes `in (-1, 1)`; every sign label refuses it."""
+    with pytest.raises(ValueError, match=rf"^{field} must be \+1 or -1, got True$"):
+        build()
 
 
 class TestDiracResidual:
