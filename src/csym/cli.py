@@ -1,7 +1,8 @@
 """Command-line entry point: `csym verify [options]`.
 
 Runs the selected verification suites, prints the text report, optionally
-writes the JSON report, and exits 0 iff every check passed.
+writes the JSON report, and exits 0 iff every check passed, 1 if a check
+failed and 2 on a usage error, such as a JSON path that cannot be written.
 """
 
 from __future__ import annotations
@@ -73,7 +74,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     report = run(config)
     if args.json:
-        emit(report, fmt="json", path=args.json)
+        try:
+            emit(report, fmt="json", path=args.json)
+        except OSError as exc:
+            print(f"error: cannot write JSON report to {args.json}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     if not args.quiet:
         sys.stdout.write(emit(report, fmt="text"))
     return 0 if report.all_passed else 1

@@ -39,7 +39,7 @@ from .gamma import (  # GammaIdentityError is public here too
     build_gamma_set,
     solve_conjugation_space,
 )
-from .sampling import Vec3, dot
+from .sampling import Vec3, _over_common, dot
 from .waves import (
     Image,
     PlaneWaveFunction,
@@ -183,8 +183,9 @@ def transform_wave(entry: DiracTransform, rec: PlaneWaveFunction) -> PlaneWaveFu
 
 def transformed_residual(entry: DiracTransform, state: SpinorState, gs: GammaSet) -> float:
     """Residual of the transformed state against the equation with mapped constants."""
-    return dirac_residual(transform_wave(entry, state.record()), state.mc * entry.c_sign,
-                          Fraction(state.hbar_sign * entry.hbar_sign), gs.vector)
+    mass_term = state.mc if entry.c_sign > 0 else -state.mc
+    return dirac_residual(transform_wave(entry, state.record()), mass_term,
+                          state.hbar_sign * entry.hbar_sign, gs.vector)
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +226,26 @@ class SpinorState:
 
     @property
     def s(self) -> Fraction:
-        return self.z[0].norm_sq() + self.z[1].norm_sq()
+        # |(a + b i)/d|^2 + |(c + e i)/f|^2 = ((a^2 + b^2) f^2 + (c^2 + e^2) d^2) / (d f)^2
+        (a, b, d), (c, e, f) = ((x._a, x._b, x._d) for x in self.z)
+        return Fraction((a * a + b * b) * f * f + (c * c + e * e) * d * d, (d * f) ** 2)
 
     @property
     def p0(self) -> Fraction:
-        return self.energy / self.c_sign
+        return self.energy if self.c_sign > 0 else -self.energy
 
     @property
     def mc(self) -> Fraction:
-        return self.m * self.c_sign
+        return self.m if self.c_sign > 0 else -self.m
 
     @cached_property
     def n(self) -> Vec3:
         if self.p_abs == 0:
             return (Fraction(0), Fraction(0), Fraction(1))  # direction is immaterial at rest
-        return tuple(pi / self.p_abs for pi in self.p)
+        # p / |p| = (num / d) / (a / b) = num b / (d a)
+        num, d = _over_common(self.p)
+        a, b = self.p_abs.numerator, self.p_abs.denominator
+        return tuple(Fraction(x * b, d * a) for x in num)
 
     def bispinor(self, prefactor: Radical | None = None) -> tuple[Radical, ...]:
         """The 4 amplitude entries, times prefactor when one is given.
@@ -252,8 +258,11 @@ class SpinorState:
             factor = factor * prefactor
         radp = Radical.sqrt(self.p0 + self.mc, negative_branch=MINUS_I) * factor
         radm = Radical.sqrt(self.p0 - self.mc, negative_branch=MINUS_I) * factor
-        (n1, n2, n3), (z0, z1) = (self.sigma_sign * x for x in self.n), self.z
-        nsz = (z0 * n3 + ExactComplex(n1, -n2) * z1, ExactComplex(n1, n2) * z0 - z1 * n3)
+        (n1, n2, n3), (z0, z1) = self.n, self.z
+        n12 = ExactComplex(n1, n2)
+        nsz = (z0 * n3 + n12.conjugate() * z1, n12 * z0 - z1 * n3)
+        if self.sigma_sign < 0:  # (n.sigma) z is linear in n
+            nsz = (-nsz[0], -nsz[1])
         if self.branch == 1:
             return (radp * z0, radp * z1, radm * nsz[0], radm * nsz[1])
         return (radm * nsz[0], radm * nsz[1], radp * z0, radp * z1)
@@ -264,9 +273,12 @@ class SpinorState:
     @cached_property
     def _record(self) -> PlaneWaveFunction:
         # the principal 1/sqrt(x) is the -i branch of sqrt(1/x): 1/(i sqrt|x|) = -i/sqrt|x|
-        amp = self.bispinor(Radical.sqrt(1 / (2 * self.p0), negative_branch=MINUS_I))
-        b = self.branch  # +branch: exp[-(i/h)(p0 x0 - p.x)], -branch: conjugated phase
-        return plane_wave(amp, b * self.p0, [b * pk for pk in self.p], Fraction(self.hbar_sign))
+        p0 = self.p0
+        amp = self.bispinor(Radical.sqrt(Fraction(p0.denominator, 2 * p0.numerator),
+                                         negative_branch=MINUS_I))
+        # +branch: exp[-(i/h)(p0 x0 - p.x)]; -branch: the conjugated phase, which
+        # negates the labels as hbar -> -hbar does
+        return plane_wave(amp, p0, self.p, self.branch * self.hbar_sign)
 
 
 def build_spinor(p, m, z, branch: int = 1) -> SpinorState:
@@ -299,7 +311,7 @@ def spinor_norm(state: SpinorState, gs: GammaSet) -> ExactComplex:
 
 def free_residual(state: SpinorState, gs: GammaSet) -> float:
     """Residual of the state's record in the free equation with its own signs."""
-    return dirac_residual(state.record(), state.mc, Fraction(state.hbar_sign), gs.vector)
+    return dirac_residual(state.record(), state.mc, state.hbar_sign, gs.vector)
 
 
 def _partner_z(z, branch: int) -> tuple[ExactComplex, ExactComplex]:

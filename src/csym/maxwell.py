@@ -207,7 +207,7 @@ class PlaneWave:
 
     def record(self) -> PlaneWaveFunction:
         """field_column(self) times exp[-i(k0 x0 - k.x)]: the waves record, hbar = +1."""
-        return plane_wave([Radical.of(x) for x in field_column(self)], self.k0, self.k, Fraction(1))
+        return plane_wave([Radical.of(x) for x in field_column(self)], self.k0, self.k, 1)
 
 
 def plane_wave_residual(system: LinearFieldSystem, w: PlaneWave) -> Fraction:

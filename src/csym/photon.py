@@ -152,9 +152,10 @@ class PhotonState:
 
     @cached_property
     def _record(self) -> PlaneWaveFunction:
-        norm = Radical(1, Fraction(1, 2) / dot(self.wave.l, self.wave.l))
+        ll = dot(self.wave.l, self.wave.l)
+        norm = Radical(1, Fraction(ll.denominator, 2 * ll.numerator))
         amp = [norm * x for x in field_column(self.wave)[:8]]
-        return plane_wave(amp, self.wave.k0, self.wave.k, Fraction(self.hbar_sign))
+        return plane_wave(amp, self.wave.k0, self.wave.k, self.hbar_sign)
 
     def norm_sq(self) -> ExactComplex:
         return radical_sum(a.conjugate() * a for a in self.record().amp).to_exact()
@@ -210,8 +211,10 @@ def _q_relabeled(wave: PhotonState | ConjugatedPhoton) -> PlaneWaveFunction:
     cancel, so the realized function is unchanged.
     """
     rec = wave.record()
-    hbar = Fraction(wave.hbar_sign)
-    return plane_wave(rec.amp, hbar * rec.kappa[0], [-hbar * k for k in rec.kappa[1:]], -hbar)
+    k0, k = rec.kappa[0], rec.kappa[1:]
+    if wave.hbar_sign > 0:  # own labels (-k0, k), flipped (k0, -k)
+        return plane_wave(rec.amp, k0, [-x for x in k], -1)
+    return plane_wave(rec.amp, -k0, k, 1)  # own labels (k0, -k), flipped (-k0, k)
 
 
 def apply_Q_photon(wave: PhotonState | ConjugatedPhoton, gs: GammaSet) -> ConjugatedPhoton:
@@ -245,7 +248,7 @@ def phase_displacement_form(state: PhotonState) -> PlaneWaveFunction:
 
 def dirac_form_residual(wave: PhotonState | ConjugatedPhoton, gs: GammaSet) -> float:
     """Max |component| of the massless Dirac-form operator applied to the wave."""
-    return dirac_residual(wave.record(), Fraction(0), Fraction(wave.hbar_sign), gs.vector)
+    return dirac_residual(wave.record(), 0, wave.hbar_sign, gs.vector)
 
 
 def currents(state: PhotonState, conjugated: ConjugatedPhoton, gs: GammaSet

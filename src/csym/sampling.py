@@ -10,12 +10,14 @@ only at the point-evaluation stage.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .exact import ExactComplex
+from .exact import ExactComplex, _reduced
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
+
 
 def rational_unit_vector(rng: np.random.Generator) -> Vec3:
     """A random exact unit 3-vector with rational components.
@@ -28,22 +30,27 @@ def rational_unit_vector(rng: np.random.Generator) -> Vec3:
         if z != 0 and (x, y) != (0, 0):
             break
     d = x * x + y * y + z * z
-    v = [Fraction(2 * x * z, d), Fraction(2 * y * z, d), Fraction(z * z - x * x - y * y, d)]
+    v = (2 * x * z, 2 * y * z, z * z - x * x - y * y)
     perm = rng.permutation(3)
     signs = rng.integers(0, 2, size=3) * 2 - 1
-    out = tuple(Fraction(int(signs[i])) * v[int(perm[i])] for i in range(3))
-    assert sum(c * c for c in out) == 1
-    return out
+    num = [int(signs[i]) * v[int(perm[i])] for i in range(3)]
+    assert sum(c * c for c in num) == d * d
+    return tuple(Fraction(c, d) for c in num)
 
 
 def rational_orthogonal_vector(rng: np.random.Generator, n: Vec3) -> Vec3:
-    """A nonzero rational vector exactly orthogonal to the unit vector n."""
+    """A nonzero rational vector exactly orthogonal to the unit vector n.
+
+    With n = nn / d over one denominator, v - (v.n) n = (v d^2 - (v.nn) nn) / d^2.
+    """
+    nn, d = _over_common(n)
+    d2 = d * d
     while True:
-        v = tuple(Fraction(int(c)) for c in rng.integers(-9, 10, size=3))
-        dot = sum(a * b for a, b in zip(v, n))
-        w = tuple(a - dot * b for a, b in zip(v, n))
+        v = [int(c) for c in rng.integers(-9, 10, size=3)]
+        s = sum(a * b for a, b in zip(v, nn))
+        w = [a * d2 - s * b for a, b in zip(v, nn)]
         if any(w):
-            return w
+            return tuple(Fraction(c, d2) for c in w)
 
 
 def rational_magnitude(rng: np.random.Generator) -> Fraction:
@@ -51,12 +58,9 @@ def rational_magnitude(rng: np.random.Generator) -> Fraction:
     num = int(rng.integers(1, 1000))
     den = int(rng.integers(1, 1000))
     exp = int(rng.integers(-3, 4))
-    mag = Fraction(num, den)
     if exp >= 0:
-        mag *= 10**exp
-    else:
-        mag /= 10 ** (-exp)
-    return mag
+        return Fraction(num * 10**exp, den)
+    return Fraction(num, den * 10 ** (-exp))
 
 
 def pythagorean_pair(rng: np.random.Generator) -> tuple[int, int, int]:
@@ -84,22 +88,42 @@ def momentum_mass_energy(rng: np.random.Generator) -> tuple[Fraction, Fraction, 
 def gaussian_rational_spinor(rng: np.random.Generator) -> tuple[ExactComplex, ExactComplex]:
     """A random nonzero 2-spinor with Gaussian-rational components."""
     while True:
-        parts = [Fraction(int(n), int(d)) for n, d in
-                 zip(rng.integers(-9, 10, size=4), rng.integers(1, 10, size=4))]
-        z = (ExactComplex(parts[0], parts[1]), ExactComplex(parts[2], parts[3]))
+        n0, n1, n2, n3 = (int(v) for v in rng.integers(-9, 10, size=4))
+        d0, d1, d2, d3 = (int(v) for v in rng.integers(1, 10, size=4))
+        # (n0/d0) + (n1/d1) i = (n0 d1 + n1 d0 i) / (d0 d1)
+        z = (_reduced(n0 * d1, n1 * d0, d0 * d1), _reduced(n2 * d3, n3 * d2, d2 * d3))
         if z[0] or z[1]:
             return z
 
 
+def _rational(v) -> bool:
+    return all(x.__class__ is Fraction or x.__class__ is int for x in v)
+
+
+def _over_common(v) -> tuple[list[int], int]:
+    """(num, d) with v = num / d: rational entries over their least common denominator."""
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
 def cross(a: Vec3, b: Vec3) -> Vec3:
-    return (
+    """a x b; rational entries are multiplied as numerators over one denominator."""
+    rational = _rational(a) and _rational(b)
+    if rational:
+        (a, da), (b, db) = _over_common(a), _over_common(b)
+    c = (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
+    return tuple(Fraction(x, da * db) for x in c) if rational else c
 
 
 def dot(a, b):
+    """a . b; rational entries are summed as numerators over one denominator."""
+    if _rational(a) and _rational(b):
+        (a, da), (b, db) = _over_common(a), _over_common(b)
+        return Fraction(sum(x * y for x, y in zip(a, b)), da * db)
     return sum(x * y for x, y in zip(a, b))
 
 

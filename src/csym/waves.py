@@ -244,9 +244,17 @@ class PlaneWaveFunction:
         return np.multiply.outer(np.exp(1j * phase), amp)
 
 
-def plane_wave(amp, p0: Fraction, p, hbar: Fraction) -> PlaneWaveFunction:
-    """amp * exp[-(i/hbar)(p0 x0 - p.x)]."""
-    return PlaneWaveFunction(amp, [-p0 / hbar] + [pk / hbar for pk in p])
+def plane_wave(amp, p0: Fraction, p, hbar_sign: int) -> PlaneWaveFunction:
+    """amp * exp[-(i/hbar)(p0 x0 - p.x)] with hbar = hbar_sign, the int +1 or -1.
+
+    Dividing by a unit hbar is a sign flip, so kappa holds the labels or
+    their negations.
+    """
+    if hbar_sign.__class__ is not int or hbar_sign not in (-1, 1):
+        raise ValueError(f"hbar_sign must be +1 or -1, got {hbar_sign!r}")
+    if hbar_sign == 1:
+        return PlaneWaveFunction(amp, [-p0, *p])
+    return PlaneWaveFunction(amp, [p0, *(-pk for pk in p)])
 
 
 def labels(wave) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction]]:
@@ -272,20 +280,22 @@ class Image:
         return self.function
 
 
-def dirac_residual(rec: PlaneWaveFunction, mass_term: Fraction, hbar: Fraction,
+def dirac_residual(rec: PlaneWaveFunction, mass_term: Fraction, hbar_sign: int,
                    gammas) -> float:
     """Max |component| of (i*hbar*gamma^a d_a - mass_term) applied to rec.
 
     The photon's massless Dirac form and the electron's free equation, for
     a state and for a transformed wave, are all this one residual.  On
     exp(i kappa.x), d_a brings down i*kappa_a, so the operator's coefficient
-    matrix is -hbar * sum_a kappa_a gamma^a - mass_term * identity.
+    matrix is -hbar * sum_a kappa_a gamma^a - mass_term * identity, with
+    hbar = hbar_sign, +1 or -1.
     """
     n = gammas[0].rows
     m = ExactMatrix.zeros(n, n)
     for k, g in zip(rec.kappa, gammas):
         if k != 0:
-            m = m + g.scale(ExactComplex(-hbar * k))
+            c = ExactComplex(k)
+            m = m + g.scale(-c if hbar_sign > 0 else c)
     if mass_term != 0:
         m = m - ExactMatrix.identity(n).scale(ExactComplex(mass_term))
     return max((abs(v.to_complex()) for v in matrix_times_radicals(m, rec.amp)), default=0.0)

@@ -374,7 +374,7 @@ class TestConjugations:
         q = apply_Q_spinor(st, gamma4)
         assert q.effective_branch == 1
         mass_term = st.m * Fraction(q.c_sign)
-        assert dirac_residual(q.record(), mass_term, Fraction(q.hbar_sign), gamma4.vector) == 0.0
+        assert dirac_residual(q.record(), mass_term, q.hbar_sign, gamma4.vector) == 0.0
 
 
 class TestImageLabels:

@@ -7,11 +7,13 @@ without the mutation passes every named check, so a row fails only because
 of what it breaks.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from csym import photon
+from csym import electron, maxwell, photon, report, waves
 from csym.report import RunConfig, run
-from csym.waves import bilinear
+from csym.waves import PlaneWaveFunction, bilinear
 from test_electron import _branch_blind_partner
 
 
@@ -32,11 +34,52 @@ def _c_photon_without_lam(monkeypatch):
     monkeypatch.setattr(photon, "apply_C_photon", apply_c)
 
 
+def _p0_ignoring_c_sign(monkeypatch):
+    """A spinor energy label p0 = E that does not flip with c, so Q keeps p0."""
+    monkeypatch.setattr(electron.SpinorState, "p0", property(lambda self: self.energy))
+
+
+def _plane_wave_ignoring_hbar_sign(monkeypatch):
+    """An exponent that reads every wave with hbar = +1, whatever its sign.
+
+    The modules that build records import plane_wave by name, so each
+    binding is replaced.
+    """
+    def plane_wave(amp, p0, p, hbar_sign):
+        return PlaneWaveFunction(amp, [-p0, *p])
+    for module in (waves, maxwell, photon, electron):
+        monkeypatch.setattr(module, "plane_wave", plane_wave)
+
+
+def _orthogonal_vector_without_projection(monkeypatch):
+    """A polarization sampler that returns its draw v without removing (v.n) n."""
+    def sampler(rng, n):
+        return tuple(Fraction(int(c)) for c in rng.integers(-9, 10, size=3))
+    monkeypatch.setattr(report, "rational_orthogonal_vector", sampler)
+
+
 MUTATIONS = [
     (_currents_without_g0, dict(suites=("photon",)), {"photon.currents"}),
     (_c_photon_without_lam, dict(suites=("photon",), lam="-i"),
      {"photon.charge-conjugation-action"}),
     (_branch_blind_partner, dict(suites=("electron",)), {"electron.charge-conjugation-action"}),
+    (_p0_ignoring_c_sign, dict(suites=("electron",)),
+     {"electron.conjugation-commutator", "electron.cq-pointwise-equality",
+      "electron.cq-record-equality"}),
+    # the electron checks fail on apply_C_spinor's template assertion; the
+    # photon state residual passes, since the massless form is blind to hbar's sign
+    (_plane_wave_ignoring_hbar_sign, dict(suites=("photon", "electron")),
+     {"electron.charge-conjugation-action", "electron.conjugation-commutator",
+      "electron.cq-pointwise-equality", "electron.cq-record-equality",
+      "electron.spinor-normalization", "electron.spinor-residuals",
+      "photon.cq-pointwise-equality", "photon.cq-record-equality",
+      "photon.displaced-phase-form", "photon.inversion-involution"}),
+    # PlaneWave.make refuses every non-transverse draw, so each photon check that draws fails
+    (_orthogonal_vector_without_projection, dict(suites=("photon",)),
+     {"photon.charge-conjugation-action", "photon.conjugate-energy-sign",
+      "photon.cq-pointwise-equality", "photon.cq-record-equality", "photon.currents",
+      "photon.displaced-phase-form", "photon.inversion-involution",
+      "photon.state-normalization", "photon.state-residual"}),
 ]
 
 

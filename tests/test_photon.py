@@ -220,7 +220,7 @@ def _hbar_only_relabeled(wave):
     """A wrong Q relabeling: hbar flipped, the wave's own 4-momentum labels kept."""
     rec, hbar = wave.record(), Fraction(wave.hbar_sign)
     p0, p = -hbar * rec.kappa[0], [hbar * k for k in rec.kappa[1:]]
-    return waves.plane_wave(rec.amp, p0, p, -hbar)
+    return waves.plane_wave(rec.amp, p0, p, -wave.hbar_sign)
 
 
 class TestWrongQControl:

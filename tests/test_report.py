@@ -323,6 +323,15 @@ class TestCli:
         assert failing == KNOWN_FAILING
         assert result.returncode == 1  # exit mirrors the failed check
 
+    def test_unwritable_json_path_exits_2(self, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        result = self._run("verify", "--suite", "group", "--samples", "5", "--quiet",
+                           "--json", str(out))
+        assert result.returncode == 2
+        assert result.stderr == (f"error: cannot write JSON report to {out}: "
+                                 "No such file or directory\n")
+        assert not out.parent.exists()
+
     def test_flag_validation(self):
         result = self._run("verify", "--suite", "warp")
         assert result.returncode == 2

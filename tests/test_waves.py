@@ -1,10 +1,12 @@
 """Radical scalars, plane-wave records, and the exact sampling helpers."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csym import electron, maxwell, photon, report
 from csym.exact import EC_I, ExactComplex, ExactMatrix
@@ -13,11 +15,20 @@ from csym.sampling import (
     dot,
     gaussian_rational_spinor,
     momentum_mass_energy,
+    rational_magnitude,
     rational_orthogonal_vector,
     rational_unit_vector,
     spacetime_points,
 )
-from csym.waves import Image, PlaneWaveFunction, Radical, bilinear, dirac_residual, labels
+from csym.waves import (
+    Image,
+    PlaneWaveFunction,
+    Radical,
+    bilinear,
+    dirac_residual,
+    labels,
+    plane_wave,
+)
 
 
 class TestRadical:
@@ -134,15 +145,33 @@ def test_labels_of_every_kind_of_wave(gamma4, gamma8):
         assert labels(wave) == want, type(wave).__name__
 
 
-@pytest.mark.parametrize("field, build", [
-    ("branch", lambda: electron.build_spinor((0, 0, 0), 1, (1, 0), branch=True)),
-    ("hbar_sign", lambda: photon.photon_plane_wave((0, 0, 1), (1, 0, 0), 1, hbar_sign=True)),
-    ("c_sign", lambda: photon.photon_plane_wave((0, 0, 1), (1, 0, 0), 1, c_sign=True)),
-    ("c_sign", lambda: maxwell.PlaneWave.make((0, 0, 1), (1, 0, 0), 1, c_sign=True)),
-], ids=["build_spinor-branch", "photon-hbar_sign", "photon-c_sign", "PlaneWave-c_sign"])
-def test_bool_sign_rejected(field, build):
-    """True == 1, so a bool passes `in (-1, 1)`; every sign label refuses it."""
-    with pytest.raises(ValueError, match=rf"^{field} must be \+1 or -1, got True$"):
+def _plane_wave_with_sign(hbar_sign):
+    return lambda: plane_wave([Radical.of(1)], Fraction(1), (0, 0, 0), hbar_sign)
+
+
+@pytest.mark.parametrize("field, got, build", [
+    ("branch", "True", lambda: electron.build_spinor((0, 0, 0), 1, (1, 0), branch=True)),
+    ("hbar_sign", "True",
+     lambda: photon.photon_plane_wave((0, 0, 1), (1, 0, 0), 1, hbar_sign=True)),
+    ("c_sign", "True", lambda: photon.photon_plane_wave((0, 0, 1), (1, 0, 0), 1, c_sign=True)),
+    ("c_sign", "True", lambda: maxwell.PlaneWave.make((0, 0, 1), (1, 0, 0), 1, c_sign=True)),
+    ("hbar_sign", "True", _plane_wave_with_sign(True)),
+    ("hbar_sign", "-1.0", _plane_wave_with_sign(-1.0)),
+    ("hbar_sign", "2", _plane_wave_with_sign(2)),
+    ("hbar_sign", "0", _plane_wave_with_sign(0)),
+    # a Fraction hbar used to rescale kappa: Fraction(1, 2) doubled every label
+    ("hbar_sign", r"Fraction\(1, 2\)", _plane_wave_with_sign(Fraction(1, 2))),
+    ("hbar_sign", r"Fraction\(-1, 1\)", _plane_wave_with_sign(Fraction(-1))),
+], ids=["build_spinor-branch", "photon-hbar_sign", "photon-c_sign", "PlaneWave-c_sign",
+        "plane_wave-True", "plane_wave-float", "plane_wave-2", "plane_wave-0",
+        "plane_wave-Fraction-half", "plane_wave-Fraction-minus-one"])
+def test_bool_sign_rejected(field, got, build):
+    """True == 1, so a bool passes `in (-1, 1)`; every sign label refuses it.
+
+    plane_wave takes its hbar sign as the int +1 or -1 only, and names any
+    other value it is given.
+    """
+    with pytest.raises(ValueError, match=rf"^{field} must be \+1 or -1, got {got}$"):
         build()
 
 
@@ -153,13 +182,13 @@ class TestDiracResidual:
         ph, sp = _states()
         cases = [(ph.record(), Fraction(0), gamma8.vector), (sp.record(), sp.mc, gamma4.vector)]
         for rec, mass_term, gammas in cases:
-            assert dirac_residual(rec, mass_term, Fraction(1), gammas) == 0.0
+            assert dirac_residual(rec, mass_term, 1, gammas) == 0.0
             nonzero = next(a for a in rec.amp if not a.is_zero())  # a commensurable radicand
             for i, a in enumerate(rec.amp):
                 amp = list(rec.amp)
                 amp[i] = nonzero if a.is_zero() else a * 2
                 bad = PlaneWaveFunction(amp, rec.kappa)
-                assert dirac_residual(bad, mass_term, Fraction(1), gammas) > 0.0, i
+                assert dirac_residual(bad, mass_term, 1, gammas) > 0.0, i
 
 
 def _fields(rec):
@@ -258,3 +287,111 @@ class TestSamplingHelpers:
             m = cross(n, l)
             assert dot(m, m) == dot(l, l)  # |n x l| = |l| for orthogonal unit n
             assert dot(m, n) == 0 and dot(m, l) == 0
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the int label paths: the plain Fraction formulas they replace
+# ---------------------------------------------------------------------------
+
+_rational = st.one_of(
+    st.integers(-60, 60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=90),
+    st.sampled_from([0, Fraction(0)]),
+)
+_vec3 = st.tuples(_rational, _rational, _rational)
+
+
+def _fraction_dot(a, b):
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
+def _fraction_cross(a, b):
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+class TestIntVectorArithmetic:
+    """dot and cross over one common denominator equal the Fraction formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_vec3, _vec3)
+    def test_rational_dot_and_cross(self, a, b):
+        d, c = dot(a, b), cross(a, b)
+        assert d == _fraction_dot(a, b) and d.__class__ is Fraction
+        assert c == _fraction_cross(a, b) and all(x.__class__ is Fraction for x in c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_rational, _rational), min_size=1, max_size=4),
+           st.sampled_from([1, 2, 3, 6]), st.sampled_from([1, 2, 5]))
+    def test_radical_dot_is_the_generic_sum(self, pairs, ra, rb):
+        a = [Radical(x, ra) for x, _ in pairs]
+        b = [Radical(y, rb) for _, y in pairs]
+        d = dot(a, b)
+        assert d == sum(x * y for x, y in zip(a, b)) and isinstance(d, Radical)
+
+
+def _parent_unit_vector(rng):
+    while True:
+        x, y, z = (int(v) for v in rng.integers(-9, 10, size=3))
+        if z != 0 and (x, y) != (0, 0):
+            break
+    d = x * x + y * y + z * z
+    v = [Fraction(2 * x * z, d), Fraction(2 * y * z, d), Fraction(z * z - x * x - y * y, d)]
+    perm = rng.permutation(3)
+    signs = rng.integers(0, 2, size=3) * 2 - 1
+    return tuple(Fraction(int(signs[i])) * v[int(perm[i])] for i in range(3))
+
+
+def _parent_orthogonal_vector(rng, n):
+    while True:
+        v = tuple(Fraction(int(c)) for c in rng.integers(-9, 10, size=3))
+        vn = sum(a * b for a, b in zip(v, n))
+        w = tuple(a - vn * b for a, b in zip(v, n))
+        if any(w):
+            return w
+
+
+def _parent_magnitude(rng):
+    mag = Fraction(int(rng.integers(1, 1000)), int(rng.integers(1, 1000)))
+    exp = int(rng.integers(-3, 4))
+    return mag * 10**exp if exp >= 0 else mag / 10 ** (-exp)
+
+
+def _parent_spinor(rng):
+    while True:
+        parts = [Fraction(int(n), int(d)) for n, d in
+                 zip(rng.integers(-9, 10, size=4), rng.integers(1, 10, size=4))]
+        z = (ExactComplex(parts[0], parts[1]), ExactComplex(parts[2], parts[3]))
+        if z[0] or z[1]:
+            return z
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+class TestSamplingMatchesFractionFormulas:
+    """200 draws per seed equal the Fraction formulas and consume the same stream."""
+
+    def test_sampling_helpers(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            n, want_n = rational_unit_vector(rng), _parent_unit_vector(ref)
+            assert n == want_n and all(x.__class__ is Fraction for x in n)
+            l = rational_orthogonal_vector(rng, n)
+            assert l == _parent_orthogonal_vector(ref, want_n)
+            assert all(x.__class__ is Fraction for x in l)
+            assert rational_magnitude(rng) == _parent_magnitude(ref)
+            assert gaussian_rational_spinor(rng) == _parent_spinor(ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_spinor_direction_norm_and_signed_labels(self, seed, gamma4):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            sp = report.random_spinor(rng)
+            states = (sp, electron.apply_C_spinor(sp, gamma4),
+                      replace(sp, p=tuple(-x for x in sp.p), c_sign=-1, sigma_sign=-1))
+            for s in states:
+                want_n = ((0, 0, 1) if s.p_abs == 0
+                          else tuple(pi / s.p_abs for pi in s.p))
+                assert s.n == want_n and all(x.__class__ is Fraction for x in s.n)
+                assert s.s == s.z[0].norm_sq() + s.z[1].norm_sq()
+                assert s.p0 == s.energy / Fraction(s.c_sign)
+                assert s.mc == s.m * Fraction(s.c_sign)
