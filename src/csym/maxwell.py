@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import EC_ONE, ExactComplex, ExactMatrix, RowSpan
+from .exact import EC_ONE, ExactComplex, ExactMatrix, RowSpan, _frac
 from .sampling import Vec3, cross, dot
 from .signgroup import BLOCKS, FieldOperator, classical_conjugation_operator
 from .waves import PlaneWaveFunction, Radical, plane_wave
@@ -185,9 +185,9 @@ class PlaneWave:
 
     @staticmethod
     def make(n, l, k0, c_sign: int = 1, m=None) -> "PlaneWave":
-        n = tuple(Fraction(x) for x in n)
-        l = tuple(Fraction(x) for x in l)
-        k0 = Fraction(k0)
+        n = tuple(_frac(x) for x in n)
+        l = tuple(_frac(x) for x in l)
+        k0 = _frac(k0)
         if dot(n, n) != 1:
             raise ValueError(f"guiding vector must be exactly unit: |n|^2 = {dot(n, n)}")
         if dot(n, l) != 0:
@@ -198,7 +198,7 @@ class PlaneWave:
             raise ValueError(f"wavenumber k0 must be positive, got {k0}")
         if isinstance(c_sign, bool) or c_sign not in (-1, 1):
             raise ValueError(f"c_sign must be +1 or -1, got {c_sign}")
-        m = cross(n, l) if m is None else tuple(Fraction(x) for x in m)
+        m = cross(n, l) if m is None else tuple(_frac(x) for x in m)
         return PlaneWave(l=l, m=m, n=n, k0=k0, c_sign=c_sign)
 
     @property

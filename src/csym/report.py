@@ -15,7 +15,7 @@ import inspect
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -73,16 +73,6 @@ class CheckResult:
             raise ValueError(f"status must be pass or fail, got {self.status!r}")
         if self.status == "fail" and not self.details:
             raise ValueError(f"failing check {self.id} must carry details")
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "suite": self.suite,
-            "description": self.description,
-            "reference": self.reference,
-            "status": self.status,
-            "details": self.details,
-        }
 
 
 @dataclass(frozen=True)
@@ -223,6 +213,12 @@ def _check(suite: str, check_id: str, description: str, reference: str,
         _CHECKS.append(_Check(suite, check_id, description, reference, fn, needs, potential_rule))
         return fn
     return register
+
+
+def _verdict(claims, passed: str) -> tuple[bool, str]:
+    """Pass with `passed` if every (holds, fault) claim holds, else fail naming each fault."""
+    faults = [fault for holds, fault in claims if not holds]
+    return not faults, "; ".join(faults) or passed
 
 
 def _run_suite(suite: str, config: RunConfig) -> list[CheckResult]:
@@ -575,26 +571,26 @@ def _g5_product(gamma8):
         "conjugation-matrix constraints in the 8-dimensional form")
 def _conjugation_space_8(gamma8, lam):
     space = photon.solve_conjugation_8(gamma8)
-    ok = space.nullity == EXPECTED_NULLITY_8
-    ok &= space.rank + space.nullity == 64
-    ok &= space.contains(gamma8.g0)
-    ok &= space.contains(gamma8.g0.scale(lam))
-    ok &= all(not b.is_zero() for b in space.basis)
-    return ok, (
-        f"nullity {space.nullity} (pre-recorded oracle {EXPECTED_NULLITY_8}), "
-        "lambda*g0 lies in the span, no zero basis vector"
-    )
+    return _verdict([
+        (space.nullity == EXPECTED_NULLITY_8 and space.rank + space.nullity == 64,
+         f"nullity {space.nullity}, rank {space.rank}; oracle nullity {EXPECTED_NULLITY_8} of 64"),
+        (space.contains(gamma8.g0), "g0 lies outside the span"),
+        (space.contains(gamma8.g0.scale(lam)), f"lambda*g0 (lambda {lam!r}) lies outside the span"),
+        (all(not b.is_zero() for b in space.basis), "a basis vector is zero"),
+    ], f"nullity {space.nullity} (pre-recorded oracle {EXPECTED_NULLITY_8}), "
+       "lambda*g0 lies in the span, no zero basis vector")
 
 
 @_check("photon", "state-normalization",
         "random photon states are exactly normalized",
         "unit norm of the 8-component photon state")
 def _photon_normalization(config, rng, lam):
-    ok = True
     for _ in range(min(config.samples, 25)):
         st = _random_photon(rng, lam)
-        ok &= st.norm_sq() == EC_ONE
-    return ok, "exact unit norm on random states"
+        norm = st.norm_sq()
+        if norm != EC_ONE:
+            return False, f"norm^2 {norm!r}, not 1, for state {st}"
+    return True, "exact unit norm on random states"
 
 
 @_check("photon", "state-residual",
@@ -615,14 +611,15 @@ def _photon_residual(rng, lam, gamma8):
 def _photon_c_action(rng, lam):
     st = _random_photon(rng, lam)
     conj = photon.apply_C_photon(st)
-    rec = st.record()
-    ok = conj.record().kappa == tuple(-k for k in rec.kappa)
-    ok &= all(a == b * lam for a, b in zip(conj.record().amp, rec.amp))
-    back = photon.apply_C_photon(conj)
-    ok &= back.record() == rec
+    rec, c_rec = st.record(), conj.record()
     energy, _ = labels(conj)
-    ok &= energy == -st.wave.k0
-    return ok, "conjugate is lambda * conjugated record; double application restores"
+    return _verdict([
+        (c_rec.kappa == tuple(-k for k in rec.kappa), "C does not reverse the phase"),
+        (all(a == b * lam for a, b in zip(c_rec.amp, rec.amp)),
+         f"C's amplitudes are not lambda = {lam!r} times the state's"),
+        (photon.apply_C_photon(conj).record() == rec, "C C does not restore the record"),
+        (energy == -st.wave.k0, f"C's energy label {energy} is not -k0 = {-st.wave.k0}"),
+    ], "conjugate is lambda * conjugated record; double application restores")
 
 
 @_check("photon", "cq-record-equality",
@@ -655,9 +652,12 @@ def _q_double(rng, lam, gamma8):
     once = photon.apply_Q_photon(st, gamma8)
     twice = photon.apply_Q_photon(once, gamma8)
     phase = lam * lam.conjugate()
-    ok = twice.record() == st.record().scale(phase)
-    ok &= twice.hbar_sign == st.hbar_sign and twice.c_sign == st.c_sign
-    return ok, f"double inversion restores the state (global phase {phase!r})"
+    signs, want = (twice.hbar_sign, twice.c_sign), (st.hbar_sign, st.c_sign)
+    return _verdict([
+        (twice.record() == st.record().scale(phase),
+         f"Q Q does not restore the record up to the global phase {phase!r}"),
+        (signs == want, f"Q Q leaves the (hbar, c) signs {signs}, not {want}"),
+    ], f"double inversion restores the state (global phase {phase!r})")
 
 
 @_check("photon", "displaced-phase-form",
@@ -665,11 +665,9 @@ def _q_double(rng, lam, gamma8):
         "alternative closed form of the inverted photon function")
 def _displaced_phase(rng, gamma8):
     st = _random_photon(rng, ExactComplex(0, -1))
-    q_rec = photon.apply_Q_photon(st, gamma8).record()
-    return (
-        photon.phase_displacement_form(st) == q_rec,
-        "flipped polarizations with a +pi/2 phase shift give the same function",
-    )
+    if photon.phase_displacement_form(st) != photon.apply_Q_photon(st, gamma8).record():
+        return False, f"the shifted rewriting differs from the Q record for state {st}"
+    return True, "flipped polarizations with a +pi/2 phase shift give the same function"
 
 
 @_check("photon", "conjugate-energy-sign",
@@ -713,11 +711,11 @@ def _currents(config, rng, lam, gamma8):
 
 
 def random_spinor(rng, branch=1) -> electron.SpinorState:
-    p_abs, mc, _ = momentum_mass_energy(rng)
+    p_abs, mc, energy = momentum_mass_energy(rng)
     n = rational_unit_vector(rng)
-    p = tuple(p_abs * ni for ni in n)
     z = gaussian_rational_spinor(rng)
-    return electron.build_spinor(p, mc, z, branch=branch)
+    return electron.SpinorState(p=tuple(p_abs * ni for ni in n), m=mc, z=z, energy=energy,
+                                p_abs=p_abs, branch=branch)
 
 
 def _spinor_cq(rng, gamma4):
@@ -740,15 +738,15 @@ def _gamma4_identities(gamma4):
         "conjugation-matrix constraints in the 4-dimensional form")
 def _conjugation_space_4(gamma4):
     space = electron.solve_UQ(gamma4)
-    ok = space.nullity == EXPECTED_NULLITY_4
-    ok &= space.rank + space.nullity == 16
-    ok &= space.contains(electron.conjugation_matrix(gamma4))
-    ident = electron.conjugation_matrix(gamma4) @ electron.conjugation_matrix(gamma4)
-    ok &= not space.contains(ident)  # the identity matrix fails the constraints
-    return ok, (
-        f"nullity {space.nullity} (pre-recorded oracle {EXPECTED_NULLITY_4}); "
-        "-g0 g2 spans the space; the identity matrix is excluded"
-    )
+    u = electron.conjugation_matrix(gamma4)
+    return _verdict([
+        (space.nullity == EXPECTED_NULLITY_4 and space.rank + space.nullity == 16,
+         f"nullity {space.nullity}, rank {space.rank}; oracle nullity {EXPECTED_NULLITY_4} of 16"),
+        (space.contains(u), "-g0 g2 lies outside the span"),
+        # the identity matrix u u fails the constraints
+        (not space.contains(u @ u), "the identity matrix u u lies in the span"),
+    ], f"nullity {space.nullity} (pre-recorded oracle {EXPECTED_NULLITY_4}); "
+       "-g0 g2 spans the space; the identity matrix is excluded")
 
 
 @_check("electron", "conjugation-matrices-coincide",
@@ -1061,7 +1059,7 @@ def report_to_dict(report: VerificationReport) -> dict:
     return {
         "version": VERSION,
         "config": report.config.to_dict(),
-        "checks": [c.to_dict() for c in report.checks],
+        "checks": [asdict(c) for c in report.checks],
         "summary": {
             "total": report.total,
             "passed": report.passed,

@@ -1,6 +1,7 @@
 """The Dirac equation: algebra, table, spinors, conjugations, charged form."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,12 @@ from csym.electron import (
 )
 from csym.exact import EC_I, ExactComplex, ExactMatrix, anticommutator
 from csym.report import RunConfig, random_spinor, run
-from csym.sampling import spacetime_points
+from csym.sampling import (
+    gaussian_rational_spinor,
+    momentum_mass_energy,
+    rational_unit_vector,
+    spacetime_points,
+)
 from csym.waves import PlaneWaveFunction, Radical, labels
 
 MINUS_I = ExactComplex(0, -1)
@@ -261,16 +267,23 @@ class TestSpinorStates:
         with pytest.raises(ValueError, match=r"\|p\| must be rational: \|p\|\^2 = 2"):
             build_spinor((1, 1, 0), Fraction(1, 2), (1, 0))  # energy 3/2 is rational
 
-    @pytest.mark.parametrize("energy, p_abs, message", [
-        (Fraction(7, 2), Fraction(3, 2), "energy label 7/2 "),   # |p|^2 + m^2 = 25/4
-        (Fraction(-5, 2), Fraction(3, 2), "energy label -5/2 "),  # the negative root
-        (Fraction(5, 2), Fraction(2), "p_abs label 2 "),
-        (Fraction(5, 2), Fraction(-3, 2), "p_abs label -3/2 "),
+    @pytest.mark.parametrize("energy, p_abs, message, fields", [
+        (Fraction(7, 2), Fraction(3, 2), "energy label 7/2 ", {}),   # |p|^2 + m^2 = 25/4
+        (Fraction(-5, 2), Fraction(3, 2), "energy label -5/2 ", {}),  # the negative root
+        (Fraction(5, 2), Fraction(2), "p_abs label 2 ", {}),
+        (Fraction(5, 2), Fraction(-3, 2), "p_abs label -3/2 ", {}),
+        # a direct state gets the same label checks that build_spinor's states get
+        (Fraction(5, 2), Fraction(3, 2), "rest mass must be positive, got 0", {"m": Fraction(0)}),
+        (Fraction(5, 2), Fraction(3, 2), "rest mass must be positive, got -2", {"m": -2}),
+        (Fraction(5, 2), Fraction(3, 2), "spinor label z must be nonzero", {"z": (0, 0)}),
+        (Fraction(5, 2), Fraction(3, 2), "branch must be +1 or -1, got 3", {"branch": 3}),
+        (Fraction(5, 2), Fraction(3, 2), "branch must be +1 or -1, got True", {"branch": True}),
     ])
-    def test_direct_state_with_wrong_labels_rejected(self, energy, p_abs, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
-            SpinorState(p=(Fraction(3, 2), Fraction(0), Fraction(0)), m=Fraction(2),
-                        z=(ExactComplex(1), ExactComplex(0)), energy=energy, p_abs=p_abs)
+    def test_direct_state_with_wrong_labels_rejected(self, energy, p_abs, message, fields):
+        state = dict(p=(Fraction(3, 2), Fraction(0), Fraction(0)), m=Fraction(2),
+                     z=(ExactComplex(1), ExactComplex(0)), energy=energy, p_abs=p_abs)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            SpinorState(**(state | fields))
 
     def test_zero_spinor_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -287,6 +300,26 @@ class TestSpinorStates:
         u = st.bispinor()
         total = (u[0] * u[0].conjugate() + u[1] * u[1].conjugate()).to_exact()
         assert total == ExactComplex(2 * st.m)
+
+    @pytest.mark.parametrize("branch", [1, -1])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_drawn_labels_match_the_derived_ones(self, seed, branch):
+        """random_spinor hands the draw's own |p|, mc and energy to SpinorState.
+
+        The reference derives every label from p and m through build_spinor,
+        on a second stream that makes the same sampling calls; the two states
+        agree field by field and the streams end in the same state.
+        """
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            st = random_spinor(rng, branch)
+            p_abs, mc, _ = momentum_mass_energy(ref)
+            n = rational_unit_vector(ref)
+            want = build_spinor(tuple(p_abs * ni for ni in n), mc, gaussian_rational_spinor(ref),
+                                branch)
+            for f in dataclasses.fields(SpinorState):
+                assert getattr(st, f.name) == getattr(want, f.name), f.name
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestConjugations:

@@ -1,19 +1,21 @@
 """Mutation controls: each row breaks one csym function and names the checks
-that must then fail.
+that must then fail, and no others.
 
 A row is (mutation, run config, check ids).  The mutation monkeypatches one
 function the report reads; the run uses 10 samples.  The same config run
 without the mutation passes every named check, so a row fails only because
-of what it breaks.
+of what it breaks.  Each failing check must report details other than its
+pass text, so that the report names what broke.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from csym import electron, maxwell, photon, report, waves
+from csym import electron, gamma, maxwell, photon, report, waves
 from csym.report import RunConfig, run
-from csym.waves import PlaneWaveFunction, bilinear
+from csym.sampling import dot
+from csym.waves import PlaneWaveFunction, Radical, bilinear, plane_wave
 from test_electron import _branch_blind_partner
 
 
@@ -58,11 +60,36 @@ def _orthogonal_vector_without_projection(monkeypatch):
     monkeypatch.setattr(report, "rational_orthogonal_vector", sampler)
 
 
+def _photon_norm_without_factor_2(monkeypatch):
+    """A photon amplitude over sqrt(|l|^2), not sqrt(2 |l|^2): the norm is 2."""
+    def record(self):
+        amp = [Radical(1, 1 / dot(self.wave.l, self.wave.l)) * x
+               for x in maxwell.field_column(self.wave)[:8]]
+        return plane_wave(amp, self.wave.k0, self.wave.k, self.hbar_sign)
+    monkeypatch.setattr(photon.PhotonState, "record", record)
+
+
+def _negated_signs(gs, signs):
+    return gamma.solve_conjugation_space(gs, tuple(-s for s in signs))
+
+
+def _photon_constraint_signs_negated(monkeypatch):
+    """The photon conjugation constraints solved with every sign negated."""
+    monkeypatch.setattr(photon, "solve_conjugation_space", _negated_signs)
+
+
+def _electron_constraint_signs_negated(monkeypatch):
+    """The electron conjugation constraints solved with every sign negated."""
+    monkeypatch.setattr(electron, "solve_conjugation_space", _negated_signs)
+
+
 MUTATIONS = [
     (_currents_without_g0, dict(suites=("photon",)), {"photon.currents"}),
     (_c_photon_without_lam, dict(suites=("photon",), lam="-i"),
-     {"photon.charge-conjugation-action"}),
-    (_branch_blind_partner, dict(suites=("electron",)), {"electron.charge-conjugation-action"}),
+     {"photon.charge-conjugation-action", "photon.conjugate-energy-sign",
+      "photon.cq-pointwise-equality", "photon.cq-record-equality"}),
+    (_branch_blind_partner, dict(suites=("electron",)),
+     {"electron.charge-conjugation-action", "electron.conjugation-commutator"}),
     (_p0_ignoring_c_sign, dict(suites=("electron",)),
      {"electron.conjugation-commutator", "electron.cq-pointwise-equality",
       "electron.cq-record-equality"}),
@@ -80,19 +107,31 @@ MUTATIONS = [
       "photon.cq-pointwise-equality", "photon.cq-record-equality", "photon.currents",
       "photon.displaced-phase-form", "photon.inversion-involution",
       "photon.state-normalization", "photon.state-residual"}),
+    # the three claims below have no copy asserted at construction, so their
+    # own checks are what fails
+    (_photon_norm_without_factor_2, dict(suites=("photon",)),
+     {"photon.state-normalization", "photon.currents"}),
+    (_photon_constraint_signs_negated, dict(suites=("photon",)),
+     {"photon.conjugation-matrix-space"}),
+    (_electron_constraint_signs_negated, dict(suites=("electron",)),
+     {"electron.conjugation-matrix-unique"}),
 ]
 
 
-def _statuses(config_kwargs):
+def _results(config_kwargs):
     report = run(RunConfig(samples=10, **config_kwargs))
-    return {c.id: c.status for c in report.checks}
+    return {c.id: (c.status, c.details) for c in report.checks}
 
 
 @pytest.mark.parametrize("mutate, config_kwargs, must_fail", MUTATIONS,
                          ids=[row[0].__name__.lstrip("_") for row in MUTATIONS])
 def test_mutation_fails_its_checks(monkeypatch, mutate, config_kwargs, must_fail):
-    unpatched = _statuses(config_kwargs)
-    assert {unpatched[i] for i in must_fail} == {"pass"}
+    unpatched = _results(config_kwargs)
+    assert {unpatched[i][0] for i in must_fail} == {"pass"}
     mutate(monkeypatch)
-    mutated = _statuses(config_kwargs)
-    assert {i: mutated[i] for i in must_fail} == dict.fromkeys(must_fail, "fail")
+    mutated = _results(config_kwargs)
+    newly_failing = {i for i, (status, _) in mutated.items()
+                     if status == "fail" and unpatched[i][0] == "pass"}
+    assert newly_failing == must_fail
+    # a failing check names what failed instead of repeating its pass text
+    assert {i: mutated[i][1] for i in must_fail if mutated[i][1] == unpatched[i][1]} == {}

@@ -125,6 +125,8 @@ class TestPhotonState:
     def test_bad_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda"):
             photon_plane_wave((0, 0, 1), (1, 0, 0), 1, lam=ExactComplex(2))
+        with pytest.raises(ValueError, match=r"^lambda must be one of \+1, -1, \+i, -i, got "):
+            photon.PhotonState(PlaneWave.make((0, 0, 1), (1, 0, 0), 1), 1, ExactComplex(2))
 
     @pytest.mark.parametrize("p0", [0, Fraction(-3, 2)])
     def test_nonpositive_p0_rejected(self, p0):

@@ -145,6 +145,10 @@ def test_labels_of_every_kind_of_wave(gamma4, gamma8):
         assert labels(wave) == want, type(wave).__name__
 
 
+def _wave():
+    return maxwell.PlaneWave.make((0, 0, 1), (1, 0, 0), 1)
+
+
 def _plane_wave_with_sign(hbar_sign):
     return lambda: plane_wave([Radical.of(1)], Fraction(1), (0, 0, 0), hbar_sign)
 
@@ -162,9 +166,13 @@ def _plane_wave_with_sign(hbar_sign):
     # a Fraction hbar used to rescale kappa: Fraction(1, 2) doubled every label
     ("hbar_sign", r"Fraction\(1, 2\)", _plane_wave_with_sign(Fraction(1, 2))),
     ("hbar_sign", r"Fraction\(-1, 1\)", _plane_wave_with_sign(Fraction(-1))),
+    # a state built directly validates its own signs
+    ("hbar_sign", "True", lambda: photon.PhotonState(_wave(), hbar_sign=True)),
+    ("hbar_sign", "0", lambda: photon.PhotonState(_wave(), hbar_sign=0)),
 ], ids=["build_spinor-branch", "photon-hbar_sign", "photon-c_sign", "PlaneWave-c_sign",
         "plane_wave-True", "plane_wave-float", "plane_wave-2", "plane_wave-0",
-        "plane_wave-Fraction-half", "plane_wave-Fraction-minus-one"])
+        "plane_wave-Fraction-half", "plane_wave-Fraction-minus-one",
+        "PhotonState-True", "PhotonState-0"])
 def test_bool_sign_rejected(field, got, build):
     """True == 1, so a bool passes `in (-1, 1)`; every sign label refuses it.
 
@@ -173,6 +181,33 @@ def test_bool_sign_rejected(field, got, build):
     """
     with pytest.raises(ValueError, match=rf"^{field} must be \+1 or -1, got {got}$"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: maxwell.PlaneWave.make((x, Fraction(4, 5), 0), (0, 0, 1), 1),
+    lambda x: maxwell.PlaneWave.make((0, 0, 1), (x, 0, 0), 1),
+    lambda x: maxwell.PlaneWave.make((0, 0, 1), (1, 0, 0), x),
+    lambda x: maxwell.PlaneWave.make((0, 0, 1), (1, 0, 0), 1, m=(0, x, 0)),
+    lambda x: electron.build_spinor((x, 0, 0), 1, (1, 0)),
+    lambda x: electron.build_spinor((0, 0, 0), x, (1, 0)),
+], ids=["PlaneWave-n", "PlaneWave-l", "PlaneWave-k0", "PlaneWave-m", "build_spinor-p",
+        "build_spinor-m"])
+def test_float_label_refused(build):
+    """0.6 is no exact label: Fraction(0.6) would be the nearest binary fraction."""
+    with pytest.raises(TypeError, match=r"^refusing inexact float 0\.6; pass int or Fraction$"):
+        build(0.6)
+
+
+def test_labels_kept_or_made_exact():
+    """A Fraction label is stored as the same object; an int becomes a Fraction."""
+    n, l, k0 = (Fraction(3, 5), Fraction(4, 5), Fraction(0)), (0, 0, Fraction(7, 2)), Fraction(7, 3)
+    w = maxwell.PlaneWave.make(n, l, k0)
+    assert w.n[0] is n[0] and w.n[1] is n[1] and w.l[2] is l[2] and w.k0 is k0
+    p, m = (Fraction(3, 2), 0, Fraction(-2)), Fraction(6)  # |p| = 5/2, energy 13/2
+    st = electron.build_spinor(p, m, (1, 0))
+    assert st.p[0] is p[0] and st.p[2] is p[2] and st.m is m
+    for x in (w.l[0], st.p[1], electron.build_spinor((0, 0, 0), 2, (1, 0)).m):
+        assert x.__class__ is Fraction
 
 
 class TestDiracResidual:
