@@ -17,7 +17,7 @@ from csym import (
 table = generate_g8()
 structure = classify_group(table)
 
-print("sign-matrix group")
+print("coordinate sign group on (x0, x, c)")
 print(f"  order:            {table.order}")
 print(f"  abelian:          {structure.is_abelian}")
 print(f"  cyclic:           {structure.is_cyclic}")

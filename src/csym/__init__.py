@@ -29,9 +29,9 @@ from .exact import (
 )
 from .waves import PlaneWaveFunction, Radical
 from .signgroup import (
+    GENERATORS,
     FieldOperator,
     GroupTable,
-    alpha_matrices,
     build_field_operators,
     canonical_operators,
     classify_group,

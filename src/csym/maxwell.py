@@ -29,7 +29,7 @@ from functools import cached_property
 from .exact import EC_ONE, ExactComplex, ExactMatrix, RowSpan, _frac
 from .sampling import Vec3, cross, dot
 from .signgroup import BLOCKS, FieldOperator, classical_conjugation_operator
-from .waves import PlaneWaveFunction, Radical, plane_wave
+from .waves import PlaneWaveFunction, Radical, check_sign, plane_wave
 
 N_COMPONENTS = 16
 N_SLOTS = 5  # coefficient of (1, d0, d1, d2, d3) per component
@@ -196,8 +196,7 @@ class PlaneWave:
             raise ValueError("electric polarization l must be nonzero")
         if k0 <= 0:
             raise ValueError(f"wavenumber k0 must be positive, got {k0}")
-        if isinstance(c_sign, bool) or c_sign not in (-1, 1):
-            raise ValueError(f"c_sign must be +1 or -1, got {c_sign}")
+        check_sign("c_sign", c_sign)
         m = cross(n, l) if m is None else tuple(_frac(x) for x in m)
         return PlaneWave(l=l, m=m, n=n, k0=k0, c_sign=c_sign)
 

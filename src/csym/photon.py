@@ -39,6 +39,7 @@ from .waves import (
     PlaneWaveFunction,
     Radical,
     bilinear,
+    check_sign,
     dirac_residual,
     plane_wave,
     radical_sum,
@@ -145,8 +146,7 @@ class PhotonState:
     def __post_init__(self):
         if self.lam not in ALLOWED_LAMBDA:
             raise ValueError(f"lambda must be one of +1, -1, +i, -i, got {self.lam!r}")
-        if isinstance(self.hbar_sign, bool) or self.hbar_sign not in (-1, 1):
-            raise ValueError(f"hbar_sign must be +1 or -1, got {self.hbar_sign}")
+        check_sign("hbar_sign", self.hbar_sign)
 
     @property
     def c_sign(self) -> int:

@@ -298,18 +298,20 @@ def _group_not_cyclic(group_table, structure):
         "the six named operators carry their tabulated argument/component signs",
         "defining sign table of the field-function transformations")
 def _defining_rows(ops):
-    t1 = ops["T1"]
-    ok = t1.arg_sig == (-1, 1, 1) and not t1.charge_flip
-    for blk, sign in (("E", 1), ("H", -1), ("rho", 1), ("J", -1), ("phi", 1), ("A", -1)):
-        ok &= all(t1.comp_signs[i] == sign for i in signgroup.BLOCKS[blk])
-    q2 = ops["Q2"]
-    ok &= q2.arg_sig == (1, 1, -1) and not q2.charge_flip
-    ok &= all(s == 1 for s in q2.comp_signs)
-    q1 = ops["Q1"]
-    ok &= q1.arg_sig == (1, 1, -1) and q1.charge_flip
-    ok &= all(q1.comp_signs[i] == -1 for i in signgroup.PHYSICAL_SLOTS)
-    ok &= ops["E"] == signgroup.IDENTITY
-    return ok, None
+    t1, q1, q2 = ops["T1"], ops["Q1"], ops["Q2"]
+    t1_blocks = (("E", 1), ("H", -1), ("rho", 1), ("J", -1), ("phi", 1), ("A", -1))
+    return _verdict([
+        (t1.arg_sig == (-1, 1, 1) and not t1.charge_flip
+         and all(t1.comp_signs[i] == sign
+                 for blk, sign in t1_blocks for i in signgroup.BLOCKS[blk]),
+         f"row T1 differs from its table entry: {t1}"),
+        (q2.arg_sig == (1, 1, -1) and not q2.charge_flip and all(s == 1 for s in q2.comp_signs),
+         f"row Q2 differs from its table entry: {q2}"),
+        (q1.arg_sig == (1, 1, -1) and q1.charge_flip
+         and all(q1.comp_signs[i] == -1 for i in signgroup.PHYSICAL_SLOTS),
+         f"row Q1 differs from its table entry: {q1}"),
+        (ops["E"] == signgroup.IDENTITY, f"row E is not the identity operator: {ops['E']}"),
+    ], None)
 
 
 @_check("group", "field-operator-relations",
@@ -339,10 +341,13 @@ def _sixteen(distinct):
         "the worked product collapses reduce to their canonical names",
         "example reductions of operator products")
 def _collapses():
-    ok = signgroup.reduce_product(("P1", "Q1", "Q2")) == "P2"
-    ok &= signgroup.reduce_product(("P1", "P2", "T1", "T2")) == "E"
-    ok &= signgroup.reduce_product(("P1", "P2", "T1", "T2", "Q1", "Q2")) == "Q1Q2"
-    return ok, "P1*Q1*Q2 = P2; P1*P2*T1*T2 = E; all six at once = Q1Q2"
+    worked = {("P1", "Q1", "Q2"): "P2", ("P1", "P2", "T1", "T2"): "E",
+              ("P1", "P2", "T1", "T2", "Q1", "Q2"): "Q1Q2"}
+    reduced = {names: signgroup.reduce_product(names) for names in worked}
+    return _verdict([
+        (reduced[names] == want, f"{'*'.join(names)} reduces to {reduced[names]}, not {want}")
+        for names, want in worked.items()
+    ], "P1*Q1*Q2 = P2; P1*P2*T1*T2 = E; all six at once = Q1Q2")
 
 
 @_check("group", "classical-conjugation-composite",
@@ -350,10 +355,13 @@ def _collapses():
         "classical charge conjugation as an operator product")
 def _conjugation_composite():
     ce = signgroup.classical_conjugation_operator()
-    ok = ce.arg_sig == (1, 1, 1) and ce.charge_flip
-    ok &= all(ce.comp_signs[i] == -1 for i in signgroup.PHYSICAL_SLOTS)
-    ok &= ce.compose(ce) == signgroup.IDENTITY
-    return ok, "Q1Q2 fixes the arguments, negates all 14 components, flips e"
+    return _verdict([
+        (ce.arg_sig == (1, 1, 1), f"Q1Q2 maps the argument signs to {ce.arg_sig}"),
+        (all(ce.comp_signs[i] == -1 for i in signgroup.PHYSICAL_SLOTS),
+         f"Q1Q2 does not negate all 14 components: {ce.comp_signs}"),
+        (ce.charge_flip, "Q1Q2 keeps the charge label"),
+        (ce.compose(ce) == signgroup.IDENTITY, "Q1Q2 does not square to E"),
+    ], "Q1Q2 fixes the arguments, negates all 14 components, flips e")
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +467,19 @@ def _classical_conjugation(distinct):
         (Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)), (3, -2, 0), Fraction(5, 4)
     )
     cw = maxwell.classical_conjugate_wave(w)
-    ok = cw.l == tuple(-x for x in w.l) and cw.m == tuple(-x for x in w.m)
-    ok &= cw.n == w.n and cw.k0 == w.k0
-    ok &= maxwell.classical_conjugate_wave(cw) == w
     phi = maxwell.field_column(w)
-    negated = maxwell.classical_conjugate_column(phi)
-    ok &= negated == [-x for x in phi]
     ce = signgroup.classical_conjugation_operator()
     canon, _ = distinct
-    ok &= all(ce.compose(op) == op.compose(ce) for op in canon.values())
-    return ok, "polarizations negated, involution holds, composite is central"
+    return _verdict([
+        (cw.l == tuple(-x for x in w.l) and cw.m == tuple(-x for x in w.m),
+         "the conjugate's polarizations l and m are not both negated"),
+        (cw.n == w.n and cw.k0 == w.k0, "the conjugate changes the guiding vector or k0"),
+        (maxwell.classical_conjugate_wave(cw) == w, "conjugating twice does not restore the wave"),
+        (maxwell.classical_conjugate_column(phi) == [-x for x in phi],
+         "the conjugated field column is not the negated column"),
+        (all(ce.compose(op) == op.compose(ce) for op in canon.values()),
+         "Q1Q2 does not commute with every operator"),
+    ], "polarizations negated, involution holds, composite is central")
 
 
 @_check("maxwell", "energy-flux-invariance",
@@ -597,12 +608,15 @@ def _photon_normalization(config, rng, lam):
         "photon states solve the massless equation exactly for both c and hbar signs",
         "sign blindness of the massless equation")
 def _photon_residual(rng, lam, gamma8):
-    ok = True
-    for hs in (1, -1):
-        for cs in (1, -1):
-            st = _random_photon(rng, lam, hbar_sign=hs, c_sign=cs)
-            ok &= photon.dirac_form_residual(st, gamma8) == 0.0
-    return ok, "exact zero residual for all four sign combinations"
+    residuals = {
+        (hs, cs): photon.dirac_form_residual(
+            _random_photon(rng, lam, hbar_sign=hs, c_sign=cs), gamma8)
+        for hs in (1, -1) for cs in (1, -1)
+    }
+    return _verdict([
+        (r == 0.0, f"residual {r!r} for hbar sign {hs}, c sign {cs}")
+        for (hs, cs), r in residuals.items()
+    ], "exact zero residual for all four sign combinations")
 
 
 @_check("photon", "charge-conjugation-action",
@@ -678,14 +692,16 @@ def _negative_energy(rng, lam):
     base_e, base_f = maxwell.energy_poynting_record(st)
     conj_e, conj_f = maxwell.energy_poynting_record(photon.apply_C_photon(st))
     lam_sq = lam * lam
-    ok = conj_e == base_e * lam_sq
-    ok &= all(a == b * lam_sq for a, b in zip(conj_f, base_f))
+    claims = [(conj_e == base_e * lam_sq and all(a == b * lam_sq for a, b in zip(conj_f, base_f)),
+               f"conjugated energy {conj_e} and flux are not lambda^2 = {lam_sq!r} times "
+               f"the state's energy {base_e} and flux")]
     if lam == ExactComplex(0, -1) or lam == ExactComplex(0, 1):
-        ok &= conj_e.is_real() and conj_e.re < 0
-        detail = f"conjugated formal energy coefficient {conj_e} < 0, flux reversed"
+        claims.append((conj_e.is_real() and conj_e.re < 0,
+                       f"conjugated formal energy coefficient {conj_e} is not negative"))
+        passed = f"conjugated formal energy coefficient {conj_e} < 0, flux reversed"
     else:
-        detail = f"conjugated formal energy coefficient {conj_e} (real lambda keeps the sign)"
-    return ok, detail
+        passed = f"conjugated formal energy coefficient {conj_e} (real lambda keeps the sign)"
+    return _verdict(claims, passed)
 
 
 @_check("photon", "currents",
@@ -777,14 +793,13 @@ def _table(gamma4, transform_table):
         "each charge-conjugation row matches its inversion row up to constant signs",
         "correspondence of the two table columns")
 def _correspondence(transform_table):
-    ok = True
-    for c_name, q_name in electron.CORRESPONDENCE_PAIRS:
-        c_e, q_e = transform_table[c_name], transform_table[q_name]
-        ok &= c_e.matrix == q_e.matrix and c_e.conj == q_e.conj
-        ok &= c_e.arg_sig == q_e.arg_sig
-        ok &= (q_e.c_sign, q_e.hbar_sign) == (-1, -1)
-        ok &= (c_e.c_sign, c_e.hbar_sign) == (1, 1)
-    return ok, "row-by-row: same matrices, constant signs differ"
+    rows = [(transform_table[c], transform_table[q]) for c, q in electron.CORRESPONDENCE_PAIRS]
+    return _verdict([claim for c_e, q_e in rows for claim in (
+        (c_e.matrix == q_e.matrix and c_e.conj == q_e.conj and c_e.arg_sig == q_e.arg_sig,
+         f"rows {c_e.name} and {q_e.name} differ in matrix, conjugation or argument signs"),
+        ((c_e.c_sign, c_e.hbar_sign, q_e.c_sign, q_e.hbar_sign) == (1, 1, -1, -1),
+         f"rows {c_e.name} and {q_e.name} do not carry the constant signs (+, +) and (-, -)"),
+    )], "row-by-row: same matrices, constant signs differ")
 
 
 @_check("electron", "corrupted-entry-control",
@@ -831,11 +846,13 @@ def _spinor_residuals(config, rng, gamma4):
 def _rest_frame(gamma4):
     st = electron.build_spinor((0, 0, 0), Fraction(3, 2), (1, 0))
     u = st.bispinor()
-    ok = u[2].is_zero() and u[3].is_zero()
-    ok &= (u[0] * u[0].conjugate()).to_exact() == ExactComplex(2 * st.m)
-    ok &= u[1].is_zero()
-    ok &= electron.spinor_norm(st, gamma4) == ExactComplex(2 * st.m)
-    return ok, "lower block vanishes; upper carries sqrt(2 m c) w"
+    two_mc, norm = ExactComplex(2 * st.m), electron.spinor_norm(st, gamma4)
+    return _verdict([
+        (u[2].is_zero() and u[3].is_zero(), "the lower block does not vanish"),
+        ((u[0] * u[0].conjugate()).to_exact() == two_mc and u[1].is_zero(),
+         f"the upper block is not sqrt(2 m c) w for w = (1, 0), 2 m c = {two_mc}"),
+        (norm == two_mc, f"ubar u = {norm} is not 2 m c = {two_mc}"),
+    ], "lower block vanishes; upper carries sqrt(2 m c) w")
 
 
 @_check("electron", "charge-conjugation-action",
@@ -844,11 +861,16 @@ def _rest_frame(gamma4):
 def _spinor_c_action(rng, gamma4):
     st = random_spinor(rng)
     neg = electron.apply_C_spinor(st, gamma4)
-    ok = neg.branch == -1 and neg.c_sign == st.c_sign
-    ok &= labels(neg) == (-st.energy, tuple(-x for x in st.p))
     back = electron.apply_C_spinor(neg, gamma4)
-    ok &= back.z == st.z and back.branch == 1 and back.record() == st.record()
-    return ok, "image is the negative-branch template state; double application restores"
+    return _verdict([
+        (neg.branch == -1 and neg.c_sign == st.c_sign,
+         f"C's image has branch {neg.branch} and c sign {neg.c_sign}, not -1 and {st.c_sign}"),
+        (labels(neg) == (-st.energy, tuple(-x for x in st.p)),
+         "C's (energy, p) labels are not the state's negated"),
+        (back.z == st.z and back.branch == 1,
+         f"C C gives the spinor label {back.z} on branch {back.branch}, not {st.z} on 1"),
+        (back.record() == st.record(), "C C does not restore the record"),
+    ], "image is the negative-branch template state; double application restores")
 
 
 @_check("electron", "cq-record-equality",
@@ -857,6 +879,8 @@ def _spinor_c_action(rng, gamma4):
 def _spinor_cq_symbolic(config, rng, gamma4):
     for _ in range(config.samples):
         st, c_rec, q_rec = _spinor_cq(rng, gamma4)
+        if c_rec != st.record().conjugate_function().apply_matrix(gamma4.g2):
+            return False, f"the partner state's record is not g2 psi* for {st}"
         if c_rec != q_rec:
             return False, f"records differ for {st}"
     return True, f"{config.samples} random draws: records identical"

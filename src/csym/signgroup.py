@@ -1,11 +1,13 @@
-"""The order-8 group of 5x5 sign matrices and the 16 field-function symmetries.
+"""The order-8 coordinate sign group and the 16 field-function symmetries.
 
-The group acts on the extended event space (x0, x, c): one generator flips
-the time coordinate, one flips the three space coordinates, and one flips
-the sign of the speed of light.  Acting on the 16-component electromagnetic
-field function column(0, E, 0, H, rho, J, phi, A), the six named operators
-T1, T2, P1, P2, Q1, Q2 generate exactly 16 distinct symmetries; their
-composition algebra is verified here by exhaustive exact computation.
+The group acts on the extended event space (x0, x, c).  Its generators flip
+the time coordinate, the three space coordinates and the sign of the speed
+of light; each is written once, as its sign triple in GENERATORS, which both
+the group and the field operators' argument signs read.  Acting on the
+16-component electromagnetic field function column(0, E, 0, H, rho, J, phi, A),
+the six named operators T1, T2, P1, P2, Q1, Q2 generate exactly 16 distinct
+symmetries; their composition algebra is verified here by exhaustive exact
+computation.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import compress, product
 
-from .exact import ExactMatrix
+Signs = tuple[int, int, int]
 
-GENERATOR_ORDER = ("T", "P", "Q")
+#: each generator's signs on (x0, x, c): time reversal, space inversion and
+#: light-speed inversion
+GENERATORS: dict[str, Signs] = {"T": (-1, 1, 1), "P": (1, -1, 1), "Q": (1, 1, -1)}
 
 ZERO_SLOTS = (0, 4)
 PHYSICAL_SLOTS = tuple(i for i in range(16) if i not in ZERO_SLOTS)
@@ -33,35 +37,16 @@ BLOCKS = {
 }
 
 
-def alpha_matrices() -> dict[str, ExactMatrix]:
-    """The four diagonal 5x5 sign matrices acting on (x0, x, c).
-
-    Each generator is an involution and all pairs commute; both facts are
-    verified exactly at construction.
-    """
-    mats = {
-        "E": ExactMatrix.diagonal([1, 1, 1, 1, 1]),
-        "T": ExactMatrix.diagonal([-1, 1, 1, 1, 1]),
-        "P": ExactMatrix.diagonal([1, -1, -1, -1, 1]),
-        "Q": ExactMatrix.diagonal([1, 1, 1, 1, -1]),
-    }
-    ident = ExactMatrix.identity(5)
-    for name, m in mats.items():
-        if m @ m != ident:
-            raise AssertionError(f"generator {name} is not an involution")
-    for a in mats.values():
-        for b in mats.values():
-            if a @ b != b @ a:
-                raise AssertionError("generators do not commute")
-    return mats
+def _times(a: Signs, b: Signs) -> Signs:
+    return tuple(x * y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
 class GroupTable:
-    """A finite group of named matrices with an explicit composition map; the
-    identity is named "E"."""
+    """A finite group of named sign triples with an explicit composition map;
+    the identity is named "E"."""
 
-    elements: dict[str, ExactMatrix]
+    elements: dict[str, Signs]
     compose: dict[tuple[str, str], str]
 
     @property
@@ -69,33 +54,22 @@ class GroupTable:
         return len(self.elements)
 
 
-def _canonical_name(bits: tuple[int, int, int]) -> str:
-    name = "".join(g for g, b in zip(GENERATOR_ORDER, bits) if b)
-    return name or "E"
-
-
 def generate_g8() -> GroupTable:
-    """Close {E, T, P, Q} under the matrix product; exactly 8 elements."""
-    mats = alpha_matrices()
-    elements: dict[str, ExactMatrix] = {}
-    for bits in product((0, 1), repeat=3):
-        m = ExactMatrix.identity(5)
-        for g, b in zip(GENERATOR_ORDER, bits):
-            if b:
-                m = m @ mats[g]
-        name = _canonical_name(bits)
-        if any(m == other for other in elements.values()):
-            raise AssertionError(f"duplicate group element for {name}")
-        elements[name] = m
-    compose = {}
-    for na, ma in elements.items():
-        for nb, mb in elements.items():
-            prod = ma @ mb
-            matches = [n for n, m in elements.items() if m == prod]
-            if len(matches) != 1:
-                raise AssertionError(f"product {na}*{nb} not closed in the table")
-            compose[(na, nb)] = matches[0]
-    return GroupTable(elements=elements, compose=compose)
+    """Close {E} under the generators' sign triples; the order is counted.
+
+    Each new element is named by the word that first reaches it, so the
+    elements read E, T, P, Q, TP, TQ, PQ, TPQ.
+    """
+    names = {(1, 1, 1): "E"}
+    frontier = [(1, 1, 1)]
+    for signs in frontier:  # grows while it is walked: breadth first
+        for g, g_signs in GENERATORS.items():
+            prod = _times(signs, g_signs)
+            if prod not in names:
+                names[prod] = names[signs].removeprefix("E") + g
+                frontier.append(prod)
+    compose = {(names[a], names[b]): names[_times(a, b)] for a in names for b in names}
+    return GroupTable(elements={n: s for s, n in names.items()}, compose=compose)
 
 
 @dataclass(frozen=True)
@@ -143,7 +117,7 @@ class FieldOperator:
     """
 
     name: str = field(compare=False)
-    arg_sig: tuple[int, int, int]
+    arg_sig: Signs
     comp_signs: tuple[int, ...]
     charge_flip: bool
 
@@ -161,7 +135,7 @@ class FieldOperator:
     def compose(self, other: "FieldOperator") -> "FieldOperator":
         return FieldOperator(
             name=f"{self.name}*{other.name}",
-            arg_sig=tuple(a * b for a, b in zip(self.arg_sig, other.arg_sig)),
+            arg_sig=_times(self.arg_sig, other.arg_sig),
             comp_signs=tuple(a * b for a, b in zip(self.comp_signs, other.comp_signs)),
             charge_flip=self.charge_flip ^ other.charge_flip,
         )
@@ -177,45 +151,30 @@ class FieldOperator:
 IDENTITY = FieldOperator("E", (1, 1, 1), (1,) * 16, False)
 
 
-def _from_blocks(name, arg_sig, block_signs, charge_flip) -> FieldOperator:
-    signs = [1] * 16
-    for block, sign in block_signs.items():
-        for idx in BLOCKS[block]:
-            signs[idx] = sign
-    return FieldOperator(name, arg_sig, tuple(signs), charge_flip)
+#: each named operator's per-block component signs and charge flip; its
+#: argument signs are those of the generator its name starts with
+_OPERATOR_SIGNS = {
+    "T1": ({"E": 1, "H": -1, "rho": 1, "J": -1, "phi": 1, "A": -1}, False),
+    "T2": ({"E": -1, "H": 1, "rho": -1, "J": 1, "phi": -1, "A": 1}, True),
+    "P1": ({"E": -1, "H": 1, "rho": 1, "J": -1, "phi": 1, "A": -1}, False),
+    "P2": ({"E": 1, "H": -1, "rho": -1, "J": 1, "phi": -1, "A": 1}, True),
+    "Q1": ({b: -1 for b in BLOCKS}, True),
+    "Q2": ({b: 1 for b in BLOCKS}, False),
+}
 
 
 def build_field_operators() -> dict[str, FieldOperator]:
-    """The identity and the six named operators, with their tabulated signs."""
-    ops = {
-        "E": _from_blocks(
-            "E", (1, 1, 1), {b: 1 for b in BLOCKS}, False
-        ),
-        "T1": _from_blocks(
-            "T1", (-1, 1, 1),
-            {"E": 1, "H": -1, "rho": 1, "J": -1, "phi": 1, "A": -1}, False,
-        ),
-        "T2": _from_blocks(
-            "T2", (-1, 1, 1),
-            {"E": -1, "H": 1, "rho": -1, "J": 1, "phi": -1, "A": 1}, True,
-        ),
-        "P1": _from_blocks(
-            "P1", (1, -1, 1),
-            {"E": -1, "H": 1, "rho": 1, "J": -1, "phi": 1, "A": -1}, False,
-        ),
-        "P2": _from_blocks(
-            "P2", (1, -1, 1),
-            {"E": 1, "H": -1, "rho": -1, "J": 1, "phi": -1, "A": 1}, True,
-        ),
-        "Q1": _from_blocks(
-            "Q1", (1, 1, -1),
-            {b: -1 for b in BLOCKS}, True,
-        ),
-        "Q2": _from_blocks(
-            "Q2", (1, 1, -1),
-            {b: 1 for b in BLOCKS}, False,
-        ),
-    }
+    """The identity and the six named operators, with their tabulated signs.
+
+    Each operator's argument signs are its generator's, from GENERATORS.
+    """
+    ops = {"E": IDENTITY}
+    for name, (block_signs, charge_flip) in _OPERATOR_SIGNS.items():
+        signs = [1] * 16
+        for block, sign in block_signs.items():
+            for idx in BLOCKS[block]:
+                signs[idx] = sign
+        ops[name] = FieldOperator(name, GENERATORS[name[0]], tuple(signs), charge_flip)
     return ops
 
 
@@ -292,14 +251,6 @@ def verify_relations() -> list[RelationReport]:
     return reports
 
 
-def _canonical_index(canon: dict[str, FieldOperator]) -> dict[FieldOperator, str]:
-    """Operator -> canonical name; the sixteen actions must be distinct."""
-    index = {op: name for name, op in canon.items()}
-    if len(index) != 16:
-        raise AssertionError(f"canonical list has {len(index)} distinct actions")
-    return index
-
-
 def _reduce(ops: dict, index: dict[FieldOperator, str], names: tuple[str, ...]) -> str:
     """The canonical name of the product of the named operators."""
     name = index.get(_product_of(ops, names))
@@ -316,11 +267,12 @@ def enumerate_distinct() -> tuple[dict[str, FieldOperator], dict[frozenset, str]
     """
     ops = build_field_operators()
     canon = canonical_operators()
-    index = _canonical_index(canon)
+    index = {op: name for name, op in canon.items()}  # equal actions would share a key
     subsets = (tuple(compress(_SIX, bits)) for bits in product((0, 1), repeat=6))
     return canon, {frozenset(s or {"E"}): _reduce(ops, index, s) for s in subsets}
 
 
 def reduce_product(names: tuple[str, ...]) -> str:
     """Canonical name of an arbitrary product of the six named operators."""
-    return _reduce(build_field_operators(), _canonical_index(canonical_operators()), names)
+    index = {op: name for name, op in canonical_operators().items()}
+    return _reduce(build_field_operators(), index, names)

@@ -11,8 +11,9 @@ and also evaluated numerically at sampled spacetime points.
 
 The plane-wave layer that the photon and electron modules share is written
 here once: the exponent (`plane_wave`), the Dirac-form residual
-(`dirac_residual`), every exact radical sum (`radical_sum`) and the label
-rule (`labels`).  Every state and `Image` answers record(), c_sign, hbar_sign.
+(`dirac_residual`), every exact radical sum (`radical_sum`), the label
+rule (`labels`) and the sign rule (`check_sign`).  Every state and `Image`
+answers record(), c_sign, hbar_sign.
 """
 
 from __future__ import annotations
@@ -244,14 +245,19 @@ class PlaneWaveFunction:
         return np.multiply.outer(np.exp(1j * phase), amp)
 
 
+def check_sign(name: str, value) -> None:
+    """The one sign rule: the label `name` is the int +1 or -1 (no bool, float or Fraction)."""
+    if value.__class__ is not int or value not in (-1, 1):
+        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
+
+
 def plane_wave(amp, p0: Fraction, p, hbar_sign: int) -> PlaneWaveFunction:
     """amp * exp[-(i/hbar)(p0 x0 - p.x)] with hbar = hbar_sign, the int +1 or -1.
 
     Dividing by a unit hbar is a sign flip, so kappa holds the labels or
     their negations.
     """
-    if hbar_sign.__class__ is not int or hbar_sign not in (-1, 1):
-        raise ValueError(f"hbar_sign must be +1 or -1, got {hbar_sign!r}")
+    check_sign("hbar_sign", hbar_sign)
     if hbar_sign == 1:
         return PlaneWaveFunction(amp, [-p0, *p])
     return PlaneWaveFunction(amp, [p0, *(-pk for pk in p)])

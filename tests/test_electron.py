@@ -325,13 +325,16 @@ class TestSpinorStates:
 class TestConjugations:
     def test_c_produces_negative_branch_template(self, gamma4, rng):
         st = random_spinor(rng)
-        neg = apply_C_spinor(st, gamma4)  # internal assertion checks the template
+        neg = apply_C_spinor(st, gamma4)
         assert neg.branch == -1
         assert neg.c_sign == st.c_sign and neg.hbar_sign == st.hbar_sign
+        # the partner state's own record is g2 psi*, the matrix route, on either branch
+        for state, image in ((st, neg), (neg, apply_C_spinor(neg, gamma4))):
+            assert image.record() == state.record().conjugate_function().apply_matrix(gamma4.g2)
 
     def test_record_is_built_once_per_state(self, gamma4, rng):
         st = random_spinor(rng)
-        neg = apply_C_spinor(st, gamma4)  # builds neg's record for its assertion
+        neg = apply_C_spinor(st, gamma4)
         assert neg.record() is neg.record() and st.record() is st.record()
         assert dataclasses.replace(st, branch=-1).record() is not st.record()
 

@@ -8,14 +8,15 @@ of what it breaks.  Each failing check must report details other than its
 pass text, so that the report names what broke.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from csym import electron, gamma, maxwell, photon, report, waves
+from csym import electron, gamma, maxwell, photon, report, signgroup, waves
 from csym.report import RunConfig, run
 from csym.sampling import dot
-from csym.waves import PlaneWaveFunction, Radical, bilinear, plane_wave
+from csym.waves import PlaneWaveFunction, Radical, bilinear, dirac_residual, plane_wave
 from test_electron import _branch_blind_partner
 
 
@@ -69,6 +70,80 @@ def _photon_norm_without_factor_2(monkeypatch):
     monkeypatch.setattr(photon.PhotonState, "record", record)
 
 
+def _p_with_t_signs(monkeypatch):
+    """Space inversion given time reversal's signs on (x0, x, c)."""
+    monkeypatch.setitem(signgroup.GENERATORS, "P", signgroup.GENERATORS["T"])
+
+
+def _t1_with_charge_flip(monkeypatch):
+    """A T1 that flips the charge label, as T2 does."""
+    build = signgroup.build_field_operators
+
+    def build_field_operators():
+        ops = build()
+        ops["T1"] = replace(ops["T1"], charge_flip=True)
+        return ops
+    monkeypatch.setattr(signgroup, "build_field_operators", build_field_operators)
+
+
+def _reduction_dropping_last_factor(monkeypatch):
+    """A product reduction that loses the last operator of the product."""
+    reduce_product = signgroup.reduce_product
+    monkeypatch.setattr(signgroup, "reduce_product", lambda names: reduce_product(names[:-1]))
+
+
+def _classical_conjugation_q1_alone(monkeypatch):
+    """The classical conjugation Q1 Q2 read as Q1 alone, which also flips c."""
+    monkeypatch.setattr(signgroup, "classical_conjugation_operator",
+                        lambda: signgroup.canonical_operators()["Q1"])
+
+
+def _conjugate_wave_keeping_m(monkeypatch):
+    """A classical conjugate wave that negates l but keeps the magnetic polarization m."""
+    monkeypatch.setattr(maxwell, "classical_conjugate_wave",
+                        lambda w: replace(w, l=tuple(-x for x in w.l)))
+
+
+def _massless_residual_with_g0_negated(monkeypatch):
+    """The photon's massless residual taken with -g0 for g0."""
+    def dirac_form_residual(wave, gs):
+        g0, g1, g2, g3 = gs.vector
+        return dirac_residual(wave.record(), 0, wave.hbar_sign, (-g0, g1, g2, g3))
+    monkeypatch.setattr(photon, "dirac_form_residual", dirac_form_residual)
+
+
+def _negative_branch_blocks_swapped(monkeypatch):
+    """The branch -1 bispinor with its two 2-spinor blocks in branch +1 order.
+
+    Only C's partner state is built on branch -1; Q relabels the state's own
+    branch +1 record.
+    """
+    bispinor = electron.SpinorState.bispinor
+
+    def swapped(self, prefactor=None):
+        u = bispinor(self, prefactor)
+        return u if self.branch == 1 else u[2:] + u[:2]
+    monkeypatch.setattr(electron.SpinorState, "bispinor", swapped)
+
+
+def _rest_state_on_negative_branch(monkeypatch):
+    """A build_spinor that builds the negative-frequency partner of what it is asked for."""
+    build_spinor = electron.build_spinor
+    monkeypatch.setattr(electron, "build_spinor",
+                        lambda p, m, z, branch=1: build_spinor(p, m, z, -branch))
+
+
+def _qp_matrix_without_i(monkeypatch):
+    """The QP row with g0 g2 in place of i g0 g2: certification holds only up to scale."""
+    build = electron.build_transform_table
+
+    def build_transform_table(gs):
+        table = build(gs)
+        table["QP"] = replace(table["QP"], matrix=gs.g0 @ gs.g2)
+        return table
+    monkeypatch.setattr(electron, "build_transform_table", build_transform_table)
+
+
 def _negated_signs(gs, signs):
     return gamma.solve_conjugation_space(gs, tuple(-s for s in signs))
 
@@ -93,12 +168,14 @@ MUTATIONS = [
     (_p0_ignoring_c_sign, dict(suites=("electron",)),
      {"electron.conjugation-commutator", "electron.cq-pointwise-equality",
       "electron.cq-record-equality"}),
-    # the electron checks fail on apply_C_spinor's template assertion; the
-    # photon state residual passes, since the massless form is blind to hbar's sign
+    # C's partner state and Q's relabeled record are both read with hbar = +1,
+    # so they still agree and cq-pointwise-equality passes; cq-record-equality
+    # rejects the partner, whose record is not g2 psi*.  The normalization
+    # reads amplitudes only.  The photon state residual passes, since the
+    # massless form is blind to hbar's sign
     (_plane_wave_ignoring_hbar_sign, dict(suites=("photon", "electron")),
      {"electron.charge-conjugation-action", "electron.conjugation-commutator",
-      "electron.cq-pointwise-equality", "electron.cq-record-equality",
-      "electron.spinor-normalization", "electron.spinor-residuals",
+      "electron.cq-record-equality", "electron.spinor-residuals",
       "photon.cq-pointwise-equality", "photon.cq-record-equality",
       "photon.displaced-phase-form", "photon.inversion-involution"}),
     # PlaneWave.make refuses every non-transverse draw, so each photon check that draws fails
@@ -115,6 +192,26 @@ MUTATIONS = [
      {"photon.conjugation-matrix-space"}),
     (_electron_constraint_signs_negated, dict(suites=("electron",)),
      {"electron.conjugation-matrix-unique"}),
+    # the group's order is counted from the closure, so it can come out wrong
+    (_p_with_t_signs, dict(suites=("group",)), {"group.sign-group-order"}),
+    # T1's broken product no longer matches a canonical operator: _reduce raises
+    (_t1_with_charge_flip, dict(suites=("group",)),
+     {"group.field-operator-table", "group.field-operator-relations",
+      "group.sixteen-distinct-symmetries", "group.worked-collapses"}),
+    (_reduction_dropping_last_factor, dict(suites=("group",)), {"group.worked-collapses"}),
+    # every field operator commutes with Q1, so maxwell.classical-conjugation passes
+    (_classical_conjugation_q1_alone, dict(suites=("group", "maxwell")),
+     {"group.classical-conjugation-composite"}),
+    (_conjugate_wave_keeping_m, dict(suites=("maxwell",)),
+     {"maxwell.classical-conjugation", "maxwell.energy-flux-invariance"}),
+    (_massless_residual_with_g0_negated, dict(suites=("photon",)), {"photon.state-residual"}),
+    # Q never builds a branch -1 record, so C = g2 psi* is what fails
+    (_negative_branch_blocks_swapped, dict(suites=("electron",)),
+     {"electron.cq-record-equality", "electron.cq-pointwise-equality",
+      "electron.conjugation-commutator", "electron.spinor-normalization",
+      "electron.spinor-residuals"}),
+    (_rest_state_on_negative_branch, dict(suites=("electron",)), {"electron.rest-frame"}),
+    (_qp_matrix_without_i, dict(suites=("electron",)), {"electron.table-correspondence"}),
 ]
 
 
@@ -135,3 +232,22 @@ def test_mutation_fails_its_checks(monkeypatch, mutate, config_kwargs, must_fail
     assert newly_failing == must_fail
     # a failing check names what failed instead of repeating its pass text
     assert {i: mutated[i][1] for i in must_fail if mutated[i][1] == unpatched[i][1]} == {}
+
+
+@pytest.mark.parametrize("mutate, check_id, details", [
+    (_p_with_t_signs, "group.sign-group-order", "order = 4"),
+    (_negative_branch_blocks_swapped, "electron.cq-record-equality",
+     "the partner state's record is not g2 psi* for SpinorState("),
+    (_t1_with_charge_flip, "group.field-operator-table", "row T1 differs from its table entry"),
+    (_c_photon_without_lam, "photon.conjugate-energy-sign",
+     "conjugated energy 1/8 and flux are not lambda^2 = -1 times the state's energy 1/8"),
+], ids=["sign-group-order", "cq-record-equality", "field-operator-table",
+        "conjugate-energy-sign"])
+def test_mutation_details_name_the_claim(monkeypatch, mutate, check_id, details):
+    """The failure details say which claim broke, and no pass sentence is printed."""
+    mutate(monkeypatch)
+    suite = check_id.split(".")[0]
+    check = {c.id: c for c in run(RunConfig(suites=(suite,), samples=10)).checks}[check_id]
+    assert check.status == "fail"
+    assert check.details.startswith(details)
+    assert "< 0" not in check.details

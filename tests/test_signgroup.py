@@ -4,14 +4,13 @@ from itertools import product
 
 import pytest
 
-from csym.exact import ExactMatrix
 from csym.signgroup import (
     BLOCKS,
     CANONICAL_SIXTEEN,
+    GENERATORS,
     IDENTITY,
     PHYSICAL_SLOTS,
     FieldOperator,
-    alpha_matrices,
     build_field_operators,
     classical_conjugation_operator,
     classify_group,
@@ -24,10 +23,23 @@ from csym.signgroup import (
 
 class TestSignMatrixGroup:
     def test_generators(self):
-        mats = alpha_matrices()
-        ident = ExactMatrix.identity(5)
-        for name in ("T", "P", "Q"):
-            assert mats[name] @ mats[name] == ident
+        # each generator flips exactly one of (x0, x, c), a different one each
+        assert GENERATORS == {"T": (-1, 1, 1), "P": (1, -1, 1), "Q": (1, 1, -1)}
+        table = generate_g8()
+        for name, signs in GENERATORS.items():
+            assert table.elements[name] == signs
+            assert table.compose[(name, name)] == "E"
+
+    def test_operators_take_their_generators_signs(self):
+        for name, op in build_field_operators().items():
+            assert op.arg_sig == GENERATORS.get(name[0], (1, 1, 1))
+
+    def test_order_counts_the_closure(self, monkeypatch):
+        # P given T's signs: the closure of E, T and Q has 4 elements, not 8
+        monkeypatch.setitem(GENERATORS, "P", GENERATORS["T"])
+        table = generate_g8()
+        assert table.order == 4
+        assert set(table.elements) == {"E", "T", "Q", "TQ"}
 
     def test_order_eight(self):
         assert generate_g8().order == 8
@@ -55,9 +67,7 @@ class TestSignMatrixGroup:
     def test_trivial_group_is_cyclic(self):
         from csym.signgroup import GroupTable
 
-        t = GroupTable(
-            elements={"E": ExactMatrix.identity(1)}, compose={("E", "E"): "E"}
-        )
+        t = GroupTable(elements={"E": (1, 1, 1)}, compose={("E", "E"): "E"})
         assert classify_group(t).is_cyclic
 
     def test_composition_example(self):

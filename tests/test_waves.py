@@ -1,6 +1,7 @@
 """Radical scalars, plane-wave records, and the exact sampling helpers."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -181,6 +182,37 @@ def test_bool_sign_rejected(field, got, build):
     """
     with pytest.raises(ValueError, match=rf"^{field} must be \+1 or -1, got {got}$"):
         build()
+
+
+def _spinor_with(field, value):
+    return electron.SpinorState(p=(Fraction(3, 2), Fraction(0), Fraction(0)), m=Fraction(2),
+                                z=(ExactComplex(1), ExactComplex(0)), energy=Fraction(5, 2),
+                                p_abs=Fraction(3, 2), **{field: value})
+
+
+#: (label, constructor taking the label's value): every +-1 label of a state or wave
+SIGN_LABELS = {
+    "plane_wave": ("hbar_sign", lambda v: plane_wave([Radical.of(1)], Fraction(1), (0, 0, 0), v)),
+    "PlaneWave.make": ("c_sign", lambda v: maxwell.PlaneWave.make((0, 0, 1), (1, 0, 0), 1, v)),
+    "PhotonState": ("hbar_sign", lambda v: photon.PhotonState(_wave(), hbar_sign=v)),
+    "photon_plane_wave": ("hbar_sign",
+                          lambda v: photon.photon_plane_wave((0, 0, 1), (1, 0, 0), 1, v)),
+    "build_spinor": ("branch", lambda v: electron.build_spinor((0, 0, 0), 1, (1, 0), v)),
+    **{f"SpinorState-{f}": (f, lambda v, f=f: _spinor_with(f, v))
+       for f in ("branch", "c_sign", "hbar_sign", "sigma_sign")},
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0, Fraction(1), 0, 2], ids=repr)
+@pytest.mark.parametrize("constructor", SIGN_LABELS)
+def test_one_sign_rule(constructor, value):
+    """Every sign label is the int +1 or -1; equal-valued bool, float and Fraction are refused."""
+    field, build = SIGN_LABELS[constructor]
+    for good in (1, -1):
+        build(good)
+    message = rf"^{field} must be \+1 or -1, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        build(value)
 
 
 @pytest.mark.parametrize("build", [
