@@ -2,12 +2,14 @@
 
 Runs the selected verification suites, prints the text report, optionally
 writes the JSON report, and exits 0 iff every check passed, 1 if a check
-failed and 2 on a usage error, such as a JSON path that cannot be written.
+failed and 2 on a usage error, such as a JSON path that cannot be written,
+or when a suite worker ended without reporting.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .report import (
@@ -15,9 +17,17 @@ from .report import (
     POTENTIAL_RULE_TOKENS,
     RunConfig,
     SUITES,
+    SuiteWorkerError,
     emit,
     run,
 )
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork workers or tell."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +82,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run(config)
+    # a program run spreads its suites over the CPUs; an in-process caller,
+    # such as a tracer or a test that patches csym, needs every call made here
+    workers = usable_cpus() if argv is None else 1
+    try:
+        report = run(config, workers=workers)
+    except SuiteWorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         try:
             emit(report, fmt="json", path=args.json)

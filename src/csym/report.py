@@ -14,6 +14,8 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import os
+import pickle
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -331,6 +333,11 @@ def _relations():
 def _sixteen(distinct):
     canon, name_map = distinct
     distinct = set(canon.values())
+    unmatched = ["*".join(sorted(names, key=signgroup.CANONICAL_SIXTEEN.index))
+                 for names, name in name_map.items() if name is None]
+    if unmatched:
+        return False, (f"product {unmatched[0]} matches no canonical operator "
+                       f"({len(unmatched)} of {len(name_map)} products match none)")
     return (
         len(distinct) == 16 and len(name_map) == 64,
         f"{len(name_map)} subset products collapse onto {len(distinct)} operators",
@@ -345,7 +352,9 @@ def _collapses():
               ("P1", "P2", "T1", "T2", "Q1", "Q2"): "Q1Q2"}
     reduced = {names: signgroup.reduce_product(names) for names in worked}
     return _verdict([
-        (reduced[names] == want, f"{'*'.join(names)} reduces to {reduced[names]}, not {want}")
+        (reduced[names] == want,
+         f"product {'*'.join(names)} matches no canonical operator" if reduced[names] is None
+         else f"{'*'.join(names)} reduces to {reduced[names]}, not {want}")
         for names, want in worked.items()
     ], "P1*Q1*Q2 = P2; P1*P2*T1*T2 = E; all six at once = Q1Q2")
 
@@ -1070,11 +1079,78 @@ def run_kinematics_suite(config: RunConfig) -> list[CheckResult]:
     return _run_suite("kinematics", config)
 
 
-def run(config: RunConfig) -> VerificationReport:
-    """Execute the selected suites; deterministic for a fixed config."""
+class SuiteWorkerError(RuntimeError):
+    """A forked suite worker ended without reporting its suites' results."""
+
+
+def _run_share(suites: tuple[str, ...], config: RunConfig) -> list[CheckResult]:
     checks: list[CheckResult] = []
-    for suite in config.selected_suites():
+    for suite in suites:
         checks.extend(globals()[f"run_{suite}_suite"](config))
+    return checks
+
+
+def _fork_share(suites: tuple[str, ...], config: RunConfig):
+    """Run `suites` in a forked worker; return its pid and the pipe its results arrive on."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    # the worker: whatever happens, it leaves here, so it never returns into
+    # its parent's code or flushes a buffer its parent also holds
+    code = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as out:
+            pickle.dump(_run_share(suites, config), out)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def run(config: RunConfig, workers: int = 1) -> VerificationReport:
+    """Execute the selected suites; deterministic for a fixed config.
+
+    The suites are dealt round-robin into min(workers, suites) shares: this
+    process runs the first and one forked worker runs each other share.
+    Every suite draws from its own seeded stream and builds its own
+    fixtures, so the split cannot change a result.  A worker that ends
+    without reporting raises SuiteWorkerError naming its suites; if this
+    process fails first, its workers are killed and reaped.
+    """
+    suites = config.selected_suites()
+    w = min(workers, len(suites))
+    helpers = {}  # unreaped worker pid -> (result pipe, share)
+    try:
+        for k in range(1, w):
+            pid, pipe = _fork_share(suites[k::w], config)
+            helpers[pid] = pipe, suites[k::w]
+        checks = _run_share(suites[0::w], config)
+        lost: list[str] = []
+        for pid, (pipe, share) in list(helpers.items()):
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del helpers[pid]
+            if status == 0:
+                checks.extend(pickle.loads(data))
+            else:
+                lost.extend(share)
+        if lost:
+            raise SuiteWorkerError(f"a suite worker ended without reporting: {', '.join(lost)}")
+    finally:
+        if helpers:
+            from signal import SIGKILL  # only on this path: a plain run imports nothing more
+            for pid, (pipe, _) in helpers.items():
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
     checks.sort(key=lambda c: c.id)
     return VerificationReport(config=config, checks=tuple(checks))
 

@@ -251,28 +251,20 @@ def verify_relations() -> list[RelationReport]:
     return reports
 
 
-def _reduce(ops: dict, index: dict[FieldOperator, str], names: tuple[str, ...]) -> str:
-    """The canonical name of the product of the named operators."""
-    name = index.get(_product_of(ops, names))
-    if name is None:
-        raise AssertionError(f"product {'*'.join(names) or 'E'} matches no canonical operator")
-    return name
-
-
-def enumerate_distinct() -> tuple[dict[str, FieldOperator], dict[frozenset, str]]:
+def enumerate_distinct() -> tuple[dict[str, FieldOperator], dict[frozenset, str | None]]:
     """All 2^6 subset products collapsed onto the sixteen canonical operators.
 
     Returns the canonical operators and a map from each generator subset to
-    the canonical name its product equals.
+    the canonical name its product equals, or None where it equals none.
     """
     ops = build_field_operators()
     canon = canonical_operators()
     index = {op: name for name, op in canon.items()}  # equal actions would share a key
     subsets = (tuple(compress(_SIX, bits)) for bits in product((0, 1), repeat=6))
-    return canon, {frozenset(s or {"E"}): _reduce(ops, index, s) for s in subsets}
+    return canon, {frozenset(s or {"E"}): index.get(_product_of(ops, s)) for s in subsets}
 
 
-def reduce_product(names: tuple[str, ...]) -> str:
-    """Canonical name of an arbitrary product of the six named operators."""
+def reduce_product(names: tuple[str, ...]) -> str | None:
+    """Canonical name of a product of the six named operators, or None if none matches."""
     index = {op: name for name, op in canonical_operators().items()}
-    return _reduce(build_field_operators(), index, names)
+    return index.get(_product_of(build_field_operators(), names))

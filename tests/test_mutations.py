@@ -194,7 +194,7 @@ MUTATIONS = [
      {"electron.conjugation-matrix-unique"}),
     # the group's order is counted from the closure, so it can come out wrong
     (_p_with_t_signs, dict(suites=("group",)), {"group.sign-group-order"}),
-    # T1's broken product no longer matches a canonical operator: _reduce raises
+    # T1's broken products match no canonical operator, and the two counting checks say so
     (_t1_with_charge_flip, dict(suites=("group",)),
      {"group.field-operator-table", "group.field-operator-relations",
       "group.sixteen-distinct-symmetries", "group.worked-collapses"}),
@@ -239,10 +239,15 @@ def test_mutation_fails_its_checks(monkeypatch, mutate, config_kwargs, must_fail
     (_negative_branch_blocks_swapped, "electron.cq-record-equality",
      "the partner state's record is not g2 psi* for SpinorState("),
     (_t1_with_charge_flip, "group.field-operator-table", "row T1 differs from its table entry"),
+    (_t1_with_charge_flip, "group.sixteen-distinct-symmetries",
+     "product T2*Q2 matches no canonical operator (32 of 64 products match none)"),
+    (_t1_with_charge_flip, "group.worked-collapses",
+     "product P1*P2*T1*T2 matches no canonical operator; "
+     "product P1*P2*T1*T2*Q1*Q2 matches no canonical operator"),
     (_c_photon_without_lam, "photon.conjugate-energy-sign",
      "conjugated energy 1/8 and flux are not lambda^2 = -1 times the state's energy 1/8"),
 ], ids=["sign-group-order", "cq-record-equality", "field-operator-table",
-        "conjugate-energy-sign"])
+        "sixteen-distinct-symmetries", "worked-collapses", "conjugate-energy-sign"])
 def test_mutation_details_name_the_claim(monkeypatch, mutate, check_id, details):
     """The failure details say which claim broke, and no pass sentence is printed."""
     mutate(monkeypatch)

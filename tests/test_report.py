@@ -3,9 +3,11 @@
 import inspect
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from csym.report import (
     SUITES,
     CheckResult,
     RunConfig,
+    SuiteWorkerError,
     VerificationReport,
     emit,
     report_to_dict,
@@ -293,10 +296,10 @@ class TestCli:
 
     def test_verify_without_flags_builds_the_default_config(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "run", lambda config: seen.append(config)
+        monkeypatch.setattr(cli, "run", lambda config, workers: seen.append((config, workers))
                             or VerificationReport(config=config, checks=()))
         assert cli.main(["verify"]) == 0
-        assert seen == [RunConfig()]
+        assert seen == [(RunConfig(), 1)]  # an in-process call runs every suite here
 
     def _run(self, *args):
         return subprocess.run(
@@ -364,3 +367,58 @@ class TestCli:
         ids = {c["id"] for c in data["checks"]}
         assert "electron.charged-equation-fixed-potential" in ids
         assert "electron.charged-equation-flipped-potential" not in ids
+
+
+class TestWorkers:
+    """run(config, workers=k) runs the first share of suites here and forks one worker per other share."""
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(samples=10),
+        RunConfig(suites=("group", "maxwell", "photon", "electron"), samples=1),
+        RunConfig(suites=("electron",), potential_rule="fixed"),
+    ], ids=["default", "exact", "electron-fixed"])
+    def test_any_worker_count_gives_the_same_bytes(self, config):
+        sequential = emit(run(config), fmt="json")
+        for workers in (2, 3, 8):
+            assert emit(run(config, workers=workers), fmt="json") == sequential, workers
+
+    def test_every_suite_reaches_its_named_runner_in_its_share(self, monkeypatch):
+        for suite in SUITES:
+            monkeypatch.setattr(
+                report_module, f"run_{suite}_suite",
+                lambda config, suite=suite: [CheckResult(f"{suite}.marker", suite,
+                                                         str(os.getpid()), "runner", "pass")])
+        report = run(RunConfig(), workers=3)
+        assert [c.id for c in report.checks] == sorted(f"{suite}.marker" for suite in SUITES)
+        here = {c.suite for c in report.checks if c.description == str(os.getpid())}
+        assert here == set(SUITES[0::3])
+
+    @pytest.mark.parametrize("death", [lambda config: os._exit(3),
+                                       lambda config: 1 / 0], ids=["exit", "raise"])
+    def test_a_worker_that_ends_without_reporting_is_an_error(self, monkeypatch, death):
+        monkeypatch.setattr(report_module, "run_maxwell_suite", death)
+        monkeypatch.setattr(report_module, "run_electron_suite", death)
+        with pytest.raises(SuiteWorkerError, match="without reporting: maxwell, electron$"):
+            run(RunConfig(suites=("group", "maxwell", "photon", "electron")), workers=2)
+
+    def test_a_failing_parent_leaves_no_worker_behind(self, monkeypatch):
+        def parent_share(config):
+            raise RuntimeError("parent share failed")
+
+        monkeypatch.setattr(report_module, "run_group_suite", parent_share)
+        monkeypatch.setattr(report_module, "run_maxwell_suite", lambda config: time.sleep(60))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent share failed"):
+            run(RunConfig(suites=("group", "maxwell")), workers=2)
+        assert time.monotonic() - start < 30  # the sleeping worker was killed, not awaited
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_program_run_prints_the_report_once(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "csym.cli", "verify", "--suite", "group", "--suite", "photon"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.stderr == ""
+        assert result.returncode == 1  # photon.gamma5-product
+        assert result.stdout == emit(run(RunConfig(suites=("group", "photon"))), fmt="text")
