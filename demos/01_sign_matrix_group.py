@@ -25,8 +25,8 @@ print(f"  element orders:   {dict(sorted(structure.element_orders.items()))}")
 print()
 
 print("composition relations of the six field operators")
-for rel in verify_relations():
-    print(f"  {rel.name:22} {'ok' if rel.holds else 'FAILED'}")
+for name, holds in verify_relations().items():
+    print(f"  {name:22} {'ok' if holds else 'FAILED'}")
 print()
 
 canon, name_map = enumerate_distinct()

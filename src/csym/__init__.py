@@ -84,6 +84,5 @@ from .kinematics import (
     scalar_invariants,
     vacuum_transition_feasible,
 )
+from .report import VERSION as __version__
 from .report import CheckResult, RunConfig, VerificationReport, emit, run
-
-__version__ = "0.1.0"

@@ -111,6 +111,10 @@ class DiracTransform:
     hbar_sign: int = 1
 
     def __post_init__(self):
+        for k, sign in enumerate(self.arg_sig):
+            check_sign(f"arg_sig[{k}]", sign)
+        for name in ("c_sign", "hbar_sign"):
+            check_sign(name, getattr(self, name))
         if matrix_rank(self.matrix) != self.matrix.rows:
             raise ValueError(f"table entry {self.name} has a singular matrix")
 
@@ -139,15 +143,7 @@ def build_transform_table(gs: GammaSet) -> dict[str, DiracTransform]:
 CORRESPONDENCE_PAIRS = (("C", "Q"), ("CP", "QP"), ("CT", "QT"), ("CPT", "QPT"))
 
 
-@dataclass(frozen=True)
-class SymmetryCertificate:
-    """Operator-level proof data for one table entry."""
-
-    holds: bool
-    per_index: tuple[bool, bool, bool, bool]
-
-
-def verify_symmetry(entry: DiracTransform, gs: GammaSet) -> SymmetryCertificate:
+def verify_symmetry(entry: DiracTransform, gs: GammaSet) -> tuple[bool, bool, bool, bool]:
     """Certify psi'(x) = M psi^(*)(eps x) as a free-equation symmetry.
 
     Substituting psi' into the equation with the entry's mapped constants and
@@ -157,7 +153,7 @@ def verify_symmetry(entry: DiracTransform, gs: GammaSet) -> SymmetryCertificate:
       no conjugation:   g^a M = (s_c s_h eps_a) M g^a
       with conjugation: g^a M = -(s_c s_h eps_a) M (g^a)*
 
-    written multiplicatively to avoid forming M^-1.
+    written multiplicatively to avoid forming M^-1, one verdict per index a.
     """
     s = entry.c_sign * entry.hbar_sign
     per = []
@@ -168,7 +164,7 @@ def verify_symmetry(entry: DiracTransform, gs: GammaSet) -> SymmetryCertificate:
         else:
             target = entry.matrix @ g.scale(s * eps)
         per.append(g @ entry.matrix == target)
-    return SymmetryCertificate(all(per), tuple(per))
+    return tuple(per)
 
 
 def transform_wave(entry: DiracTransform, rec: PlaneWaveFunction) -> PlaneWaveFunction:
@@ -395,6 +391,10 @@ class ChargedEquation:
     c_sign: int = 1
     hbar_sign: int = 1
 
+    def __post_init__(self):
+        for name in ("charge_sign", "potential_sign", "mass_sign", "c_sign", "hbar_sign"):
+            check_sign(name, getattr(self, name))
+
     def form(self) -> tuple[int, int, int, int]:
         return (self.charge_sign, self.potential_sign, self.potential_sign, self.mass_sign)
 
@@ -423,11 +423,6 @@ def _chain_step_conjugate_transpose(terms: dict[str, ExactMatrix], gs: GammaSet
         y = (gs.g0 @ x.dagger() @ gs.g0).transpose()
         out[sym] = y if sym.startswith("p") else -y
     return out
-
-
-def _chain_step_u_conjugate(terms: dict[str, ExactMatrix], u: ExactMatrix
-                            ) -> dict[str, ExactMatrix]:
-    return {sym: u @ x @ u for sym, x in terms.items()}  # u is self-inverse
 
 
 def _sign(x: ExactMatrix, pattern: ExactMatrix) -> int | None:
@@ -480,7 +475,8 @@ def transform_charged_equation(eq: ChargedEquation, potential_rule: str,
         )
     terms = eq.terms(gs)
     terms = _chain_step_conjugate_transpose(terms, gs)
-    terms = _chain_step_u_conjugate(terms, conjugation_matrix(gs))
+    u = conjugation_matrix(gs)
+    terms = {sym: u @ x @ u for sym, x in terms.items()}  # u is self-inverse
     out = _extract_record(terms, gs, context=(-eq.c_sign, -eq.hbar_sign))
     if potential_rule == FLIPPED_POTENTIAL:
         # rewrite in terms of the negated potential components: the coupling

@@ -236,14 +236,6 @@ class ExactMatrix:
         return ExactMatrix(rows, cols, [0] * (rows * cols))
 
     @staticmethod
-    def diagonal(values: Iterable) -> "ExactMatrix":
-        vals = list(values)
-        n = len(vals)
-        return ExactMatrix(
-            n, n, [vals[i] if i == j else 0 for i in range(n) for j in range(n)]
-        )
-
-    @staticmethod
     def column(values: Iterable) -> "ExactMatrix":
         vals = list(values)
         return ExactMatrix(len(vals), 1, vals)
@@ -285,11 +277,6 @@ class ExactMatrix:
     def scale(self, factor) -> "ExactMatrix":
         f = ExactComplex.coerce(factor)
         return ExactMatrix(self.rows, self.cols, [f * a for a in self.entries])
-
-    def __mul__(self, factor):
-        return self.scale(factor)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:

@@ -172,9 +172,9 @@ class PlaneWave:
     """A transverse electromagnetic plane wave with exact rational data.
 
     Fields are E = l exp[-i(k0 x0 - k.x)], H = m exp[same], k = k0 n, as
-    record() writes them.  The constructor enforces n.l = 0 and |n| = 1
-    exactly; m defaults to n x l but may be overridden to probe the residual
-    check.
+    record() writes them.  Construction checks |n| = 1 and n.l = 0 exactly,
+    l != 0, k0 > 0 and the sign c_sign; make defaults m to n x l, and m is
+    not checked, so that it can be overridden to probe the residual check.
     """
 
     l: Vec3
@@ -183,22 +183,23 @@ class PlaneWave:
     k0: Fraction
     c_sign: int = 1
 
+    def __post_init__(self):
+        if dot(self.n, self.n) != 1:
+            raise ValueError(f"guiding vector must be exactly unit: |n|^2 = {dot(self.n, self.n)}")
+        if dot(self.n, self.l) != 0:
+            raise ValueError(f"polarization must be transverse: n.l = {dot(self.n, self.l)}")
+        if not any(self.l):
+            raise ValueError("electric polarization l must be nonzero")
+        if self.k0 <= 0:
+            raise ValueError(f"wavenumber k0 must be positive, got {self.k0}")
+        check_sign("c_sign", self.c_sign)
+
     @staticmethod
     def make(n, l, k0, c_sign: int = 1, m=None) -> "PlaneWave":
         n = tuple(_frac(x) for x in n)
         l = tuple(_frac(x) for x in l)
-        k0 = _frac(k0)
-        if dot(n, n) != 1:
-            raise ValueError(f"guiding vector must be exactly unit: |n|^2 = {dot(n, n)}")
-        if dot(n, l) != 0:
-            raise ValueError(f"polarization must be transverse: n.l = {dot(n, l)}")
-        if not any(l):
-            raise ValueError("electric polarization l must be nonzero")
-        if k0 <= 0:
-            raise ValueError(f"wavenumber k0 must be positive, got {k0}")
-        check_sign("c_sign", c_sign)
         m = cross(n, l) if m is None else tuple(_frac(x) for x in m)
-        return PlaneWave(l=l, m=m, n=n, k0=k0, c_sign=c_sign)
+        return PlaneWave(l=l, m=m, n=n, k0=_frac(k0), c_sign=c_sign)
 
     @property
     def k(self) -> Vec3:

@@ -171,8 +171,8 @@ def photon_plane_wave(n, l, p0, hbar_sign: int = 1, c_sign: int = 1,
     """Build a photon state on the classical wave with guiding vector n,
     polarization l and wavenumber p0.
 
-    maxwell.PlaneWave.make validates the wave data and c_sign and supplies
-    the magnetic polarization m = n x l; the state holds that wave.  The
+    maxwell.PlaneWave.make supplies the magnetic polarization m = n x l, the
+    wave validates its data and c_sign, and the state holds that wave.  The
     report's state-normalization check proves the unit norm.
     """
     wave = PlaneWave.make(n, l, p0, c_sign)

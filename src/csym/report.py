@@ -320,9 +320,9 @@ def _defining_rows(ops):
         "squares, the equal pair products, and all listed commutators hold",
         "composition relations of the six operators")
 def _relations():
-    reports = signgroup.verify_relations()
-    bad = [r.name for r in reports if not r.holds]
-    return not bad, f"{len(reports)} relations checked" + (
+    relations = signgroup.verify_relations()
+    bad = [name for name, holds in relations.items() if not holds]
+    return not bad, f"{len(relations)} relations checked" + (
         f"; failed: {bad}" if bad else ""
     )
 
@@ -791,7 +791,7 @@ def _uc_equals_uq(gamma4, transform_table):
 def _table(gamma4, transform_table):
     bad = [
         name for name, entry in transform_table.items()
-        if not electron.verify_symmetry(entry, gamma4).holds
+        if not all(electron.verify_symmetry(entry, gamma4))
     ]
     return not bad, f"{len(transform_table)} entries certified" + (
         f"; failed: {bad}" if bad else ""
@@ -818,8 +818,8 @@ def _corrupted_entry(gamma4):
     bad = electron.DiracTransform(
         "Q-corrupted", gamma4.g1, True, (1, 1), c_sign=-1, hbar_sign=-1
     )
-    cert = electron.verify_symmetry(bad, gamma4)
-    return not cert.holds, f"per-index verdicts {cert.per_index}"
+    per_index = electron.verify_symmetry(bad, gamma4)
+    return not all(per_index), f"per-index verdicts {per_index}"
 
 
 @_check("electron", "spinor-normalization",

@@ -216,25 +216,15 @@ def classical_conjugation_operator() -> FieldOperator:
     return canonical_operators()["Q1Q2"]
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    name: str
-    holds: bool
-
-
-def verify_relations() -> list[RelationReport]:
-    """Check the tabulated composition relations among the six operators."""
+def verify_relations() -> dict[str, bool]:
+    """Whether each tabulated composition relation of the six operators holds, in order."""
     ops = build_field_operators()
-    reports = []
-    for n in _SIX:
-        reports.append(
-            RelationReport(f"{n}^2 = E", ops[n].compose(ops[n]) == IDENTITY)
-        )
+    holds = {f"{n}^2 = E": ops[n].compose(ops[n]) == IDENTITY for n in _SIX}
     p1p2 = ops["P1"].compose(ops["P2"])
     t1t2 = ops["T1"].compose(ops["T2"])
     q1q2 = ops["Q1"].compose(ops["Q2"])
-    reports.append(RelationReport("P1P2 = T1T2", p1p2 == t1t2))
-    reports.append(RelationReport("T1T2 = Q1Q2", t1t2 == q1q2))
+    holds["P1P2 = T1T2"] = p1p2 == t1t2
+    holds["T1T2 = Q1Q2"] = t1t2 == q1q2
     bracket_pairs = [
         (("P1", "T1"), ("P2", "T2")),
         (("P1", "Q1"), ("P2", "Q2")),
@@ -246,9 +236,8 @@ def verify_relations() -> list[RelationReport]:
     for (a1, a2), (b1, b2) in bracket_pairs:
         left = ops[a1].compose(ops[a2])
         right = ops[b1].compose(ops[b2])
-        holds = left.compose(right) == right.compose(left)
-        reports.append(RelationReport(f"[{a1}{a2}, {b1}{b2}] = 0", holds))
-    return reports
+        holds[f"[{a1}{a2}, {b1}{b2}] = 0"] = left.compose(right) == right.compose(left)
+    return holds
 
 
 def enumerate_distinct() -> tuple[dict[str, FieldOperator], dict[frozenset, str | None]]:

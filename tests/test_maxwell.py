@@ -259,6 +259,22 @@ class TestPlaneWave:
         with pytest.raises(ValueError, match="unit"):
             PlaneWave.make((0, 0, 2), (1, 0, 0), 1)
 
+    @pytest.mark.parametrize("data, message", [
+        (dict(n=(0, 0, 2)), r"^guiding vector must be exactly unit: \|n\|\^2 = 4$"),
+        (dict(l=(0, 0, 1)), r"^polarization must be transverse: n\.l = 1$"),
+        (dict(l=(0, 0, 0)), r"^electric polarization l must be nonzero$"),
+        (dict(k0=-1), r"^wavenumber k0 must be positive, got -1$"),
+    ], ids=["non-unit-n", "l-parallel-to-n", "zero-l", "negative-k0"])
+    def test_direct_construction_checks_the_wave(self, data, message):
+        """PlaneWave itself refuses what make refuses, with the same message."""
+        good = dict(l=(1, 0, 0), m=(0, 1, 0), n=(0, 0, 1), k0=1)
+        fields = {k: tuple(map(Fraction, v)) if isinstance(v, tuple) else Fraction(v)
+                  for k, v in {**good, **data}.items()}
+        with pytest.raises(ValueError, match=message):
+            PlaneWave(**fields)
+        with pytest.raises(ValueError, match=message):  # a derived wave is checked too
+            dataclasses.replace(PlaneWave.make((0, 0, 1), (1, 0, 0), 1), **fields)
+
     def test_wrong_magnetic_polarity_nonzero_residual(self, system):
         w = PlaneWave.make((0, 0, 1), (1, 0, 0), 1, m=(0, -1, 0))
         assert plane_wave_residual(system, w) != 0

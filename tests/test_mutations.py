@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from csym import electron, gamma, maxwell, photon, report, signgroup, waves
+from csym.exact import ExactMatrix
 from csym.report import RunConfig, run
 from csym.sampling import dot
 from csym.waves import PlaneWaveFunction, Radical, bilinear, dirac_residual, plane_wave
@@ -158,6 +159,44 @@ def _electron_constraint_signs_negated(monkeypatch):
     monkeypatch.setattr(electron, "solve_conjugation_space", _negated_signs)
 
 
+def _symmetry_ignoring_conjugation(monkeypatch):
+    """A table certifier that reads every entry as if it did not conjugate psi."""
+    verify_symmetry = electron.verify_symmetry
+    monkeypatch.setattr(electron, "verify_symmetry",
+                        lambda entry, gs: verify_symmetry(replace(entry, conj=False), gs))
+
+
+def _with_g1(monkeypatch, module, g1):
+    """The module's gamma set built with g1 in place of its own g1."""
+    monkeypatch.setattr(module, "build_gamma_set",
+                        lambda spec, mats: gamma.build_gamma_set(spec, {**mats, "g1": g1}))
+
+
+def _dirac_g1_without_block_sign(monkeypatch):
+    """A Dirac g1 with +sigma_x in both off-diagonal blocks: hermitian, squaring to +I."""
+    z2 = ExactMatrix.zeros(2, 2)
+    _with_g1(monkeypatch, electron, gamma.block(z2, electron.PAULI[0], electron.PAULI[0], z2))
+
+
+def _photon_g1_without_block_sign(monkeypatch):
+    """An 8x8 g1 = block(a1, 0, 0, a1), which commutes with g0 instead of anticommuting."""
+    a1, z4 = photon._alpha_matrices()[0], ExactMatrix.zeros(4, 4)
+    _with_g1(monkeypatch, photon, gamma.block(a1, z4, z4, a1))
+
+
+def _plane_wave_without_transversality(monkeypatch):
+    """A PlaneWave whose n.l = 0 test never rejects: that one error is swallowed."""
+    post_init = maxwell.PlaneWave.__post_init__
+
+    def lenient(self):
+        try:
+            post_init(self)
+        except ValueError as exc:
+            if "transverse" not in str(exc):
+                raise
+    monkeypatch.setattr(maxwell.PlaneWave, "__post_init__", lenient)
+
+
 MUTATIONS = [
     (_currents_without_g0, dict(suites=("photon",)), {"photon.currents"}),
     (_c_photon_without_lam, dict(suites=("photon",), lam="-i"),
@@ -212,6 +251,14 @@ MUTATIONS = [
       "electron.spinor-residuals"}),
     (_rest_state_on_negative_branch, dict(suites=("electron",)), {"electron.rest-frame"}),
     (_qp_matrix_without_i, dict(suites=("electron",)), {"electron.table-correspondence"}),
+    (_symmetry_ignoring_conjugation, dict(suites=("electron",)),
+     {"electron.transform-table-certified"}),
+    # a rejected gamma set ends its suite, so no later check runs
+    (_dirac_g1_without_block_sign, dict(suites=("electron",)),
+     {"electron.gamma-defining-identities"}),
+    (_photon_g1_without_block_sign, dict(suites=("photon",)), {"photon.gamma-defining-identities"}),
+    (_plane_wave_without_transversality, dict(suites=("maxwell",)),
+     {"maxwell.constraint-rejection"}),
 ]
 
 

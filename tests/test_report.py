@@ -368,6 +368,20 @@ class TestCli:
         assert "electron.charged-equation-fixed-potential" in ids
         assert "electron.charged-equation-flipped-potential" not in ids
 
+    def test_cli_import_adds_no_oracle_or_process_module(self):
+        """`import csym.cli` stays off the test oracles and the process machinery.
+
+        Start-up is most of a short run's wall time, and csym imports no sympy.
+        threading is not listed: `site` may load it before csym is imported.
+        """
+        code = ("import sys; before = set(sys.modules); import csym.cli; "
+                "print(*sorted(set(sys.modules) - before))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        added = {name.split(".")[0] for name in result.stdout.split()}
+        banned = {"sympy", "hypothesis", "multiprocessing", "concurrent", "subprocess", "signal"}
+        assert added & banned == set()
+
 
 class TestWorkers:
     """run(config, workers=k) runs the first share of suites here and forks one worker per other share."""

@@ -200,7 +200,17 @@ SIGN_LABELS = {
     "build_spinor": ("branch", lambda v: electron.build_spinor((0, 0, 0), 1, (1, 0), v)),
     **{f"SpinorState-{f}": (f, lambda v, f=f: _spinor_with(f, v))
        for f in ("branch", "c_sign", "hbar_sign", "sigma_sign")},
+    # records built by their own constructor, not by a factory, check their signs too
+    "PlaneWave": ("c_sign", lambda v: replace(_wave(), c_sign=v)),
+    **{f"DiracTransform-{f}": (f, lambda v, f=f: _dirac_transform_with(**{f: v}))
+       for f in ("c_sign", "hbar_sign")},
+    **{f"ChargedEquation-{f}": (f, lambda v, f=f: electron.ChargedEquation(**{f: v}))
+       for f in ("charge_sign", "potential_sign", "mass_sign", "c_sign", "hbar_sign")},
 }
+
+
+def _dirac_transform_with(arg_sig=(1, 1), **signs):
+    return electron.DiracTransform("E", ExactMatrix.identity(4), False, arg_sig, **signs)
 
 
 @pytest.mark.parametrize("value", [True, 1.0, Fraction(1), 0, 2], ids=repr)
@@ -213,6 +223,18 @@ def test_one_sign_rule(constructor, value):
     message = rf"^{field} must be \+1 or -1, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         build(value)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, Fraction(1), 0, 2], ids=repr)
+@pytest.mark.parametrize("k", [0, 1])
+def test_arg_sig_entries_follow_the_sign_rule(k, value):
+    """A table entry's two argument signs on (x0, x) are each the int +1 or -1."""
+    for good in (1, -1):
+        _dirac_transform_with(arg_sig=(good, -good))
+    arg_sig = (value, 1) if k == 0 else (1, value)
+    message = rf"^arg_sig\[{k}\] must be \+1 or -1, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        _dirac_transform_with(arg_sig=arg_sig)
 
 
 @pytest.mark.parametrize("build", [
