@@ -111,8 +111,12 @@ class DiracTransform:
     hbar_sign: int = 1
 
     def __post_init__(self):
+        if len(self.arg_sig) != 2:
+            raise ValueError(f"arg_sig must hold the two signs on (x0, x), got {self.arg_sig!r}")
         for k, sign in enumerate(self.arg_sig):
             check_sign(f"arg_sig[{k}]", sign)
+        if self.conj.__class__ is not bool:
+            raise ValueError(f"conj must be a bool, got {self.conj!r}")
         for name in ("c_sign", "hbar_sign"):
             check_sign(name, getattr(self, name))
         if matrix_rank(self.matrix) != self.matrix.rows:

@@ -10,9 +10,10 @@ The central claim checked here is that C and Q produce the same function.
 
 A photon state holds the classical wave `maxwell.PlaneWave` it is built on,
 which validates its data and supplies m = n x l; the state adds only the
-sign of hbar and the conjugation phase.  Its exponent and its Dirac-form
-residual come from `waves`, its formal energy and flux from
-`maxwell.energy_poynting_record`.
+sign of hbar.  The conjugation phase lambda belongs to the conjugation
+matrix lambda g0, so C and Q take it as an argument and return a plain
+`waves.Image`.  The state's exponent and Dirac-form residual come from
+`waves`, its formal energy and flux from `maxwell.energy_poynting_record`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .electron import MINUS_I
 from .exact import EC_I, ExactComplex, ExactMatrix
 from .gamma import (  # GammaIdentityError and conjugation_constraint_rows are public here too
     ConjugationSpace,
@@ -51,8 +53,8 @@ GAMMA8 = GammaSpec(reality=(1, 1, 1, 1, 1), g5_anticommutator=(-2, 0, 0, 0), g5_
 ALLOWED_LAMBDA = (
     ExactComplex(1),
     ExactComplex(-1),
-    ExactComplex(0, 1),
-    ExactComplex(0, -1),
+    EC_I,
+    MINUS_I,
 )
 
 
@@ -133,19 +135,16 @@ class PhotonState:
 
     The state holds its classical wave (maxwell.PlaneWave: polarizations l
     and m, guiding vector n, wavenumber k0 and the sign of c) and adds the
-    sign of hbar and the conjugation phase lam, one of +1, -1, +i, -i.  The
-    amplitude is the wave's field column (0, l, 0, m)/sqrt(2 |l|^2), so the
-    norm is exactly 1, times exp[-(i/hbar)(k0 x0 - k.x)] with k = k0 n.
-    Construction validates lam and hbar_sign; the wave validated its own data.
+    sign of hbar.  The amplitude is the wave's field column
+    (0, l, 0, m)/sqrt(2 |l|^2), so the norm is exactly 1, times
+    exp[-(i/hbar)(k0 x0 - k.x)] with k = k0 n.  Construction validates
+    hbar_sign; the wave validated its own data.
     """
 
     wave: PlaneWave
     hbar_sign: int = 1
-    lam: ExactComplex = ExactComplex(0, -1)
 
     def __post_init__(self):
-        if self.lam not in ALLOWED_LAMBDA:
-            raise ValueError(f"lambda must be one of +1, -1, +i, -i, got {self.lam!r}")
         check_sign("hbar_sign", self.hbar_sign)
 
     @property
@@ -166,8 +165,7 @@ class PhotonState:
         return radical_sum(a.conjugate() * a for a in self.record().amp).to_exact()
 
 
-def photon_plane_wave(n, l, p0, hbar_sign: int = 1, c_sign: int = 1,
-                      lam: ExactComplex | None = None) -> PhotonState:
+def photon_plane_wave(n, l, p0, hbar_sign: int = 1, c_sign: int = 1) -> PhotonState:
     """Build a photon state on the classical wave with guiding vector n,
     polarization l and wavenumber p0.
 
@@ -175,31 +173,26 @@ def photon_plane_wave(n, l, p0, hbar_sign: int = 1, c_sign: int = 1,
     wave validates its data and c_sign, and the state holds that wave.  The
     report's state-normalization check proves the unit norm.
     """
-    wave = PlaneWave.make(n, l, p0, c_sign)
-    lam = ExactComplex(0, -1) if lam is None else ExactComplex.coerce(lam)
-    return PhotonState(wave, hbar_sign, lam)
+    return PhotonState(PlaneWave.make(n, l, p0, c_sign), hbar_sign)
 
 
-@dataclass(frozen=True)
-class ConjugatedPhoton(Image):
-    """The realized function after a conjugation, with its state labels."""
+def _phase(lam: ExactComplex) -> ExactComplex:
+    """The conjugation phase lam, validated: one of +1, -1, +i, -i."""
+    if lam not in ALLOWED_LAMBDA:
+        raise ValueError(f"lambda must be one of +1, -1, +i, -i, got {lam!r}")
+    return lam
 
-    lam: ExactComplex
 
-
-def apply_C_photon(wave: PhotonState | ConjugatedPhoton) -> ConjugatedPhoton:
+def apply_C_photon(wave: PhotonState | Image, lam: ExactComplex = MINUS_I) -> Image:
     """Charge conjugation: lam * g0 (Psi^dagger g0)^T, which reduces to lam Psi*.
 
     The reduction uses g0 g0 = I, which build_gamma8 verifies.
     """
-    return ConjugatedPhoton(
-        function=wave.record().conjugate_function().scale(wave.lam),
-        lam=wave.lam,
-        hbar_sign=wave.hbar_sign, c_sign=wave.c_sign,
-    )
+    out = wave.record().conjugate_function().scale(_phase(lam))
+    return Image(function=out, hbar_sign=wave.hbar_sign, c_sign=wave.c_sign)
 
 
-def _q_relabeled(wave: PhotonState | ConjugatedPhoton) -> PlaneWaveFunction:
+def _q_relabeled(wave: PhotonState | Image) -> PlaneWaveFunction:
     """The wave's function rebuilt with hbar and all 4-momentum labels flipped.
 
     The labels are the wave's own: the (p0, p) that its exponent carries with
@@ -216,41 +209,35 @@ def _q_relabeled(wave: PhotonState | ConjugatedPhoton) -> PlaneWaveFunction:
     return plane_wave(rec.amp, -k0, k, 1)  # own labels (k0, -k), flipped (-k0, k)
 
 
-def apply_Q_photon(wave: PhotonState | ConjugatedPhoton, gs: GammaSet) -> ConjugatedPhoton:
+def apply_Q_photon(wave: PhotonState | Image, gs: GammaSet, lam: ExactComplex = MINUS_I) -> Image:
     """Light-speed/action inversion: U_Q (Psi-bar)^T on the relabeled wave.
 
     U_Q equals the charge-conjugation matrix lam * g0 because the massless
     equation is blind to the signs of c and hbar.
     """
     relabeled = _q_relabeled(wave)
-    out = relabeled.conjugate_function().apply_matrix(gs.g0).apply_matrix(gs.g0).scale(wave.lam)
-    return ConjugatedPhoton(
-        function=out,
-        lam=wave.lam,
-        hbar_sign=-wave.hbar_sign, c_sign=-wave.c_sign,
-    )
+    out = relabeled.conjugate_function().apply_matrix(gs.g0).apply_matrix(gs.g0).scale(_phase(lam))
+    return Image(function=out, hbar_sign=-wave.hbar_sign, c_sign=-wave.c_sign)
 
 
 def phase_displacement_form(state: PhotonState) -> PlaneWaveFunction:
-    """The conjugate written with flipped polarizations and a +pi/2 phase shift.
+    """The lam = -i conjugate written with flipped polarizations and a +pi/2 phase shift.
 
-    Valid for lam = -i: -i amp e^(i theta) = (-amp) e^(i (theta + pi/2)),
-    realized exactly by folding e^(i pi/2) = i into the amplitude.
+    -i amp e^(i theta) = (-amp) e^(i (theta + pi/2)), realized exactly by
+    folding e^(i pi/2) = i into the amplitude.
     """
-    if state.lam != ExactComplex(0, -1):
-        raise ValueError("the displaced-phase form is specific to lambda = -i")
     base = state.record()
     amp = [a * ExactComplex(-1) * EC_I for a in base.amp]
     kappa = [-k for k in base.kappa]
     return PlaneWaveFunction(amp, kappa)
 
 
-def dirac_form_residual(wave: PhotonState | ConjugatedPhoton, gs: GammaSet) -> float:
+def dirac_form_residual(wave: PhotonState | Image, gs: GammaSet) -> float:
     """Max |component| of the massless Dirac-form operator applied to the wave."""
     return dirac_residual(wave.record(), 0, wave.hbar_sign, gs.vector)
 
 
-def currents(state: PhotonState, conjugated: ConjugatedPhoton, gs: GammaSet
+def currents(state: PhotonState, conjugated: Image, gs: GammaSet
              ) -> tuple[ExactComplex, tuple, ExactComplex, tuple]:
     """The bilinears Psi-bar gamma^a Psi for the state and its conjugate."""
     g0g = [gs.g0 @ g for g in gs.vector]  # each g0 g^a once per call

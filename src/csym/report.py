@@ -39,14 +39,8 @@ VERSION = "0.1.0"
 
 SUITES = ("group", "maxwell", "photon", "electron", "kinematics")
 
-LAMBDA_TOKENS = {
-    "1": ExactComplex(1),
-    "+1": ExactComplex(1),
-    "-1": ExactComplex(-1),
-    "i": ExactComplex(0, 1),
-    "+i": ExactComplex(0, 1),
-    "-i": ExactComplex(0, -1),
-}
+#: the one spelling of each conjugation phase, in photon.ALLOWED_LAMBDA order
+LAMBDA_TOKENS = dict(zip(("1", "-1", "i", "-i"), photon.ALLOWED_LAMBDA))
 
 POTENTIAL_RULE_TOKENS = (
     electron.FIXED_POTENTIAL,
@@ -528,17 +522,18 @@ def _energy_flux(config, rng):
 # ---------------------------------------------------------------------------
 
 
-def _random_photon(rng, lam, hbar_sign=1, c_sign=1) -> photon.PhotonState:
+def _random_photon(rng, hbar_sign=1, c_sign=1) -> photon.PhotonState:
     n = rational_unit_vector(rng)
     l = rational_orthogonal_vector(rng, n)
     p0 = rational_magnitude(rng)
-    return photon.photon_plane_wave(n, l, p0, hbar_sign=hbar_sign, c_sign=c_sign, lam=lam)
+    return photon.photon_plane_wave(n, l, p0, hbar_sign=hbar_sign, c_sign=c_sign)
 
 
 def _photon_cq(rng, lam, gamma8):
-    """Draw a photon state; return it with its C and Q records."""
-    st = _random_photon(rng, lam)
-    return st, photon.apply_C_photon(st).record(), photon.apply_Q_photon(st, gamma8).record()
+    """Draw a photon state; return it with its C and Q records under the phase lam."""
+    st = _random_photon(rng)
+    return (st, photon.apply_C_photon(st, lam).record(),
+            photon.apply_Q_photon(st, gamma8, lam).record())
 
 
 def _worst_gap(rng, draws: int, n_points: int, draw_cq) -> float:
@@ -604,9 +599,9 @@ def _conjugation_space_8(gamma8, lam):
 @_check("photon", "state-normalization",
         "random photon states are exactly normalized",
         "unit norm of the 8-component photon state")
-def _photon_normalization(config, rng, lam):
+def _photon_normalization(config, rng):
     for _ in range(min(config.samples, 25)):
-        st = _random_photon(rng, lam)
+        st = _random_photon(rng)
         norm = st.norm_sq()
         if norm != EC_ONE:
             return False, f"norm^2 {norm!r}, not 1, for state {st}"
@@ -616,10 +611,10 @@ def _photon_normalization(config, rng, lam):
 @_check("photon", "state-residual",
         "photon states solve the massless equation exactly for both c and hbar signs",
         "sign blindness of the massless equation")
-def _photon_residual(rng, lam, gamma8):
+def _photon_residual(rng, gamma8):
     residuals = {
         (hs, cs): photon.dirac_form_residual(
-            _random_photon(rng, lam, hbar_sign=hs, c_sign=cs), gamma8)
+            _random_photon(rng, hbar_sign=hs, c_sign=cs), gamma8)
         for hs in (1, -1) for cs in (1, -1)
     }
     return _verdict([
@@ -632,15 +627,15 @@ def _photon_residual(rng, lam, gamma8):
         "C multiplies the conjugated record by lambda and reverses the phase",
         "charge conjugation of the photon state")
 def _photon_c_action(rng, lam):
-    st = _random_photon(rng, lam)
-    conj = photon.apply_C_photon(st)
+    st = _random_photon(rng)
+    conj = photon.apply_C_photon(st, lam)
     rec, c_rec = st.record(), conj.record()
     energy, _ = labels(conj)
     return _verdict([
         (c_rec.kappa == tuple(-k for k in rec.kappa), "C does not reverse the phase"),
         (all(a == b * lam for a, b in zip(c_rec.amp, rec.amp)),
          f"C's amplitudes are not lambda = {lam!r} times the state's"),
-        (photon.apply_C_photon(conj).record() == rec, "C C does not restore the record"),
+        (photon.apply_C_photon(conj, lam).record() == rec, "C C does not restore the record"),
         (energy == -st.wave.k0, f"C's energy label {energy} is not -k0 = {-st.wave.k0}"),
     ], "conjugate is lambda * conjugated record; double application restores")
 
@@ -671,9 +666,9 @@ def _photon_cq_pointwise(config, rng, lam, gamma8):
         "applying the light-speed inversion twice restores the original function",
         "involution property of the inversion")
 def _q_double(rng, lam, gamma8):
-    st = _random_photon(rng, lam)
-    once = photon.apply_Q_photon(st, gamma8)
-    twice = photon.apply_Q_photon(once, gamma8)
+    st = _random_photon(rng)
+    once = photon.apply_Q_photon(st, gamma8, lam)
+    twice = photon.apply_Q_photon(once, gamma8, lam)
     phase = lam * lam.conjugate()
     signs, want = (twice.hbar_sign, twice.c_sign), (st.hbar_sign, st.c_sign)
     return _verdict([
@@ -687,7 +682,7 @@ def _q_double(rng, lam, gamma8):
         "the conjugate equals the sign-reversed, quarter-period-shifted rewriting",
         "alternative closed form of the inverted photon function")
 def _displaced_phase(rng, gamma8):
-    st = _random_photon(rng, ExactComplex(0, -1))
+    st = _random_photon(rng)
     if photon.phase_displacement_form(st) != photon.apply_Q_photon(st, gamma8).record():
         return False, f"the shifted rewriting differs from the Q record for state {st}"
     return True, "flipped polarizations with a +pi/2 phase shift give the same function"
@@ -697,14 +692,14 @@ def _displaced_phase(rng, gamma8):
         "the formal energy of the conjugated amplitudes scales by lambda squared",
         "negative formal energy of the conjugate for imaginary lambda")
 def _negative_energy(rng, lam):
-    st = _random_photon(rng, lam)
+    st = _random_photon(rng)
     base_e, base_f = maxwell.energy_poynting_record(st)
-    conj_e, conj_f = maxwell.energy_poynting_record(photon.apply_C_photon(st))
+    conj_e, conj_f = maxwell.energy_poynting_record(photon.apply_C_photon(st, lam))
     lam_sq = lam * lam
     claims = [(conj_e == base_e * lam_sq and all(a == b * lam_sq for a, b in zip(conj_f, base_f)),
                f"conjugated energy {conj_e} and flux are not lambda^2 = {lam_sq!r} times "
                f"the state's energy {base_e} and flux")]
-    if lam == ExactComplex(0, -1) or lam == ExactComplex(0, 1):
+    if not lam.is_real():  # lam = +i or -i
         claims.append((conj_e.is_real() and conj_e.re < 0,
                        f"conjugated formal energy coefficient {conj_e} is not negative"))
         passed = f"conjugated formal energy coefficient {conj_e} < 0, flux reversed"
@@ -718,8 +713,8 @@ def _negative_energy(rng, lam):
         "current bilinears and photon neutrality")
 def _currents(config, rng, lam, gamma8):
     for _ in range(min(config.samples, 25)):
-        st = _random_photon(rng, lam)
-        conj = photon.apply_C_photon(st)
+        st = _random_photon(rng)
+        conj = photon.apply_C_photon(st, lam)
         j0, jk, j0c, jkc = photon.currents(st, conj, gamma8)
         if j0 != EC_ONE or j0c != EC_ONE:
             return False, f"time components {j0}, {j0c} differ from 1"
@@ -779,23 +774,22 @@ def _conjugation_space_4(gamma4):
         "equality of the two conjugation matrices")
 def _uc_equals_uq(gamma4, transform_table):
     u_from_table = transform_table["C"].matrix @ gamma4.g0  # C psi = g2 psi* means U_C g0 = g2
-    return (
-        u_from_table == electron.conjugation_matrix(gamma4),
-        "the charge-conjugation matrix equals the inversion matrix -g0 g2",
-    )
+    return _verdict([
+        (u_from_table == electron.conjugation_matrix(gamma4),
+         "the charge-conjugation matrix of table row C differs from the inversion matrix -g0 g2"),
+    ], "the charge-conjugation matrix equals the inversion matrix -g0 g2")
 
 
 @_check("electron", "transform-table-certified",
         "every table entry is certified as a free-equation symmetry operator-wise",
         "transformation table of the spinor equation")
 def _table(gamma4, transform_table):
-    bad = [
-        name for name, entry in transform_table.items()
-        if not all(electron.verify_symmetry(entry, gamma4))
-    ]
-    return not bad, f"{len(transform_table)} entries certified" + (
-        f"; failed: {bad}" if bad else ""
-    )
+    verdicts = {name: electron.verify_symmetry(entry, gamma4)
+                for name, entry in transform_table.items()}
+    return _verdict([
+        (all(per_index), f"entry {name} fails certification (per-index verdicts {per_index})")
+        for name, per_index in verdicts.items()
+    ], f"{len(transform_table)} entries certified")
 
 
 @_check("electron", "table-correspondence",
@@ -928,14 +922,11 @@ def _commutator(config, rng, gamma4):
         "state-level spot check of the table")
 def _spot_residuals(rng, gamma4, transform_table):
     st = random_spinor(rng)
-    worst = []
-    for name, entry in transform_table.items():
-        r = electron.transformed_residual(entry, st, gamma4)
-        if r != 0.0:
-            worst.append((name, r))
-    return not worst, f"all transformed residuals exactly zero" + (
-        f"; nonzero: {worst}" if worst else ""
-    )
+    residuals = {name: electron.transformed_residual(entry, st, gamma4)
+                 for name, entry in transform_table.items()}
+    return _verdict([
+        (r == 0.0, f"entry {name}: transformed residual {r!r}") for name, r in residuals.items()
+    ], "all transformed residuals exactly zero")
 
 
 @_check("electron", "charged-equation-fixed-potential",
@@ -945,9 +936,12 @@ def _spot_residuals(rng, gamma4, transform_table):
 def _charged_fixed(gamma4):
     eq = electron.ChargedEquation()
     out = electron.transform_charged_equation(eq, electron.FIXED_POTENTIAL, gamma4)
-    ok = out.form() == (-1, 1, 1, 1)
-    ok &= (out.c_sign, out.hbar_sign) == (-1, -1)
-    return ok, f"output form {out.form()}: charge negated, rest unchanged"
+    signs = (out.c_sign, out.hbar_sign)
+    return _verdict([
+        (out.form() == (-1, 1, 1, 1),
+         f"output form {out.form()} is not (-1, 1, 1, 1): only the charge may flip"),
+        (signs == (-1, -1), f"output (c, hbar) signs {signs} are not (-1, -1)"),
+    ], f"output form {out.form()}: charge negated, rest unchanged")
 
 
 @_check("electron", "charged-equation-flipped-potential",
@@ -957,7 +951,9 @@ def _charged_fixed(gamma4):
 def _charged_flipped(gamma4):
     eq = electron.ChargedEquation()
     out = electron.transform_charged_equation(eq, electron.FLIPPED_POTENTIAL, gamma4)
-    return out.form() == eq.form(), f"output form {out.form()} equals input"
+    return _verdict([
+        (out.form() == eq.form(), f"output form {out.form()} differs from input form {eq.form()}"),
+    ], f"output form {out.form()} equals input")
 
 
 @_check("electron", "charged-equation-involution",

@@ -149,9 +149,8 @@ def test_criterion_07_photon_conjugation_equality():
         rng = np.random.default_rng(7)
         from csym.report import _random_photon
 
-        lam = ExactComplex(0, -1)
         for _ in range(100):
-            st = _random_photon(rng, lam)
+            st = _random_photon(rng)
             c = csym.apply_C_photon(st)
             q = csym.apply_Q_photon(st, g8)
             assert c.record() == q.record()  # exact where symbolic

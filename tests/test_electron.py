@@ -229,6 +229,15 @@ class TestTransformTable:
         with pytest.raises(ValueError, match="singular"):
             DiracTransform("bad", ExactMatrix.zeros(4, 4), False, (1, 1))
 
+    @pytest.mark.parametrize("arg_sig", [(1,), (1, 1, -1)], ids=["one", "three"])
+    def test_arg_sig_of_other_length_rejected(self, arg_sig):
+        with pytest.raises(ValueError, match=r"^arg_sig must hold the two signs on \(x0, x\), got "):
+            DiracTransform("bad", ExactMatrix.identity(4), False, arg_sig)
+
+    def test_non_bool_conj_rejected(self):
+        with pytest.raises(ValueError, match="^conj must be a bool, got 'yes'$"):
+            DiracTransform("bad", ExactMatrix.identity(4), "yes", (1, 1))
+
 
 class TestSpinorStates:
     def test_pythagorean_norm(self, gamma4):

@@ -8,12 +8,14 @@ of what it breaks.  Each failing check must report details other than its
 pass text, so that the report names what broke.
 """
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from csym import electron, gamma, maxwell, photon, report, signgroup, waves
+from csym import electron, gamma, kinematics, maxwell, photon, report, signgroup, waves
 from csym.exact import ExactMatrix
 from csym.report import RunConfig, run
 from csym.sampling import dot
@@ -32,9 +34,9 @@ def _currents_without_g0(monkeypatch):
 
 def _c_photon_without_lam(monkeypatch):
     """Charge conjugation that conjugates the record but drops the phase lam."""
-    def apply_c(wave):
-        return photon.ConjugatedPhoton(function=wave.record().conjugate_function(), lam=wave.lam,
-                                       hbar_sign=wave.hbar_sign, c_sign=wave.c_sign)
+    def apply_c(wave, lam=electron.MINUS_I):
+        return waves.Image(function=wave.record().conjugate_function(),
+                           hbar_sign=wave.hbar_sign, c_sign=wave.c_sign)
     monkeypatch.setattr(photon, "apply_C_photon", apply_c)
 
 
@@ -197,6 +199,125 @@ def _plane_wave_without_transversality(monkeypatch):
     monkeypatch.setattr(maxwell.PlaneWave, "__post_init__", lenient)
 
 
+def _mass_adding_momentum(monkeypatch):
+    """An invariant mass (sum e)^2 + |sum p|^2: the Minkowski minus read as a plus."""
+    def invariant_mass_sq(momenta):
+        e = math.fsum(m.e for m in momenta)
+        p = [math.fsum(m.p[i] for m in momenta) for i in range(3)]
+        return e * e + math.fsum(x * x for x in p)
+    monkeypatch.setattr(kinematics, "invariant_mass_sq", invariant_mass_sq)
+
+
+def _mass_of_first_momentum(monkeypatch):
+    """An invariant mass that reads only the first four-momentum of the set."""
+    invariant_mass_sq = kinematics.invariant_mass_sq
+    monkeypatch.setattr(kinematics, "invariant_mass_sq", lambda momenta: invariant_mass_sq(momenta[:1]))
+
+
+def _mass_with_plain_sum(monkeypatch):
+    """An invariant mass summed with plain sum, whose rounding depends on the order."""
+    def invariant_mass_sq(momenta):
+        e = sum(m.e for m in momenta)
+        p = [sum(m.p[i] for m in momenta) for i in range(3)]
+        return e * e - sum(x * x for x in p)
+    monkeypatch.setattr(kinematics, "invariant_mass_sq", invariant_mass_sq)
+
+
+def _closed_form_with_plus_one(monkeypatch):
+    """The closed-form pair mass 2 w w' (n.n' + 1) in place of 2 w w' (n.n' - 1)."""
+    def closed_form_pair_mass_sq(omega, omega_prime, n, n_prime):
+        return 2.0 * omega * omega_prime * (kinematics._fsum_rows(np.multiply(n, n_prime)) + 1.0)
+    monkeypatch.setattr(kinematics, "closed_form_pair_mass_sq", closed_form_pair_mass_sq)
+
+
+def _invariants_ignoring_convention(monkeypatch):
+    """A scalar sign table that always answers for the flipping-action convention."""
+    scalar_invariants = kinematics.scalar_invariants
+    monkeypatch.setattr(kinematics, "scalar_invariants",
+                        lambda convention: scalar_invariants(kinematics.HBAR_FLIPS))
+
+
+def _mutated_p1_is_p1(monkeypatch):
+    """The invariance checker's mutation control handed P1 itself, unmutated."""
+    monkeypatch.setattr(report, "_mutated_p1", lambda: signgroup.build_field_operators()["P1"])
+
+
+def _transform_ignoring_time_sign(monkeypatch):
+    """A system transform that leaves the d0 columns alone whatever the x0 sign."""
+    transform_system = maxwell.transform_system
+    monkeypatch.setattr(maxwell, "transform_system", lambda sys, op: transform_system(
+        sys, replace(op, arg_sig=(1, *op.arg_sig[1:]))))
+
+
+def _residual_always_zero(monkeypatch):
+    """A plane-wave residual that reads 0 on every wave."""
+    monkeypatch.setattr(maxwell, "plane_wave_residual", lambda system, w: Fraction(0))
+
+
+def _system_without_last_row(monkeypatch):
+    """The field system built without its last equation."""
+    build = maxwell.build_maxwell_system
+
+    def build_maxwell_system():
+        system = build()
+        rows = system.rows
+        return maxwell.LinearFieldSystem(
+            ExactMatrix(rows.rows - 1, rows.cols, rows.entries[:-rows.cols]), system.labels[:-1])
+    monkeypatch.setattr(maxwell, "build_maxwell_system", build_maxwell_system)
+
+
+def _wave_record_with_k0_negated(monkeypatch):
+    """A classical wave record whose phase carries +k0 x0 in place of -k0 x0."""
+    record = maxwell.PlaneWave.record
+
+    def negated(self):
+        rec = record(self)
+        return PlaneWaveFunction(rec.amp, (-rec.kappa[0], *rec.kappa[1:]))
+    monkeypatch.setattr(maxwell.PlaneWave, "record", negated)
+
+
+def _certifier_always_true(monkeypatch):
+    """A table certifier that passes every entry on every index."""
+    monkeypatch.setattr(electron, "verify_symmetry", lambda entry, gs: (True,) * 4)
+
+
+def _transform_wave_ignoring_arg_sig(monkeypatch):
+    """A table entry applied to a wave without its argument signs on (x0, x)."""
+    def transform_wave(entry, rec):
+        return (rec.conjugate_function() if entry.conj else rec).apply_matrix(entry.matrix)
+    monkeypatch.setattr(electron, "transform_wave", transform_wave)
+
+
+def _charged_transform(monkeypatch, rewrite):
+    """The charged-equation transform with its call rewritten by `rewrite`."""
+    transform = electron.transform_charged_equation
+    monkeypatch.setattr(electron, "transform_charged_equation",
+                        lambda eq, rule, gs: rewrite(transform, eq, rule, gs))
+
+
+def _charged_always_fixed_rule(monkeypatch):
+    """A charged-equation transform that applies the fixed-potential rule under either rule."""
+    _charged_transform(monkeypatch, lambda f, eq, rule, gs: f(eq, electron.FIXED_POTENTIAL, gs))
+
+
+def _charged_keeping_constants(monkeypatch):
+    """A charged-equation transform whose output keeps the input's (c, hbar) signs."""
+    _charged_transform(monkeypatch, lambda f, eq, rule, gs: replace(
+        f(eq, rule, gs), c_sign=eq.c_sign, hbar_sign=eq.hbar_sign))
+
+
+def _charged_reading_only_constants(monkeypatch):
+    """A charged-equation transform that reads only the input's (c, hbar) signs."""
+    _charged_transform(monkeypatch, lambda f, eq, rule, gs: f(
+        electron.ChargedEquation(c_sign=eq.c_sign, hbar_sign=eq.hbar_sign), rule, gs))
+
+
+def _conjugation_matrix_negated(monkeypatch):
+    """The inversion matrix g0 g2 in place of -g0 g2."""
+    conjugation_matrix = electron.conjugation_matrix
+    monkeypatch.setattr(electron, "conjugation_matrix", lambda gs: -conjugation_matrix(gs))
+
+
 MUTATIONS = [
     (_currents_without_g0, dict(suites=("photon",)), {"photon.currents"}),
     (_c_photon_without_lam, dict(suites=("photon",), lam="-i"),
@@ -259,7 +380,50 @@ MUTATIONS = [
     (_photon_g1_without_block_sign, dict(suites=("photon",)), {"photon.gamma-defining-identities"}),
     (_plane_wave_without_transversality, dict(suites=("maxwell",)),
      {"maxwell.constraint-rejection"}),
+    # the back-to-back momenta sum to zero, so adding |p|^2 leaves their s alone
+    (_mass_adding_momentum, dict(suites=("kinematics",)),
+     {"kinematics.single-photon-null", "kinematics.collinear-marginal"}),
+    (_mass_of_first_momentum, dict(suites=("kinematics",)),
+     {"kinematics.back-to-back-pair", "kinematics.permutation-invariance"}),
+    (_mass_with_plain_sum, dict(suites=("kinematics",)), {"kinematics.permutation-invariance"}),
+    (_closed_form_with_plus_one, dict(suites=("kinematics",)),
+     {"kinematics.vacuum-transition-infeasible"}),
+    (_invariants_ignoring_convention, dict(suites=("kinematics",)),
+     {"kinematics.scalar-invariant-signs"}),
+    (_mutated_p1_is_p1, dict(suites=("maxwell",)), {"maxwell.mutation-control"}),
+    (_transform_ignoring_time_sign, dict(suites=("maxwell",)), {"maxwell.invariance-all-sixteen"}),
+    (_residual_always_zero, dict(suites=("maxwell",)), {"maxwell.wrong-polarity-control"}),
+    (_system_without_last_row, dict(suites=("maxwell",)), {"maxwell.system-shape"}),
+    (_wave_record_with_k0_negated, dict(suites=("maxwell",)),
+     {"maxwell.plane-wave-residual", "maxwell.wrong-polarity-control"}),
+    (_certifier_always_true, dict(suites=("electron",)), {"electron.corrupted-entry-control"}),
+    (_transform_wave_ignoring_arg_sig, dict(suites=("electron",)),
+     {"electron.table-spot-residuals"}),
+    # the fixed rule is an involution too, so charged-equation-involution passes
+    (_charged_always_fixed_rule, dict(suites=("electron",)),
+     {"electron.charged-equation-flipped-potential"}),
+    (_charged_keeping_constants, dict(suites=("electron",)),
+     {"electron.charged-equation-fixed-potential"}),
+    (_charged_reading_only_constants, dict(suites=("electron",)),
+     {"electron.charged-equation-involution"}),
+    (_conjugation_matrix_negated, dict(suites=("electron",)),
+     {"electron.conjugation-matrices-coincide"}),
 ]
+
+#: the report checks that no row names, each with the reason none can
+UNNAMED = {
+    "photon.gamma5-product": "fails in every run, so no row can make it newly fail; "
+                             "acceptance criterion 05 is its control",
+    "group.sign-group-abelian-involutions": "componentwise products of sign triples always "
+                                            "commute and square to E",
+    "group.sign-group-not-cyclic": "componentwise products of sign triples always square to E, "
+                                   "so no element has order above 2",
+}
+
+
+def test_every_check_is_named_by_a_row_or_excused():
+    named = set().union(*(must_fail for _, _, must_fail in MUTATIONS))
+    assert {f"{c.suite}.{c.id}" for c in report._CHECKS} - named == UNNAMED.keys()
 
 
 def _results(config_kwargs):

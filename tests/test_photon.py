@@ -33,10 +33,10 @@ from csym.sampling import (
 MINUS_I = ExactComplex(0, -1)
 
 
-def random_photon(rng, lam=MINUS_I, hbar_sign=1, c_sign=1):
+def random_photon(rng, hbar_sign=1, c_sign=1):
     n = rational_unit_vector(rng)
     l = rational_orthogonal_vector(rng, n)
-    return photon_plane_wave(n, l, rational_magnitude(rng), hbar_sign, c_sign, lam)
+    return photon_plane_wave(n, l, rational_magnitude(rng), hbar_sign, c_sign)
 
 
 class TestGammaAlgebra8:
@@ -122,11 +122,12 @@ class TestPhotonState:
         with pytest.raises(ValueError, match="transverse"):
             photon_plane_wave((0, 0, 1), (0, 0, 1), 1)
 
-    def test_bad_lambda_rejected(self):
-        with pytest.raises(ValueError, match="lambda"):
-            photon_plane_wave((0, 0, 1), (1, 0, 0), 1, lam=ExactComplex(2))
+    def test_bad_lambda_rejected(self, gamma8):
+        st = photon_plane_wave((0, 0, 1), (1, 0, 0), 1)
         with pytest.raises(ValueError, match=r"^lambda must be one of \+1, -1, \+i, -i, got "):
-            photon.PhotonState(PlaneWave.make((0, 0, 1), (1, 0, 0), 1), 1, ExactComplex(2))
+            apply_C_photon(st, lam=ExactComplex(2))
+        with pytest.raises(ValueError, match=r"^lambda must be one of \+1, -1, \+i, -i, got "):
+            apply_Q_photon(st, gamma8, lam=ExactComplex(2))
 
     @pytest.mark.parametrize("p0", [0, Fraction(-3, 2)])
     def test_nonpositive_p0_rejected(self, p0):
@@ -151,16 +152,16 @@ class TestPhotonState:
 
     def test_state_holds_only_its_wave_and_two_labels(self):
         fields = [f.name for f in dataclasses.fields(photon.PhotonState)]
-        assert fields == ["wave", "hbar_sign", "lam"]
+        assert fields == ["wave", "hbar_sign"]
 
 
 class TestConjugations:
     def test_c_matches_explicit_form(self):
         st = photon_plane_wave((0, 0, 1), (1, 0, 0), Fraction(3, 2))
-        conj = apply_C_photon(st)
+        conj = apply_C_photon(st, MINUS_I)
         rec = st.record()
         assert conj.record().kappa == tuple(-k for k in rec.kappa)
-        assert all(a == b * st.lam for a, b in zip(conj.record().amp, rec.amp))
+        assert all(a == b * MINUS_I for a, b in zip(conj.record().amp, rec.amp))
 
     def test_c_labels_negative_energy(self):
         st = photon_plane_wave((0, 0, 1), (1, 0, 0), Fraction(3, 2))
@@ -181,8 +182,8 @@ class TestConjugations:
     def test_cq_equality_records(self, gamma8, rng):
         for lam in ALLOWED_LAMBDA:
             for _ in range(25):
-                st = random_photon(rng, lam=lam)
-                assert apply_C_photon(st).record() == apply_Q_photon(st, gamma8).record()
+                st = random_photon(rng)
+                assert apply_C_photon(st, lam).record() == apply_Q_photon(st, gamma8, lam).record()
 
     def test_cq_equality_pointwise(self, gamma8, rng):
         for _ in range(100):
@@ -197,8 +198,8 @@ class TestConjugations:
 
     def test_q_twice_global_phase(self, gamma8, rng):
         for lam in ALLOWED_LAMBDA:
-            st = random_photon(rng, lam=lam)
-            twice = apply_Q_photon(apply_Q_photon(st, gamma8), gamma8)
+            st = random_photon(rng)
+            twice = apply_Q_photon(apply_Q_photon(st, gamma8, lam), gamma8, lam)
             phase = lam * lam.conjugate()  # unimodular: the identity
             assert phase == EC_ONE
             assert twice.record() == st.record().scale(phase)
@@ -209,13 +210,13 @@ class TestConjugations:
         assert dirac_form_residual(q, gamma8) == 0.0
 
     def test_phase_displacement_form(self, gamma8, rng):
-        st = random_photon(rng, lam=MINUS_I)
-        assert phase_displacement_form(st) == apply_Q_photon(st, gamma8).record()
+        st = random_photon(rng)
+        assert phase_displacement_form(st) == apply_Q_photon(st, gamma8, lam=MINUS_I).record()
 
-    def test_phase_displacement_requires_minus_i(self, rng):
-        st = random_photon(rng, lam=ExactComplex(1))
-        with pytest.raises(ValueError, match="-i"):
-            phase_displacement_form(st)
+    def test_phase_displacement_differs_from_real_lambda(self, gamma8, rng):
+        """The displaced form is the lam = -i conjugate: lam = 1 gives another record."""
+        st = random_photon(rng)
+        assert phase_displacement_form(st) != apply_Q_photon(st, gamma8, lam=1).record()
 
 
 def _hbar_only_relabeled(wave):
@@ -274,15 +275,15 @@ class TestCurrentsAndEnergy:
             assert jkc == jk
 
     def test_conjugate_energy_negative_for_imaginary_lambda(self, rng):
-        st = random_photon(rng, lam=MINUS_I)
+        st = random_photon(rng)
         e0, f0 = energy_poynting_record(st)
-        e1, f1 = energy_poynting_record(apply_C_photon(st))
+        e1, f1 = energy_poynting_record(apply_C_photon(st, MINUS_I))
         assert e0 == ExactComplex(Fraction(1, 8))
         assert e1 == -e0 and e1.re < 0
         assert all(a == -b for a, b in zip(f1, f0))
 
     def test_conjugate_energy_kept_for_real_lambda(self, rng):
-        st = random_photon(rng, lam=ExactComplex(-1))
+        st = random_photon(rng)
         e0, _ = energy_poynting_record(st)
-        e1, _ = energy_poynting_record(apply_C_photon(st))
+        e1, _ = energy_poynting_record(apply_C_photon(st, ExactComplex(-1)))
         assert e1 == e0

@@ -53,6 +53,10 @@ class TestRunConfig:
             RunConfig(tolerance=-1.0)
         with pytest.raises(ValueError, match="lambda"):
             RunConfig(lam="2i")
+        # the report echoes the token, so a second spelling would write other bytes
+        with pytest.raises(ValueError, match=r"^lambda must be one of \['-1', '-i', '1', 'i'\], "
+                                             r"got '\+i'$"):
+            RunConfig(lam="+i")
         with pytest.raises(ValueError, match="potential_rule"):
             RunConfig(potential_rule="spiral")
 
@@ -339,6 +343,11 @@ class TestCli:
         result = self._run("verify", "--suite", "warp")
         assert result.returncode == 2
         assert "invalid choice" in result.stderr
+
+    def test_lambda_alias_exits_2(self):
+        result = self._run("verify", "--suite", "group", "--lambda=+i")
+        assert result.returncode == 2
+        assert "invalid choice: '+i'" in result.stderr
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_tolerance_exits_2(self, value):

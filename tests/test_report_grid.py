@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 
 from csym.cli import build_parser
+from csym.report import LAMBDA_TOKENS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,6 +24,10 @@ def test_grid_has_the_sixteen_documented_configs():
     defaults = {f"default-seed{s}-lambda{lam}" for s in (0, 1, 7) for lam in ("1", "-1", "i", "-i")}
     want = defaults | {"exact", "sampled", "electron-fixed", "electron-flipped"}
     assert set(_report_grid().grid()) == want and len(want) == 16
+
+
+def test_grid_runs_every_accepted_lambda():
+    assert _report_grid().LAMBDAS == tuple(LAMBDA_TOKENS)
 
 
 def test_every_config_parses_with_the_cli_flags_it_runs_with():

@@ -104,8 +104,7 @@ def _scalar_formula(rec, x):
 
 def _states():
     """A photon and a moving electron state with irrational radicands."""
-    ph = photon.photon_plane_wave((Fraction(3, 5), Fraction(4, 5), 0), (0, 0, 1), Fraction(7, 3),
-                                  lam=ExactComplex(0, -1))
+    ph = photon.photon_plane_wave((Fraction(3, 5), Fraction(4, 5), 0), (0, 0, 1), Fraction(7, 3))
     sp = electron.build_spinor((Fraction(9, 13), Fraction(-12, 13), Fraction(36, 13)), 4,
                                (ExactComplex(1, 2), ExactComplex(-1, Fraction(1, 2))))
     return ph, sp
