@@ -89,6 +89,24 @@ def _t1_with_charge_flip(monkeypatch):
     monkeypatch.setattr(signgroup, "build_field_operators", build_field_operators)
 
 
+def _generators_collapsed_onto_t(monkeypatch):
+    """P and Q given T's signs on (x0, x, c): the closure is {E, T}, of order 2."""
+    monkeypatch.setitem(signgroup.GENERATORS, "P", signgroup.GENERATORS["T"])
+    monkeypatch.setitem(signgroup.GENERATORS, "Q", signgroup.GENERATORS["T"])
+
+
+def _element_orders_one_high(monkeypatch):
+    """A group classifier that counts every element order one too high."""
+    classify_group = signgroup.classify_group
+
+    def classify(table):
+        structure = classify_group(table)
+        orders = {name: k + 1 for name, k in structure.element_orders.items()}
+        return replace(structure, element_orders=orders,
+                       all_involutions=all(k <= 2 for k in orders.values()))
+    monkeypatch.setattr(signgroup, "classify_group", classify)
+
+
 def _reduction_dropping_last_factor(monkeypatch):
     """A product reduction that loses the last operator of the product."""
     reduce_product = signgroup.reduce_product
@@ -354,6 +372,12 @@ MUTATIONS = [
      {"electron.conjugation-matrix-unique"}),
     # the group's order is counted from the closure, so it can come out wrong
     (_p_with_t_signs, dict(suites=("group",)), {"group.sign-group-order"}),
+    # a group of order 2 is cyclic; no mutation that keeps order 8 makes it so
+    (_generators_collapsed_onto_t, dict(suites=("group",)),
+     {"group.sign-group-order", "group.sign-group-not-cyclic", "group.field-operator-table"}),
+    # products of sign triples always commute and square to E, so only the
+    # classifier can fail this check, not the group
+    (_element_orders_one_high, dict(suites=("group",)), {"group.sign-group-abelian-involutions"}),
     # T1's broken products match no canonical operator, and the two counting checks say so
     (_t1_with_charge_flip, dict(suites=("group",)),
      {"group.field-operator-table", "group.field-operator-relations",
@@ -414,10 +438,6 @@ MUTATIONS = [
 UNNAMED = {
     "photon.gamma5-product": "fails in every run, so no row can make it newly fail; "
                              "acceptance criterion 05 is its control",
-    "group.sign-group-abelian-involutions": "componentwise products of sign triples always "
-                                            "commute and square to E",
-    "group.sign-group-not-cyclic": "componentwise products of sign triples always square to E, "
-                                   "so no element has order above 2",
 }
 
 
