@@ -6,7 +6,7 @@
 # the 16-component electromagnetic field function, six named operators
 # generate exactly sixteen distinct symmetries.
 
-from csym import (
+from csym.signgroup import (
     classify_group,
     enumerate_distinct,
     generate_g8,

@@ -6,8 +6,9 @@
 # the elimination produces a certificate expressing every transformed row
 # in the original basis.  A deliberately corrupted operator fails.
 
-from csym import build_maxwell_system, canonical_operators, check_invariance
+from csym.maxwell import build_maxwell_system, check_invariance
 from csym.report import _mutated_p1
+from csym.signgroup import canonical_operators
 
 system = build_maxwell_system()
 print(f"field system: {system.n_equations} equations, {system.rows.cols} columns")

@@ -9,14 +9,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from csym import (
+from csym.maxwell import (
     PlaneWave,
     build_maxwell_system,
     classical_conjugate_wave,
     energy_poynting,
+    energy_poynting_record,
     plane_wave_residual,
 )
-from csym.maxwell import energy_poynting_record
 
 system = build_maxwell_system()
 

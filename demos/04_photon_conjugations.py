@@ -10,17 +10,17 @@
 
 from fractions import Fraction
 
-from csym import (
+from csym.maxwell import energy_poynting_record
+from csym.photon import (
     apply_C_photon,
     apply_Q_photon,
     build_gamma8,
     currents,
+    dirac_form_residual,
     gamma5_product_check,
     photon_plane_wave,
     solve_conjugation_8,
 )
-from csym.maxwell import energy_poynting_record
-from csym.photon import dirac_form_residual
 from csym.waves import labels
 
 gs = build_gamma8()

@@ -3,19 +3,19 @@
 
 from fractions import Fraction
 
-from csym import (
+from csym.electron import (
     ChargedEquation,
     apply_C_spinor,
     apply_Q_spinor,
     build_gamma4,
     build_spinor,
     build_transform_table,
+    free_residual,
     solve_UQ,
     spinor_norm,
     transform_charged_equation,
     verify_symmetry,
 )
-from csym.electron import free_residual
 from csym.waves import labels
 
 gs = build_gamma4()

@@ -1,7 +1,7 @@
 # Energy-momentum bookkeeping: why a vacuum photon cannot shed a real pair,
 # and which composite constants survive the sign flip of c.
 
-from csym import infeasibility_scan, scalar_invariants, vacuum_transition_feasible
+from csym.kinematics import infeasibility_scan, scalar_invariants, vacuum_transition_feasible
 
 verdict = vacuum_transition_feasible(
     omega=1.0, omega_prime=4.0, n=(0.0, 0.0, 1.0), n_prime=(1.0, 0.0, 0.0), m=0.5

@@ -30,16 +30,15 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import EC_I, ExactComplex, ExactMatrix, _frac, fraction_sqrt, matrix_rank
-from .gamma import (  # GammaIdentityError is public here too
+from .gamma import (
     ConjugationSpace,
-    GammaIdentityError,
     GammaSet,
     GammaSpec,
     block,
     build_gamma_set,
     solve_conjugation_space,
 )
-from .sampling import Vec3, _over_common, dot
+from .sampling import Vec3, _over_common, check_vector, dot
 from .waves import (
     Image,
     PlaneWaveFunction,
@@ -203,9 +202,9 @@ class SpinorState:
     plays the w' role).  The labels p_abs = |p| and energy = sqrt(|p|^2 + (mc)^2)
     must be rational (the random-state generator guarantees it by Pythagorean
     construction); build_spinor derives them from p and m.  Construction is the
-    one place the labels are validated: positive mass, nonzero z, the four
-    signs (each the int +1 or -1) and the two roots.  sigma_sign -1 flips the
-    Pauli matrices, as light-speed inversion does.
+    one place the labels are validated: p, positive mass, z (2 ExactComplex,
+    not both 0), the four signs (each the int +1 or -1) and the two roots.
+    sigma_sign -1 flips the Pauli matrices, as light-speed inversion does.
     """
 
     p: Vec3
@@ -219,10 +218,13 @@ class SpinorState:
     sigma_sign: int = 1
 
     def __post_init__(self):
+        check_vector("p", self.p)
         if self.m <= 0:
             raise ValueError(f"rest mass must be positive, got {self.m}")
-        if not (self.z[0] or self.z[1]):
+        if not any(self.z):
             raise ValueError("spinor label z must be nonzero")
+        if len(self.z) != 2 or any(x.__class__ is not ExactComplex for x in self.z):
+            raise ValueError(f"spinor label z must hold 2 ExactComplex entries, got {self.z!r}")
         for name in ("branch", "c_sign", "hbar_sign", "sigma_sign"):
             check_sign(name, getattr(self, name))
         p_sq = dot(self.p, self.p)

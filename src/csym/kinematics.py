@@ -31,6 +31,8 @@ class FourMomentum:
     p: tuple[float, float, float]
 
     def __post_init__(self):
+        if len(self.p) != 3:
+            raise ValueError(f"momentum p must hold 3 components, got {self.p!r}")
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
         object.__setattr__(self, "e", float(self.e))
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import EC_ONE, ExactComplex, ExactMatrix, RowSpan, _frac
-from .sampling import Vec3, cross, dot
+from .sampling import Vec3, _rational, check_vector, cross, dot
 from .signgroup import BLOCKS, FieldOperator, classical_conjugation_operator
 from .waves import PlaneWaveFunction, Radical, check_sign, plane_wave
 
@@ -172,9 +172,9 @@ class PlaneWave:
     """A transverse electromagnetic plane wave with exact rational data.
 
     Fields are E = l exp[-i(k0 x0 - k.x)], H = m exp[same], k = k0 n, as
-    record() writes them.  Construction checks |n| = 1 and n.l = 0 exactly,
-    l != 0, k0 > 0 and the sign c_sign; make defaults m to n x l, and m is
-    not checked, so that it can be overridden to probe the residual check.
+    record() writes them.  Construction checks that l, m and n hold 3 exact
+    rationals, k0 is exact, |n| = 1 and n.l = 0, l != 0, k0 > 0 and c_sign;
+    make defaults m to n x l, which can be overridden to probe the residual check.
     """
 
     l: Vec3
@@ -184,6 +184,10 @@ class PlaneWave:
     c_sign: int = 1
 
     def __post_init__(self):
+        for name in ("n", "l", "m"):
+            check_vector(name, getattr(self, name))
+        if not _rational((self.k0,)):
+            raise ValueError(f"wavenumber k0 must be an exact rational, got {self.k0!r}")
         if dot(self.n, self.n) != 1:
             raise ValueError(f"guiding vector must be exactly unit: |n|^2 = {dot(self.n, self.n)}")
         if dot(self.n, self.l) != 0:
@@ -196,8 +200,8 @@ class PlaneWave:
 
     @staticmethod
     def make(n, l, k0, c_sign: int = 1, m=None) -> "PlaneWave":
-        n = tuple(_frac(x) for x in n)
-        l = tuple(_frac(x) for x in l)
+        n = check_vector("n", tuple(_frac(x) for x in n))  # before cross reads n and l
+        l = check_vector("l", tuple(_frac(x) for x in l))
         m = cross(n, l) if m is None else tuple(_frac(x) for x in m)
         return PlaneWave(l=l, m=m, n=n, k0=_frac(k0), c_sign=c_sign)
 

@@ -24,9 +24,8 @@ from functools import cached_property
 
 from .electron import MINUS_I
 from .exact import EC_I, ExactComplex, ExactMatrix
-from .gamma import (  # GammaIdentityError and conjugation_constraint_rows are public here too
+from .gamma import (  # conjugation_constraint_rows stays public here: perfbench/micro.py calls it
     ConjugationSpace,
-    GammaIdentityError,
     GammaSet,
     GammaSpec,
     block,

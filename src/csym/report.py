@@ -273,21 +273,21 @@ def _group_order(group_table):
         "the group is abelian and every non-identity element has order 2",
         "commuting involutive generators")
 def _group_abelian(structure):
-    return (
-        structure.is_abelian and structure.all_involutions,
-        f"orders = {sorted(structure.element_orders.values())}",
-    )
+    orders = sorted(structure.element_orders.values())
+    return _verdict([
+        (structure.is_abelian, "two elements do not commute"),
+        (structure.all_involutions, f"an element has order above 2: orders = {orders}"),
+    ], f"orders = {orders}")
 
 
 @_check("group", "sign-group-not-cyclic",
         "no single element generates the group (elementary abelian, not cyclic)",
         "computed structure of the sign-matrix group")
 def _group_not_cyclic(group_table, structure):
-    return (
-        not structure.is_cyclic,
-        "largest element order = "
-        f"{max(structure.element_orders.values())} < {group_table.order}",
-    )
+    largest = max(structure.element_orders.values())
+    return _verdict([
+        (not structure.is_cyclic, f"an element of order {largest} generates the whole group"),
+    ], f"largest element order = {largest} < {group_table.order}")
 
 
 @_check("group", "field-operator-table",

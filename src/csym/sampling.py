@@ -100,6 +100,13 @@ def _rational(v) -> bool:
     return all(x.__class__ is Fraction or x.__class__ is int for x in v)
 
 
+def check_vector(name: str, v: Vec3) -> Vec3:
+    """Return v if it follows the one vector rule: 3 exact rationals (int or Fraction)."""
+    if len(v) != 3 or not _rational(v):
+        raise ValueError(f"{name} must hold 3 exact rationals, got {v!r}")
+    return v
+
+
 def _over_common(v) -> tuple[list[int], int]:
     """(num, d) with v = num / d: rational entries over their least common denominator."""
     d = lcm(*(x.denominator for x in v))

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import compress, product
 
+from .waves import check_sign
+
 Signs = tuple[int, int, int]
 
 #: each generator's signs on (x0, x, c): time reversal, space inversion and
@@ -122,10 +124,13 @@ class FieldOperator:
     charge_flip: bool
 
     def __post_init__(self):
-        if len(self.comp_signs) != 16:
-            raise ValueError(f"comp_signs must have 16 entries, got {len(self.comp_signs)}")
-        if any(s not in (-1, 1) for s in self.comp_signs + self.arg_sig):
-            raise ValueError("signs must be +1 or -1")
+        if (len(self.arg_sig), len(self.comp_signs), self.charge_flip.__class__) != (3, 16, bool):
+            raise ValueError("operator needs 3 arg_sig, 16 comp_signs and a bool charge_flip, got "
+                             f"{len(self.arg_sig)}, {len(self.comp_signs)}, {self.charge_flip!r}")
+        entries = self.arg_sig + self.comp_signs  # two set tests; a failure is named below
+        if not ({1, -1}.issuperset(entries) and {int}.issuperset(map(type, entries))):
+            for k, sign in enumerate(entries):
+                check_sign(f"arg_sig[{k}]" if k < 3 else f"comp_signs[{k - 3}]", sign)
         # the two zero slots carry no information; canonicalize them to +
         signs = list(self.comp_signs)
         for z in ZERO_SLOTS:

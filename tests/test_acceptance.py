@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-import csym
+from csym import electron, kinematics, maxwell, photon, signgroup
 from csym.exact import EC_ONE, ExactComplex, ExactMatrix, anticommutator
 from csym.report import random_spinor
 from csym.sampling import spacetime_points
@@ -44,8 +44,8 @@ def _worst_pointwise_gap(c_rec, q_rec, x) -> float:
 
 def test_criterion_01_sign_group_structure():
     def body():
-        table = csym.generate_g8()
-        structure = csym.classify_group(table)
+        table = signgroup.generate_g8()
+        structure = signgroup.classify_group(table)
         assert table.order == 8
         assert structure.is_abelian
         assert sorted(structure.element_orders.values()) == [1] + [2] * 7
@@ -55,43 +55,43 @@ def test_criterion_01_sign_group_structure():
 
 def test_criterion_02_sixteen_symmetries():
     def body():
-        canon, name_map = csym.enumerate_distinct()
+        canon, name_map = signgroup.enumerate_distinct()
         assert len(set(canon.values())) == 16
         assert len(name_map) == 64
-        assert csym.reduce_product(("P1", "Q1", "Q2")) == "P2"
-        assert csym.reduce_product(("P1", "P2", "T1", "T2")) == "E"
+        assert signgroup.reduce_product(("P1", "Q1", "Q2")) == "P2"
+        assert signgroup.reduce_product(("P1", "P2", "T1", "T2")) == "E"
 
     _criterion(2, "sixteen distinct symmetries", body)
 
 
 def test_criterion_03_field_system_invariance():
     def body():
-        system = csym.build_maxwell_system()
+        system = maxwell.build_maxwell_system()
         assert system.n_equations == 14
-        for name, op in csym.canonical_operators().items():
-            assert csym.check_invariance(system, op).invariant, name
+        for name, op in signgroup.canonical_operators().items():
+            assert maxwell.check_invariance(system, op).invariant, name
         # one-sign mutation control must fail
         from csym.report import _mutated_p1
 
-        assert not csym.check_invariance(system, _mutated_p1()).invariant
+        assert not maxwell.check_invariance(system, _mutated_p1()).invariant
 
     _criterion(3, "field-system invariance", body)
 
 
 def test_criterion_04_classical_conjugation():
     def body():
-        w = csym.PlaneWave.make(
+        w = maxwell.PlaneWave.make(
             (Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)), (3, -2, 0), Fraction(5, 4)
         )
-        phi = csym.maxwell.field_column(w)
-        assert csym.maxwell.classical_conjugate_column(phi) == [-x for x in phi]
-        cw = csym.classical_conjugate_wave(w)
+        phi = maxwell.field_column(w)
+        assert maxwell.classical_conjugate_column(phi) == [-x for x in phi]
+        cw = maxwell.classical_conjugate_wave(w)
         assert cw.l == tuple(-x for x in w.l) and cw.m == tuple(-x for x in w.m)
-        assert csym.maxwell.energy_poynting_record(w) == csym.maxwell.energy_poynting_record(cw)
+        assert maxwell.energy_poynting_record(w) == maxwell.energy_poynting_record(cw)
         rng = np.random.default_rng(4)
         for x in spacetime_points(rng, 100):
-            Wv, Sv = csym.energy_poynting(w, x)
-            Wc, Sc = csym.energy_poynting(cw, x)
+            Wv, Sv = maxwell.energy_poynting(w, x)
+            Wc, Sc = maxwell.energy_poynting(cw, x)
             assert Wv >= 0
             assert abs(Wv - Wc) <= 1e-12 * max(abs(Wv), 1e-300)
             assert all(abs(a - b) <= 1e-12 * max(abs(Wv), 1.0) for a, b in zip(Sv, Sc))
@@ -101,8 +101,8 @@ def test_criterion_04_classical_conjugation():
 
 def test_criterion_05_gamma_algebras():
     def body():
-        g8 = csym.build_gamma8()   # verifies its identity families exactly
-        g4 = csym.build_gamma4()   # verifies every 4-dim identity exactly
+        g8 = photon.build_gamma8()   # verifies its identity families exactly
+        g4 = electron.build_gamma4()   # verifies every 4-dim identity exactly
         ident8 = ExactMatrix.identity(8)
         # the shifted anticommutation relation, spelled out at zero tolerance
         assert anticommutator(g8.g0, g8.g5) == ident8.scale(-2)
@@ -119,7 +119,7 @@ def test_criterion_05_gamma_algebras():
         assert product.dagger() == -product
         assert g8.g5 @ g8.g5 == ident8
         assert g8.g5.dagger() == g8.g5
-        equal, checked = csym.gamma5_product_check(g8)
+        equal, checked = photon.gamma5_product_check(g8)
         assert not equal, "verifier accepts g0 g1 g2 g3 = g5, which no matrices satisfy"
         assert checked == product
 
@@ -128,35 +128,35 @@ def test_criterion_05_gamma_algebras():
 
 def test_criterion_06_conjugation_matrices():
     def body():
-        g8 = csym.build_gamma8()
-        space8 = csym.solve_conjugation_8(g8)
+        g8 = photon.build_gamma8()
+        space8 = photon.solve_conjugation_8(g8)
         assert space8.rank + space8.nullity == 64
         assert space8.nullity == 4  # frozen pre-build oracle value
         for lam in (1, -1, ExactComplex(0, 1), ExactComplex(0, -1)):
             assert space8.contains(g8.g0.scale(lam))
-        g4 = csym.build_gamma4()
-        space4 = csym.solve_UQ(g4)
+        g4 = electron.build_gamma4()
+        space4 = electron.solve_UQ(g4)
         assert space4.nullity == 1  # frozen pre-build oracle value
-        assert space4.contains(csym.conjugation_matrix(g4))
-        assert csym.conjugation_matrix(g4) == -(g4.g0 @ g4.g2)
+        assert space4.contains(electron.conjugation_matrix(g4))
+        assert electron.conjugation_matrix(g4) == -(g4.g0 @ g4.g2)
 
     _criterion(6, "conjugation matrices", body)
 
 
 def test_criterion_07_photon_conjugation_equality():
     def body():
-        g8 = csym.build_gamma8()
+        g8 = photon.build_gamma8()
         rng = np.random.default_rng(7)
         from csym.report import _random_photon
 
         for _ in range(100):
             st = _random_photon(rng)
-            c = csym.apply_C_photon(st)
-            q = csym.apply_Q_photon(st, g8)
+            c = photon.apply_C_photon(st)
+            q = photon.apply_Q_photon(st, g8)
             assert c.record() == q.record()  # exact where symbolic
             x = spacetime_points(rng, 100)
             assert _worst_pointwise_gap(c.record(), q.record(), x) <= 1e-12
-            j0, jk, j0c, jkc = csym.currents(st, q, g8)
+            j0, jk, j0c, jkc = photon.currents(st, q, g8)
             assert j0 == EC_ONE and j0c == EC_ONE
             assert jk == tuple(ExactComplex(x) for x in st.wave.n) and jkc == jk
 
@@ -165,23 +165,23 @@ def test_criterion_07_photon_conjugation_equality():
 
 def test_criterion_08_electron_conjugation_equality():
     def body():
-        g4 = csym.build_gamma4()
+        g4 = electron.build_gamma4()
         rng = np.random.default_rng(8)
         for i in range(1000):
             st = random_spinor(rng)
-            c = csym.apply_C_spinor(st, g4)
-            q = csym.apply_Q_spinor(st, g4)
+            c = electron.apply_C_spinor(st, g4)
+            q = electron.apply_Q_spinor(st, g4)
             assert c.record() == q.record()  # exact record equality
-            assert csym.spinor_norm(st, g4) == ExactComplex(2 * st.m)
-            assert csym.spinor_norm(c, g4) == ExactComplex(-2 * st.m)
+            assert electron.spinor_norm(st, g4) == ExactComplex(2 * st.m)
+            assert electron.spinor_norm(c, g4) == ExactComplex(-2 * st.m)
             if i % 10 == 0:  # numeric spot checks on a tenth of the draws
                 x = spacetime_points(rng, 10)
                 assert _worst_pointwise_gap(c.record(), q.record(), x) <= 1e-12
         # commutator of the two conjugations
         for _ in range(25):
             st = random_spinor(rng)
-            cq = csym.apply_C_spinor(csym.apply_Q_spinor(st, g4), g4)
-            qc = csym.apply_Q_spinor(csym.apply_C_spinor(st, g4), g4)
+            cq = electron.apply_C_spinor(electron.apply_Q_spinor(st, g4), g4)
+            qc = electron.apply_Q_spinor(electron.apply_C_spinor(st, g4), g4)
             assert cq.record() == qc.record()
             assert cq.z_label == st.z and qc.z_label == st.z
 
@@ -190,23 +190,23 @@ def test_criterion_08_electron_conjugation_equality():
 
 def test_criterion_09_transformation_table():
     def body():
-        g4 = csym.build_gamma4()
-        table = csym.build_transform_table(g4)
+        g4 = electron.build_gamma4()
+        table = electron.build_transform_table(g4)
         for name in ("P", "T", "PT", "QPT", "QT", "QP", "Q"):
-            assert all(csym.verify_symmetry(table[name], g4)), name
-        bad = csym.DiracTransform("Q-bad", g4.g1, True, (1, 1), c_sign=-1, hbar_sign=-1)
-        assert not all(csym.verify_symmetry(bad, g4))
+            assert all(electron.verify_symmetry(table[name], g4)), name
+        bad = electron.DiracTransform("Q-bad", g4.g1, True, (1, 1), c_sign=-1, hbar_sign=-1)
+        assert not all(electron.verify_symmetry(bad, g4))
 
     _criterion(9, "transformation table", body)
 
 
 def test_criterion_10_charged_equation():
     def body():
-        g4 = csym.build_gamma4()
-        eq = csym.ChargedEquation()
-        fixed = csym.transform_charged_equation(eq, "fixed", g4)
+        g4 = electron.build_gamma4()
+        eq = electron.ChargedEquation()
+        fixed = electron.transform_charged_equation(eq, "fixed", g4)
         assert fixed.form() == (-1, 1, 1, 1)  # charge negated, all else kept
-        flipped = csym.transform_charged_equation(eq, "flipped", g4)
+        flipped = electron.transform_charged_equation(eq, "flipped", g4)
         assert flipped.form() == eq.form()  # exact symmetry
 
     _criterion(10, "charged equation", body)
@@ -214,12 +214,12 @@ def test_criterion_10_charged_equation():
 
 def test_criterion_11_kinematics():
     def body():
-        res = csym.infeasibility_scan(draws=10_000, seed=0, tolerance=1e-12)
+        res = kinematics.infeasibility_scan(draws=10_000, seed=0, tolerance=1e-12)
         assert res.passed
         assert res.worst_relative_gap <= 1e-12
         assert res.max_closed_form <= 1e-12
-        fixed = csym.scalar_invariants("hbar_fixed")
-        flips = csym.scalar_invariants("hbar_flips")
+        fixed = kinematics.scalar_invariants("hbar_fixed")
+        flips = kinematics.scalar_invariants("hbar_flips")
         assert fixed["e2_over_hbar_c"] == -1 and fixed["mass"] == 1
         assert flips == {"e2_over_hbar_c": 1, "hbar_c": 1, "hbar_over_c": 1, "mass": 1}
 

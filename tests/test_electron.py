@@ -15,7 +15,6 @@ from csym.electron import (
     POTENTIAL_RULES,
     ChargedEquation,
     DiracTransform,
-    GammaIdentityError,
     SpinorState,
     apply_C_spinor,
     apply_Q_spinor,
@@ -30,6 +29,7 @@ from csym.electron import (
     verify_symmetry,
 )
 from csym.exact import EC_I, ExactComplex, ExactMatrix, anticommutator
+from csym.gamma import GammaIdentityError
 from csym.report import RunConfig, random_spinor, run
 from csym.sampling import (
     gaussian_rational_spinor,
@@ -287,6 +287,15 @@ class TestSpinorStates:
         (Fraction(5, 2), Fraction(3, 2), "spinor label z must be nonzero", {"z": (0, 0)}),
         (Fraction(5, 2), Fraction(3, 2), "branch must be +1 or -1, got 3", {"branch": 3}),
         (Fraction(5, 2), Fraction(3, 2), "branch must be +1 or -1, got True", {"branch": True}),
+        # record() unpacks three momentum entries and two ExactComplex spinor entries
+        (Fraction(5, 2), Fraction(3, 2), "p must hold 3 exact rationals, got",
+         {"p": (Fraction(3, 2), Fraction(0))}),
+        (Fraction(5, 2), Fraction(3, 2), "p must hold 3 exact rationals, got",
+         {"p": (1.5, 0.0, 0.0)}),
+        (Fraction(5, 2), Fraction(3, 2), "spinor label z must hold 2 ExactComplex entries, got",
+         {"z": (ExactComplex(1), ExactComplex(0), ExactComplex(0))}),
+        (Fraction(5, 2), Fraction(3, 2), "spinor label z must hold 2 ExactComplex entries, got",
+         {"z": (1, 0)}),
     ])
     def test_direct_state_with_wrong_labels_rejected(self, energy, p_abs, message, fields):
         state = dict(p=(Fraction(3, 2), Fraction(0), Fraction(0)), m=Fraction(2),

@@ -42,6 +42,12 @@ class TestInvariantMass:
         with pytest.raises(ValueError, match="at least one"):
             invariant_mass_sq([])
 
+    @pytest.mark.parametrize("p", [(1.0, 0.0), (1.0, 0.0, 0.0, 5.0)], ids=["two", "four"])
+    def test_momentum_of_other_length_rejected(self, p):
+        """s reads three momentum components; a fourth would be dropped silently."""
+        with pytest.raises(ValueError, match=r"^momentum p must hold 3 components, got \("):
+            FourMomentum(3.0, p)
+
     def test_permutation_invariance(self, rng):
         moms = [
             FourMomentum(float(rng.uniform(0.1, 10)), tuple(rng.uniform(-3, 3, 3)))

@@ -275,6 +275,23 @@ class TestPlaneWave:
         with pytest.raises(ValueError, match=message):  # a derived wave is checked too
             dataclasses.replace(PlaneWave.make((0, 0, 1), (1, 0, 0), 1), **fields)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PlaneWave.make((0, 0, 1), (1, 0, 0, 5), 1),
+         r"^l must hold 3 exact rationals, got "),
+        # the count is checked before m = n x l is formed
+        (lambda: PlaneWave.make((0, 1), (1, 0, 0), 1), r"^n must hold 3 exact rationals, got "),
+        (lambda: PlaneWave.make((0, 0, 1), (1, 0, 0), 1, m=(0, 1)),
+         r"^m must hold 3 exact rationals, got "),
+        (lambda: dataclasses.replace(PlaneWave.make((0, 0, 1), (1, 0, 0), 1), k0=1.5),
+         r"^wavenumber k0 must be an exact rational, got 1\.5$"),
+        (lambda: dataclasses.replace(PlaneWave.make((0, 0, 1), (1, 0, 0), 1), l=(1.0, 0.0, 0.0)),
+         r"^l must hold 3 exact rationals, got \(1\.0, 0\.0, 0\.0\)$"),
+    ], ids=["make-l-four", "make-n-two", "make-m-two", "direct-float-k0", "direct-float-l"])
+    def test_vectors_hold_three_exact_entries(self, build, message):
+        """field_column reads three entries per vector, and every label is exact."""
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_wrong_magnetic_polarity_nonzero_residual(self, system):
         w = PlaneWave.make((0, 0, 1), (1, 0, 0), 1, m=(0, -1, 0))
         assert plane_wave_residual(system, w) != 0

@@ -107,6 +107,13 @@ def _element_orders_one_high(monkeypatch):
     monkeypatch.setattr(signgroup, "classify_group", classify)
 
 
+def _classifier_calling_the_group_non_abelian(monkeypatch):
+    """A group classifier that reports a non-abelian group, element orders correct."""
+    classify_group = signgroup.classify_group
+    monkeypatch.setattr(signgroup, "classify_group",
+                        lambda table: replace(classify_group(table), is_abelian=False))
+
+
 def _reduction_dropping_last_factor(monkeypatch):
     """A product reduction that loses the last operator of the product."""
     reduce_product = signgroup.reduce_product
@@ -378,6 +385,8 @@ MUTATIONS = [
     # products of sign triples always commute and square to E, so only the
     # classifier can fail this check, not the group
     (_element_orders_one_high, dict(suites=("group",)), {"group.sign-group-abelian-involutions"}),
+    (_classifier_calling_the_group_non_abelian, dict(suites=("group",)),
+     {"group.sign-group-abelian-involutions"}),
     # T1's broken products match no canonical operator, and the two counting checks say so
     (_t1_with_charge_flip, dict(suites=("group",)),
      {"group.field-operator-table", "group.field-operator-relations",
@@ -467,6 +476,10 @@ def test_mutation_fails_its_checks(monkeypatch, mutate, config_kwargs, must_fail
 
 @pytest.mark.parametrize("mutate, check_id, details", [
     (_p_with_t_signs, "group.sign-group-order", "order = 4"),
+    (_classifier_calling_the_group_non_abelian, "group.sign-group-abelian-involutions",
+     "two elements do not commute"),
+    (_generators_collapsed_onto_t, "group.sign-group-not-cyclic",
+     "an element of order 2 generates the whole group"),
     (_negative_branch_blocks_swapped, "electron.cq-record-equality",
      "the partner state's record is not g2 psi* for SpinorState("),
     (_t1_with_charge_flip, "group.field-operator-table", "row T1 differs from its table entry"),
@@ -477,7 +490,8 @@ def test_mutation_fails_its_checks(monkeypatch, mutate, config_kwargs, must_fail
      "product P1*P2*T1*T2*Q1*Q2 matches no canonical operator"),
     (_c_photon_without_lam, "photon.conjugate-energy-sign",
      "conjugated energy 1/8 and flux are not lambda^2 = -1 times the state's energy 1/8"),
-], ids=["sign-group-order", "cq-record-equality", "field-operator-table",
+], ids=["sign-group-order", "sign-group-abelian-involutions", "sign-group-not-cyclic",
+        "cq-record-equality", "field-operator-table",
         "sixteen-distinct-symmetries", "worked-collapses", "conjugate-energy-sign"])
 def test_mutation_details_name_the_claim(monkeypatch, mutate, check_id, details):
     """The failure details say which claim broke, and no pass sentence is printed."""

@@ -11,7 +11,6 @@ from csym.exact import EC_ONE, ExactComplex, ExactMatrix, anticommutator
 from csym.photon import (
     ALLOWED_LAMBDA,
     GAMMA8,
-    GammaIdentityError,
     apply_C_photon,
     apply_Q_photon,
     currents,
@@ -21,6 +20,7 @@ from csym.photon import (
     photon_plane_wave,
     solve_conjugation_8,
 )
+from csym.gamma import GammaIdentityError
 from csym.maxwell import PlaneWave, energy_poynting_record
 from csym.report import RunConfig, run
 from csym.sampling import (

@@ -15,6 +15,7 @@ import pytest
 
 from csym import cli, electron, maxwell, photon, report as report_module, signgroup
 from csym.cli import build_parser
+from csym.gamma import GammaIdentityError
 from csym.report import (
     SUITES,
     CheckResult,
@@ -146,7 +147,7 @@ class TestRunner:
         def corrupted():
             return corrupt_gamma(build(), electron.GAMMA4, "g2", 0, 3)
 
-        with pytest.raises(electron.GammaIdentityError) as rejected:
+        with pytest.raises(GammaIdentityError) as rejected:
             corrupted()
         monkeypatch.setattr(electron, "build_gamma4", corrupted)
         report = run(RunConfig(suites=("electron",), samples=5))

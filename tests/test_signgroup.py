@@ -1,5 +1,6 @@
 """The coordinate sign group and the 16 field-function symmetries."""
 
+import re
 from itertools import product
 
 import pytest
@@ -161,3 +162,20 @@ class TestFieldOperators:
     def test_apply_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="16"):
             build_field_operators()["P1"].apply([1, 2, 3])
+
+    @pytest.mark.parametrize("arg_sig, comp_signs, flip", [
+        ((1, 1), (1,) * 16, False),
+        ((1, 1, 1, 1), (1,) * 16, False),
+        ((1, 1, 1), (1,) * 15, False),
+        ((1, 1, 1), (1,) * 17, True),
+        ((1, 1, 1), (1,) * 16, 1),
+        ((1, 1, 1), (1,) * 16, 0),
+        ((1, 1, 1), (1,) * 16, "yes"),
+    ], ids=["arg_sig-2", "arg_sig-4", "comp_signs-15", "comp_signs-17", "flip-1", "flip-0",
+            "flip-yes"])
+    def test_shape_checked(self, arg_sig, comp_signs, flip):
+        """3 argument signs, 16 component signs and a bool charge flip, which compose xors."""
+        message = (r"^operator needs 3 arg_sig, 16 comp_signs and a bool charge_flip, "
+                   rf"got {len(arg_sig)}, {len(comp_signs)}, {re.escape(repr(flip))}$")
+        with pytest.raises(ValueError, match=message):
+            FieldOperator("X", arg_sig, comp_signs, flip)

@@ -21,6 +21,7 @@ from csym.sampling import (
     rational_unit_vector,
     spacetime_points,
 )
+from csym.signgroup import FieldOperator
 from csym.waves import (
     Image,
     PlaneWaveFunction,
@@ -205,6 +206,11 @@ SIGN_LABELS = {
        for f in ("c_sign", "hbar_sign")},
     **{f"ChargedEquation-{f}": (f, lambda v, f=f: electron.ChargedEquation(**{f: v}))
        for f in ("charge_sign", "potential_sign", "mass_sign", "c_sign", "hbar_sign")},
+    # an operator names the entry of its sign tuples that breaks the rule
+    "FieldOperator-arg_sig": ("arg_sig[2]",
+                              lambda v: FieldOperator("X", (1, 1, v), (1,) * 16, False)),
+    "FieldOperator-comp_signs": ("comp_signs[9]", lambda v: FieldOperator(
+        "X", (1, 1, 1), (1,) * 9 + (v,) + (1,) * 6, False)),
 }
 
 
@@ -219,7 +225,7 @@ def test_one_sign_rule(constructor, value):
     field, build = SIGN_LABELS[constructor]
     for good in (1, -1):
         build(good)
-    message = rf"^{field} must be \+1 or -1, got {re.escape(repr(value))}$"
+    message = rf"^{re.escape(field)} must be \+1 or -1, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         build(value)
 
