@@ -224,7 +224,8 @@ class SpinorState:
         if not any(self.z):
             raise ValueError("spinor label z must be nonzero")
         if len(self.z) != 2 or any(x.__class__ is not ExactComplex for x in self.z):
-            raise ValueError(f"spinor label z must hold 2 ExactComplex entries, got {self.z!r}")
+            raise ValueError(f"spinor label z must hold 2 ExactComplex entries, got {self.z!r} "
+                             f"of types ({', '.join(type(x).__name__ for x in self.z)})")
         for name in ("branch", "c_sign", "hbar_sign", "sigma_sign"):
             check_sign(name, getattr(self, name))
         p_sq = dot(self.p, self.p)
@@ -329,6 +330,10 @@ class ConjugatedSpinor(Image):
 
     z_label: tuple[ExactComplex, ExactComplex]
     effective_branch: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_sign("effective_branch", self.effective_branch)
 
 
 def apply_C_spinor(state: SpinorState | ConjugatedSpinor, gs: GammaSet

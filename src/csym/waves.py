@@ -282,6 +282,10 @@ class Image:
     c_sign: int
     hbar_sign: int
 
+    def __post_init__(self):
+        check_sign("c_sign", self.c_sign)
+        check_sign("hbar_sign", self.hbar_sign)
+
     def record(self) -> PlaneWaveFunction:
         return self.function
 

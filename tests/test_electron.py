@@ -303,6 +303,20 @@ class TestSpinorStates:
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             SpinorState(**(state | fields))
 
+    @pytest.mark.parametrize("z, shown", [
+        ((1, 0), "(1, 0) of types (int, int)"),
+        ((Fraction(1), ExactComplex(0)), "(Fraction(1, 1), 0) of types (Fraction, ExactComplex)"),
+        ((ExactComplex(1), ExactComplex(0), ExactComplex(0)),
+         "(1, 0, 0) of types (ExactComplex, ExactComplex, ExactComplex)"),
+    ], ids=["ints", "fraction", "three"])
+    def test_spinor_label_error_names_the_entry_types(self, z, shown):
+        """ExactComplex prints like an int, so the message must name the types."""
+        state = dict(p=(Fraction(3, 2), Fraction(0), Fraction(0)), m=Fraction(2),
+                     energy=Fraction(5, 2), p_abs=Fraction(3, 2))
+        message = f"spinor label z must hold 2 ExactComplex entries, got {shown}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            SpinorState(z=z, **state)
+
     def test_zero_spinor_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             build_spinor((0, 0, 0), 1, (0, 0))

@@ -14,7 +14,6 @@ from csym.kinematics import (
     closed_form_pair_mass_sq,
     infeasibility_scan,
     invariant_mass_sq,
-    pair_momentum_from_vacuum_photons,
     scalar_invariants,
     vacuum_transition_feasible,
 )
@@ -65,8 +64,7 @@ class TestVacuumTransition:
         #               = 2 hbar^2 w w' (n.n' - 1)
         w, wp = 2.0, 5.0
         n, npr = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
-        moms = pair_momentum_from_vacuum_photons(w, wp, n, npr)
-        s = invariant_mass_sq(moms)
+        s = kinematics._pair_mass_sq(w, wp, n, npr)
         by_hand = (wp - w) ** 2 - (wp**2 + w**2)  # n.n' = 0 here
         assert s == pytest.approx(by_hand, rel=1e-15)
         assert s == pytest.approx(closed_form_pair_mass_sq(w, wp, n, npr), rel=1e-12)
@@ -81,6 +79,13 @@ class TestVacuumTransition:
         v = vacuum_transition_feasible(1.0, 2.0, (0, 0, 1.0), (0, 0, 1.0), m=0.0)
         assert v.s == 0.0 and v.threshold == 0.0
         assert v.feasible and "marginal" in v.certificate
+
+    def test_numpy_scalar_inputs_give_a_float_s(self):
+        # repr(np.float64(-4.0)) is "np.float64(-4.0)", which the certificate would print
+        v = vacuum_transition_feasible(np.float64(1.0), np.float64(2.0), (0, 0, 1.0), (1.0, 0, 0),
+                                       m=1.0)
+        assert type(v.s) is float
+        assert v.certificate == "s = -4.0 vs pair threshold (2 m c^2)^2 = 4.0: unreachable"
 
     def test_preconditions_named(self):
         with pytest.raises(ValueError, match="omega_prime > omega"):

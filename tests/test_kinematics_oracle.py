@@ -12,14 +12,11 @@ test-only dependency; csym never imports it.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
-from csym.kinematics import (
-    closed_form_pair_mass_sq,
-    invariant_mass_sq,
-    pair_momentum_from_vacuum_photons,
-)
+from csym.kinematics import _pair_mass_sq, closed_form_pair_mass_sq
 
 w, wp = sympy.symbols("w w_prime", positive=True)
 n = sympy.symbols("n1:4", real=True)
@@ -72,7 +69,25 @@ def test_the_model_matches_the_code():
         subs.update({x: Fraction(v) for x, v in zip(n, a)})
         subs.update({x: Fraction(v) for x, v in zip(m, b)})
         want = _direct().subs(subs)
-        s = invariant_mass_sq(pair_momentum_from_vacuum_photons(omega, omega_prime, a, b))
+        s = _pair_mass_sq(omega, omega_prime, a, b)
         assert s == pytest.approx(float(want), rel=1e-15, abs=1e-15)
         assert closed_form_pair_mass_sq(omega, omega_prime, a, b) == pytest.approx(
             float(want), rel=1e-15, abs=1e-15)
+
+
+def test_the_model_matches_the_code_on_a_block_of_draws():
+    # the scan evaluates _pair_mass_sq on arrays of draws; each entry must be
+    # the symbolic direct form at that draw's floats, evaluated exactly, to
+    # the rounding of the working scale (w + w')^2
+    rng = np.random.default_rng(11)
+    omega = rng.uniform(1e-3, 1e3, 200)
+    omega_prime = omega * rng.uniform(1.0 + 1e-9, 1e3, 200)
+    a, b = (z / np.linalg.norm(z, axis=1)[:, None] for z in rng.normal(size=(2, 200, 3)))
+    s = _pair_mass_sq(omega, omega_prime, a, b)
+    assert s.shape == (200,)
+    exact = sympy.lambdify(GENS, _direct(), modules="math")
+    for k in range(200):
+        want = exact(*(Fraction(v) for v in (*a[k], *b[k], omega[k], omega_prime[k])))
+        assert isinstance(want, Fraction)
+        scale = Fraction(omega[k] + omega_prime[k]) ** 2
+        assert abs(Fraction(s[k]) - want) <= Fraction(1e-15) * scale

@@ -233,6 +233,12 @@ def _mass_adding_momentum(monkeypatch):
     monkeypatch.setattr(kinematics, "invariant_mass_sq", invariant_mass_sq)
 
 
+def _metric_with_plus_signs(monkeypatch):
+    """The one Minkowski norm e^2 + |p|^2: the metric's minus signs read as plus."""
+    monkeypatch.setattr(kinematics, "_minkowski_sq",
+                        lambda e, p: e * e + kinematics._fsum_rows(p * p))
+
+
 def _mass_of_first_momentum(monkeypatch):
     """An invariant mass that reads only the first four-momentum of the set."""
     invariant_mass_sq = kinematics.invariant_mass_sq
@@ -413,9 +419,14 @@ MUTATIONS = [
     (_photon_g1_without_block_sign, dict(suites=("photon",)), {"photon.gamma-defining-identities"}),
     (_plane_wave_without_transversality, dict(suites=("maxwell",)),
      {"maxwell.constraint-rejection"}),
-    # the back-to-back momenta sum to zero, so adding |p|^2 leaves their s alone
-    (_mass_adding_momentum, dict(suites=("kinematics",)),
-     {"kinematics.single-photon-null", "kinematics.collinear-marginal"}),
+    # the back-to-back momenta sum to zero, so adding |p|^2 leaves their s alone;
+    # the verdict and the scan take s from _pair_mass_sq, not from this function
+    (_mass_adding_momentum, dict(suites=("kinematics",)), {"kinematics.single-photon-null"}),
+    # a sign fault in the one norm reaches every s: the scan's direct s then
+    # disagrees with the closed form
+    (_metric_with_plus_signs, dict(suites=("kinematics",)),
+     {"kinematics.single-photon-null", "kinematics.collinear-marginal",
+      "kinematics.vacuum-transition-infeasible"}),
     (_mass_of_first_momentum, dict(suites=("kinematics",)),
      {"kinematics.back-to-back-pair", "kinematics.permutation-invariance"}),
     (_mass_with_plain_sum, dict(suites=("kinematics",)), {"kinematics.permutation-invariance"}),

@@ -1,13 +1,14 @@
 """The 8-component Dirac form: gamma algebra, conjugations, currents."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from csym import photon, waves
-from csym.exact import EC_ONE, ExactComplex, ExactMatrix, anticommutator
+from csym import maxwell, photon, signgroup, waves
+from csym.exact import EC_ONE, EC_ZERO, ExactComplex, ExactMatrix, RowSpan, anticommutator
 from csym.photon import (
     ALLOWED_LAMBDA,
     GAMMA8,
@@ -100,6 +101,43 @@ class TestConjugationSpace8:
     def test_no_zero_basis_vector(self, gamma8):
         space = solve_conjugation_8(gamma8)
         assert all(not b.is_zero() for b in space.basis)
+
+
+def _without_sources_and_zero_components(rows) -> ExactMatrix:
+    """rows with the source columns (rho and J at slot 0) and every column of
+    the two zero components set to 0: what is left acts on E and H alone."""
+    dead = {maxwell._col(c, s) for c in signgroup.ZERO_SLOTS for s in range(maxwell.N_SLOTS)}
+    dead |= {maxwell._col(c, 0) for c in (maxwell.RHO_IDX, *maxwell.J_IDX)}
+    return ExactMatrix.from_rows(
+        [EC_ZERO if j in dead else v for j, v in enumerate(row)] for row in rows)
+
+
+class TestMaxwellForm:
+    """The 8-component equation sum_a eps_a g^a d_a Psi = 0 on Psi = (0, E, 0, H)
+    is Maxwell's source-free curl/div system exactly when eps is all + or all -."""
+
+    @staticmethod
+    def _photon_rows(gs, eps) -> ExactMatrix:
+        # maxwell's layout: column j*N_SLOTS + 1 + a holds the coefficient of d_a Psi_j
+        rows = []
+        for i in range(8):
+            row = [EC_ZERO] * maxwell.ROW_WIDTH
+            for a, g in enumerate(gs.vector):
+                for j in range(8):
+                    row[maxwell._col(j, 1 + a)] = g[i, j] * eps[a]
+            rows.append(row)
+        return _without_sources_and_zero_components(rows)
+
+    @pytest.mark.parametrize("eps", list(itertools.product((1, -1), repeat=4)), ids=str)
+    def test_spans_equal_only_for_uniform_signs(self, gamma8, eps):
+        system = maxwell.build_maxwell_system()
+        field_rows = _without_sources_and_zero_components(
+            system.rows.row(i) for i in range(maxwell.N_FIELD_EQUATIONS))
+        span = RowSpan(field_rows)
+        assert span.rank == maxwell.N_FIELD_EQUATIONS
+        expressed = span.express(self._photon_rows(gamma8, eps))
+        spans_equal = expressed.failing_row is None and expressed.rank == span.rank
+        assert spans_equal == (len(set(eps)) == 1)
 
 
 class TestPhotonState:

@@ -190,6 +190,15 @@ def _spinor_with(field, value):
                                 p_abs=Fraction(3, 2), **{field: value})
 
 
+_IMAGE = Image(function=plane_wave([Radical.of(1)], Fraction(1), (0, 0, 0), 1),
+               c_sign=1, hbar_sign=1)
+
+
+def _spinor_image_with(field, value):
+    fields = dict(vars(_IMAGE), z_label=(ExactComplex(1), ExactComplex(0)), effective_branch=1)
+    return electron.ConjugatedSpinor(**(fields | {field: value}))
+
+
 #: (label, constructor taking the label's value): every +-1 label of a state or wave
 SIGN_LABELS = {
     "plane_wave": ("hbar_sign", lambda v: plane_wave([Radical.of(1)], Fraction(1), (0, 0, 0), v)),
@@ -206,6 +215,12 @@ SIGN_LABELS = {
        for f in ("c_sign", "hbar_sign")},
     **{f"ChargedEquation-{f}": (f, lambda v, f=f: electron.ChargedEquation(**{f: v}))
        for f in ("charge_sign", "potential_sign", "mass_sign", "c_sign", "hbar_sign")},
+    # conjugation images carry the signs of c and hbar and, for a spinor, its branch;
+    # apply_C_spinor on an image of effective_branch 0 would give the zero label (0, 0)
+    **{f"Image-{f}": (f, lambda v, f=f: replace(_IMAGE, **{f: v}))
+       for f in ("c_sign", "hbar_sign")},
+    **{f"ConjugatedSpinor-{f}": (f, lambda v, f=f: _spinor_image_with(f, v))
+       for f in ("c_sign", "hbar_sign", "effective_branch")},
     # an operator names the entry of its sign tuples that breaks the rule
     "FieldOperator-arg_sig": ("arg_sig[2]",
                               lambda v: FieldOperator("X", (1, 1, v), (1,) * 16, False)),
