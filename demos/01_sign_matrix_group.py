@@ -18,7 +18,7 @@ table = generate_g8()
 structure = classify_group(table)
 
 print("coordinate sign group on (x0, x, c)")
-print(f"  order:            {table.order}")
+print(f"  order:            {len(table)}")
 print(f"  abelian:          {structure.is_abelian}")
 print(f"  cyclic:           {structure.is_cyclic}")
 print(f"  element orders:   {dict(sorted(structure.element_orders.items()))}")

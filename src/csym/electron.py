@@ -191,6 +191,15 @@ def transformed_residual(entry: DiracTransform, state: SpinorState, gs: GammaSet
 # ---------------------------------------------------------------------------
 
 
+def _check_z(name: str, z) -> None:
+    """A 2-spinor label holds 2 ExactComplex entries, not both 0."""
+    if not any(z):
+        raise ValueError(f"spinor label {name} must be nonzero")
+    if len(z) != 2 or any(x.__class__ is not ExactComplex for x in z):
+        raise ValueError(f"spinor label {name} must hold 2 ExactComplex entries, got {z!r} "
+                         f"of types ({', '.join(type(x).__name__ for x in z)})")
+
+
 @dataclass(frozen=True)
 class SpinorState:
     """A plane-wave Dirac spinor with exact rational state data.
@@ -221,11 +230,7 @@ class SpinorState:
         check_vector("p", self.p)
         if self.m <= 0:
             raise ValueError(f"rest mass must be positive, got {self.m}")
-        if not any(self.z):
-            raise ValueError("spinor label z must be nonzero")
-        if len(self.z) != 2 or any(x.__class__ is not ExactComplex for x in self.z):
-            raise ValueError(f"spinor label z must hold 2 ExactComplex entries, got {self.z!r} "
-                             f"of types ({', '.join(type(x).__name__ for x in self.z)})")
+        _check_z("z", self.z)
         for name in ("branch", "c_sign", "hbar_sign", "sigma_sign"):
             check_sign(name, getattr(self, name))
         p_sq = dot(self.p, self.p)
@@ -334,6 +339,7 @@ class ConjugatedSpinor(Image):
     def __post_init__(self):
         super().__post_init__()
         check_sign("effective_branch", self.effective_branch)
+        _check_z("z_label", self.z_label)
 
 
 def apply_C_spinor(state: SpinorState | ConjugatedSpinor, gs: GammaSet

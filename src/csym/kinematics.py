@@ -92,8 +92,9 @@ def closed_form_pair_mass_sq(omega, omega_prime, n, n_prime):
 
 def _pair_threshold_reached(s, m: float):
     """The pair threshold (2 m c^2)^2 and whether s reaches it: a bool for one
-    s, a bool array for an array of s."""
-    threshold = (2.0 * m) ** 2
+    s, a bool array for an array of s.  A scalar m is read as a Python float,
+    so a numpy mass gives a float threshold."""
+    threshold = (2.0 * float(m)) ** 2
     return threshold, s >= threshold
 
 

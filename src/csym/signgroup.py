@@ -43,24 +43,11 @@ def _times(a: Signs, b: Signs) -> Signs:
     return tuple(x * y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """A finite group of named sign triples with an explicit composition map;
-    the identity is named "E"."""
-
-    elements: dict[str, Signs]
-    compose: dict[tuple[str, str], str]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def generate_g8() -> GroupTable:
+def generate_g8() -> dict[str, Signs]:
     """Close {E} under the generators' sign triples; the order is counted.
 
-    Each new element is named by the word that first reaches it, so the
-    elements read E, T, P, Q, TP, TQ, PQ, TPQ.
+    Returns each element's sign triple keyed by the word that first reaches
+    it, so the elements read E, T, P, Q, TP, TQ, PQ, TPQ.
     """
     names = {(1, 1, 1): "E"}
     frontier = [(1, 1, 1)]
@@ -70,8 +57,7 @@ def generate_g8() -> GroupTable:
             if prod not in names:
                 names[prod] = names[signs].removeprefix("E") + g
                 frontier.append(prod)
-    compose = {(names[a], names[b]): names[_times(a, b)] for a in names for b in names}
-    return GroupTable(elements={n: s for s, n in names.items()}, compose=compose)
+    return {n: s for s, n in names.items()}
 
 
 @dataclass(frozen=True)
@@ -82,21 +68,19 @@ class GroupStructure:
     all_involutions: bool
 
 
-def classify_group(table: GroupTable) -> GroupStructure:
-    """Element orders plus the cyclic / elementary-abelian verdicts."""
+def classify_group(elements: dict[str, Signs]) -> GroupStructure:
+    """Element orders plus the cyclic / elementary-abelian verdicts, on the
+    elements' sign triples."""
     orders = {}
-    for name in table.elements:
-        k, cur = 1, name
-        while cur != "E":
-            cur = table.compose[(cur, name)]
+    for name, signs in elements.items():
+        k, cur = 1, signs
+        while cur != (1, 1, 1):
+            cur = _times(cur, signs)
             k += 1
         orders[name] = k
-    abelian = all(
-        table.compose[(a, b)] == table.compose[(b, a)]
-        for a in table.elements
-        for b in table.elements
-    )
-    cyclic = any(k == table.order for k in orders.values())
+    triples = elements.values()
+    abelian = all(_times(a, b) == _times(b, a) for a in triples for b in triples)
+    cyclic = any(k == len(elements) for k in orders.values())
     involutions = all(k <= 2 for k in orders.values())
     return GroupStructure(
         element_orders=orders,

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from csym.electron import (
     verify_symmetry,
 )
 from csym.exact import EC_I, ExactComplex, ExactMatrix, anticommutator
-from csym.gamma import GammaIdentityError
+from csym.gamma import GammaIdentityError, solve_conjugation_space
 from csym.report import RunConfig, random_spinor, run
 from csym.sampling import (
     gaussian_rational_spinor,
@@ -237,6 +238,117 @@ class TestTransformTable:
     def test_non_bool_conj_rejected(self):
         with pytest.raises(ValueError, match="^conj must be a bool, got 'yes'$"):
             DiracTransform("bad", ExactMatrix.identity(4), "yes", (1, 1))
+
+
+#: a symmetry class: (conjugation or not, s = c_sign * hbar_sign, eps0, epsx)
+CLASSES = tuple(product((False, True), (1, -1), (1, -1), (1, -1)))
+
+
+def _class_of(entry):
+    return (entry.conj, entry.c_sign * entry.hbar_sign, *entry.arg_sig)
+
+
+def _class_signs(gs, conj, s, eps0, epsx):
+    """sigma_a with M g_a = sigma_a g_a M on the class's line.
+
+    verify_symmetry's g^a M = k M R_a, with R_a = g^a and k = s eps_a when
+    unitary, R_a = (g^a)* = r_a g^a and k = -s eps_a when antiunitary, is
+    M g_a = sigma_a g_a M with sigma_a = s eps_a, or -s eps_a r_a.  The
+    reality signs r_a are read from the built set.
+    """
+    reality = [1 if g.conj() == g else -1 for g in gs.vector]
+    assert all(g.conj() == g.scale(r) for g, r in zip(gs.vector, reality))
+    eps = (eps0, epsx, epsx, epsx)
+    if conj:
+        return tuple(-s * e * r for e, r in zip(eps, reality))
+    return tuple(s * e for e in eps)
+
+
+@pytest.fixture(scope="module")
+def class_lines(gamma4):
+    """Each class's solution space, solved once per distinct system."""
+    solved = {}
+    for cls in CLASSES:
+        signs = _class_signs(gamma4, *cls)
+        if signs not in solved:
+            solved[signs] = solve_conjugation_space(gamma4, signs)
+    return {cls: solved[_class_signs(gamma4, *cls)] for cls in CLASSES}
+
+
+def _square_conj_sign(m):
+    """f with M M* = f |.|^2 I, f = +1 or -1: unchanged when M is scaled."""
+    prod = m @ m.conj()
+    lam = prod[0, 0]
+    assert lam.is_real() and prod == ExactMatrix.identity(4).scale(lam)
+    return 1 if lam.re > 0 else -1
+
+
+class TestDiracClassification:
+    """The 16 symmetry classes of the free Dirac equation, each solved as a line.
+
+    A class (conjugation or not, s = c_sign * hbar_sign, eps0, epsx) fixes
+    the constraints M g_a = sigma_a g_a M, which are linear in M.  A line is
+    scale-free: it cannot tell i g0 g2 from g0 g2, so a QP row written as
+    g0 g2 still lies on its class's line, which is why the invariants below
+    are scale- and phase-independent (M M* = +-I, M1 M2 = +-M2 M1).
+    """
+
+    def test_every_class_is_a_line(self, gamma4, class_lines):
+        assert all(space.nullity == 1 for space in class_lines.values())
+        assert len({_class_signs(gamma4, *cls) for cls in CLASSES}) == 8
+        for conj, s, eps0, epsx in CLASSES:  # (s, eps) and (-s, -eps) share one system
+            assert (_class_signs(gamma4, conj, s, eps0, epsx)
+                    == _class_signs(gamma4, conj, -s, -eps0, -epsx))
+
+    def test_table_rows_lie_on_their_lines(self, gamma4, class_lines):
+        table = build_transform_table(gamma4)
+        for name, entry in table.items():
+            assert class_lines[_class_of(entry)].contains(entry.matrix), name
+        covered = {_class_of(e) for e in table.values()} | {(False, 1, 1, 1)}  # E implicit
+        assert covered == {cls for cls in CLASSES if cls[1] == 1}
+        # scale blindness: QP written without its phase i is on the same line
+        assert class_lines[_class_of(table["QP"])].contains(gamma4.g0 @ gamma4.g2)
+
+    def test_t_read_as_unitary_is_off_its_line(self, gamma4, class_lines):
+        t = build_transform_table(gamma4)["T"]
+        assert not class_lines[(False, 1, *t.arg_sig)].contains(t.matrix)
+
+    def test_verify_symmetry_is_the_per_index_relation(self, gamma4):
+        g0, g1, g2, g3, g5 = gamma4.g0, gamma4.g1, gamma4.g2, gamma4.g3, gamma4.g5
+        words = (ExactMatrix.identity(4), g0, g1, g2, g5, g0 @ g2, g1 @ g3, g0 @ g1 @ g3,
+                 g1 @ g2 @ g3)
+        rows = list(build_transform_table(gamma4).values())
+        rows += [DiracTransform("w", w.scale(phase), conj, (eps0, epsx), c_sign=c, hbar_sign=h)
+                 for w in words for phase in (1, -1, EC_I, MINUS_I)
+                 for conj, eps0, epsx, c, h in product((False, True), *[(1, -1)] * 4)]
+        assert len(rows) == 11 + 1152
+        verdicts = []
+        for entry in rows:
+            signs = _class_signs(gamma4, *_class_of(entry))
+            m = entry.matrix
+            relation = tuple(m @ g == (g @ m).scale(sg) for g, sg in zip(gamma4.vector, signs))
+            assert verify_symmetry(entry, gamma4) == relation, entry
+            verdicts += relation
+        assert True in verdicts and False in verdicts
+
+    def test_antiunitary_squares(self, gamma4, class_lines):
+        table = build_transform_table(gamma4)
+        want = {"C": 1, "Q": 1, "T": -1, "PT": -1, "CP": -1, "QP": -1}
+        for name, sign in want.items():
+            entry = table[name]
+            assert _square_conj_sign(entry.matrix) == sign, name
+            assert _square_conj_sign(class_lines[_class_of(entry)].basis[0]) == sign, name
+        flipped = {(eps0, epsx): _square_conj_sign(class_lines[(True, -1, eps0, epsx)].basis[0])
+                   for eps0, epsx in product((1, -1), repeat=2)}
+        assert flipped == {(1, 1): -1, (1, -1): -1, (-1, 1): -1, (-1, -1): 1}
+
+    def test_unitary_rows_anticommute_pairwise(self, gamma4, class_lines):
+        table = build_transform_table(gamma4)
+        for a, b in (("P", "QT"), ("P", "QPT"), ("QT", "QPT")):
+            for ma, mb in ((table[a].matrix, table[b].matrix),
+                           (class_lines[_class_of(table[a])].basis[0],
+                            class_lines[_class_of(table[b])].basis[0])):
+                assert ma @ mb == -(mb @ ma), (a, b)
 
 
 class TestSpinorStates:
@@ -468,6 +580,17 @@ class TestImageLabels:
         q = apply_Q_spinor(random_spinor(rng), gamma4)
         with pytest.raises(TypeError, match="Q relabels a SpinorState's own c, hbar, p and sigma"):
             apply_Q_spinor(q, gamma4)
+
+    @pytest.mark.parametrize("z_label, message", [
+        ((0, 0), "spinor label z_label must be nonzero"),
+        ((ExactComplex(1),), "spinor label z_label must hold 2 ExactComplex entries, got "
+                             "(1,) of types (ExactComplex)"),
+    ], ids=["int-zeros", "one-entry"])
+    def test_image_label_follows_the_state_rule(self, gamma4, rng, z_label, message):
+        """An image's z_label is held to SpinorState's z rule, under its own name."""
+        q = apply_Q_spinor(random_spinor(rng), gamma4)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            dataclasses.replace(q, z_label=z_label)
 
 
 class TestCommutatorControl:

@@ -87,6 +87,15 @@ class TestVacuumTransition:
         assert type(v.s) is float
         assert v.certificate == "s = -4.0 vs pair threshold (2 m c^2)^2 = 4.0: unreachable"
 
+    def test_numpy_mass_gives_python_types(self):
+        # (2.0 * np.float64(1.0)) ** 2 is a np.float64 and s >= it a numpy bool
+        v = vacuum_transition_feasible(1.0, 2.0, (0, 0, 1.0), (1.0, 0, 0), m=np.float64(1.0))
+        assert (type(v.feasible), type(v.threshold)) == (bool, float)
+        assert v.certificate == "s = -4.0 vs pair threshold (2 m c^2)^2 = 4.0: unreachable"
+        # a float mass keeps its bits
+        assert vacuum_transition_feasible(1.0, 2.0, (0, 0, 1.0), (1.0, 0, 0),
+                                          m=1 / 3).threshold == (2.0 * (1 / 3)) ** 2
+
     def test_preconditions_named(self):
         with pytest.raises(ValueError, match="omega_prime > omega"):
             vacuum_transition_feasible(2.0, 1.0, (0, 0, 1.0), (0, 0, 1.0), m=1.0)
