@@ -3,8 +3,8 @@ equations, centered on the equivalence of charge conjugation and inversion of
 the sign of the speed of light.  Each name is imported from its module:
 
 * ``exact``      exact Gaussian-rational scalars, matrices, and elimination
-* ``waves``      radicals, plane-wave records, and the plane-wave layer shared
-                 by photons and electrons (exponent, Dirac residual, sums)
+* ``waves``      plane-wave records (one root times a Gaussian-rational vector)
+                 and the layer photons and electrons share (exponent, residual)
 * ``sampling``   seeded exact state data, vector arithmetic, the vector rule
 * ``gamma``      gamma-matrix sets: identity verification, conjugation spaces
 * ``signgroup``  the order-8 coordinate sign group and the 16 field symmetries

@@ -3,12 +3,12 @@
 Builds the Dirac matrices and verifies their full identity list, derives the
 conjugation matrix by exact nullspace solving, certifies the transformation
 table (parity, time reversal, their composites, and the light-speed-inversion
-column) at the operator level, constructs explicit plane-wave spinors with
-exact radical amplitudes, and realizes charge conjugation C and the
-speed-of-light inversion Q on them.  Q is the substitution itself: the
-state's own record rebuilt with c, hbar, sigma and the 4-momentum labels
-negated.  The headline equality C psi = Q psi is checked as an identity
-between the two function records.
+column) at the operator level, constructs explicit plane-wave spinors whose
+amplitude is one radical times a Gaussian-rational vector, and realizes
+charge conjugation C and the speed-of-light inversion Q on them.  Q is the
+substitution itself: the state's own record rebuilt with c, hbar, sigma and
+the 4-momentum labels negated.  The headline equality C psi = Q psi is
+checked as an identity between the two function records.
 
 Sign conventions baked in here and stated once:
 
@@ -43,6 +43,7 @@ from .waves import (
     Image,
     PlaneWaveFunction,
     Radical,
+    amplitude,
     bilinear,
     check_sign,
     dirac_residual,
@@ -173,7 +174,7 @@ def verify_symmetry(entry: DiracTransform, gs: GammaSet) -> tuple[bool, bool, bo
 def transform_wave(entry: DiracTransform, rec: PlaneWaveFunction) -> PlaneWaveFunction:
     """Apply a table entry to a realized plane wave."""
     e0, ex = entry.arg_sig
-    out = PlaneWaveFunction(rec.amp, [e0 * rec.kappa[0]] + [ex * k for k in rec.kappa[1:]])
+    out = replace(rec, kappa=[e0 * rec.kappa[0]] + [ex * k for k in rec.kappa[1:]])
     if entry.conj:
         out = out.conjugate_function()
     return out.apply_matrix(entry.matrix)
@@ -262,25 +263,25 @@ class SpinorState:
         a, b = self.p_abs.numerator, self.p_abs.denominator
         return tuple(Fraction(x * b, d * a) for x in num)
 
-    def bispinor(self, prefactor: Radical | None = None) -> tuple[Radical, ...]:
-        """The 4 amplitude entries, times prefactor when one is given.
+    def bispinor(self, prefactor: Radical | None = None) -> PlaneWaveFunction:
+        """The amplitude u, times prefactor when one is given, as a constant record.
 
-        1/sqrt(z^dagger z) and the prefactor are multiplied first, so each
-        entry is one radical times a complex number.
+        sqrt(p0 - mc) = |p| / |p0 + mc| * sqrt(p0 + mc) on both c signs, the
+        -i branch included, so u is one radical times a Gaussian-rational
+        vector: sqrt((p0 + mc) / z^dagger z) and the prefactor make that
+        radical, and the lower block carries the rational |p| / |p0 + mc|.
         """
-        factor = Radical(1, 1 / self.s)
+        a = self.p0 + self.mc
+        root = Radical.sqrt(a / self.s, negative_branch=MINUS_I)  # s > 0 keeps a's sign
         if prefactor is not None:
-            factor = factor * prefactor
-        radp = Radical.sqrt(self.p0 + self.mc, negative_branch=MINUS_I) * factor
-        radm = Radical.sqrt(self.p0 - self.mc, negative_branch=MINUS_I) * factor
+            root = root * prefactor
+        t = ExactComplex(self.sigma_sign * self.p_abs / abs(a))  # (n.sigma) z is linear in n
         (n1, n2, n3), (z0, z1) = self.n, self.z
         n12 = ExactComplex(n1, n2)
-        nsz = (z0 * n3 + n12.conjugate() * z1, n12 * z0 - z1 * n3)
-        if self.sigma_sign < 0:  # (n.sigma) z is linear in n
-            nsz = (-nsz[0], -nsz[1])
+        nsz = (t * (z0 * n3 + n12.conjugate() * z1), t * (n12 * z0 - z1 * n3))
         if self.branch == 1:
-            return (radp * z0, radp * z1, radm * nsz[0], radm * nsz[1])
-        return (radm * nsz[0], radm * nsz[1], radp * z0, radp * z1)
+            return amplitude(root, (z0, z1, *nsz))
+        return amplitude(root, (*nsz, z0, z1))
 
     def record(self) -> PlaneWaveFunction:
         return self._record
@@ -314,8 +315,7 @@ def build_spinor(p, m, z, branch: int = 1) -> SpinorState:
 
 def spinor_norm(state: SpinorState, gs: GammaSet) -> ExactComplex:
     """ubar u for the unnormalized bispinor: 2mc on the + branch, -2mc on -."""
-    u = state.bispinor()
-    return bilinear(u, gs.g0, u)
+    return bilinear(state.bispinor(), gs.g0)
 
 
 def free_residual(state: SpinorState, gs: GammaSet) -> float:

@@ -29,7 +29,7 @@ from functools import cached_property
 from .exact import EC_ONE, ExactComplex, ExactMatrix, RowSpan, _frac
 from .sampling import Vec3, _rational, check_vector, cross, dot
 from .signgroup import BLOCKS, FieldOperator, classical_conjugation_operator
-from .waves import PlaneWaveFunction, Radical, check_sign, plane_wave
+from .waves import PlaneWaveFunction, Radical, amplitude, check_sign, plane_wave
 
 N_COMPONENTS = 16
 N_SLOTS = 5  # coefficient of (1, d0, d1, d2, d3) per component
@@ -92,7 +92,8 @@ def build_maxwell_system() -> LinearFieldSystem:
     The first N_FIELD_EQUATIONS rows are the curl/div pairs.
     """
     eqs: dict[str, dict[int, int]] = {}
-    # curl H - d0 E = (4 pi J): (eps_ijk d_j H_k) - d0 E_i - J_i = 0
+    # curl H - d0 E = (4 pi / c) J: the J column is the source per unit x0,
+    # (4 pi / c) J in Gaussian units.  (eps_ijk d_j H_k) - d0 E_i - J_i = 0
     for i in range(3):
         eqs[f"curlH-d0E-source[{i}]"] = {
             **_curl(i, H_IDX), _col(E_IDX[i], 1): -1, _col(J_IDX[i], 0): -1,
@@ -211,20 +212,20 @@ class PlaneWave:
 
     def record(self) -> PlaneWaveFunction:
         """field_column(self) times exp[-i(k0 x0 - k.x)]: the waves record, hbar = +1."""
-        return plane_wave([Radical.of(x) for x in field_column(self)], self.k0, self.k, 1)
+        return plane_wave(amplitude(Radical(1), field_column(self)), self.k0, self.k, 1)
 
 
 def plane_wave_residual(system: LinearFieldSystem, w: PlaneWave) -> Fraction:
     """Max |equation value| of the system's curl/div rows on the wave.
 
-    The rows act on the amplitudes of w.record() with the derivatives taken
-    analytically on its phase exp(i kappa.x): d_a -> i kappa_a.  The common
-    phase factor is dropped (it never vanishes), and the column's sources are
-    zero, so a valid plane wave gives exactly zero.
+    The rows act on the vector of w.record(), whose root is 1, with the
+    derivatives taken analytically on its phase exp(i kappa.x): d_a -> i
+    kappa_a.  The common phase factor is dropped (it never vanishes), and the
+    column's sources are zero, so a valid plane wave gives exactly zero.
     """
     rec = w.record()
     factors = (EC_ONE,) + tuple(ExactComplex(0, k) for k in rec.kappa)  # 1, then d_a
-    column = [a.to_exact() * d for a in rec.amp for d in factors]
+    column = [a * d for a in rec.vec for d in factors]
     field_rows = ExactMatrix(N_FIELD_EQUATIONS, ROW_WIDTH,
                              system.rows.entries[:N_FIELD_EQUATIONS * ROW_WIDTH])
     values = (field_rows @ ExactMatrix.column(column)).entries
@@ -267,8 +268,10 @@ def energy_poynting_record(wave) -> tuple[ExactComplex, tuple[ExactComplex, ...]
     coefficients times cos^2(phase)/pi, and on a conjugated photon with
     imaginary lambda the formal energy comes out negative.
     """
-    energy, flux = _energy_flux(wave.record().amp, wave.c_sign)
-    return energy.to_exact(), tuple(v.to_exact() for v in flux)
+    rec = wave.record()
+    # quadratic in the amplitudes, so the record's root is one rational factor
+    energy, flux = _energy_flux(rec.vec, wave.c_sign)
+    return energy * rec.root, tuple(v * rec.root for v in flux)
 
 
 def energy_poynting(w: PlaneWave, x):

@@ -18,7 +18,7 @@ matrix lambda g0, so C and Q take it as an argument and return a plain
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,11 +39,11 @@ from .waves import (
     Image,
     PlaneWaveFunction,
     Radical,
+    amplitude,
     bilinear,
     check_sign,
     dirac_residual,
     plane_wave,
-    radical_sum,
 )
 
 #: all five matrices real; {g0, g5} = -2I and g5 anticommutes with g1, g2, g3
@@ -157,11 +157,11 @@ class PhotonState:
     def _record(self) -> PlaneWaveFunction:
         ll = dot(self.wave.l, self.wave.l)
         norm = Radical(1, Fraction(ll.denominator, 2 * ll.numerator))
-        amp = [norm * x for x in field_column(self.wave)[:8]]
+        amp = amplitude(norm, field_column(self.wave)[:8])
         return plane_wave(amp, self.wave.k0, self.wave.k, self.hbar_sign)
 
     def norm_sq(self) -> ExactComplex:
-        return radical_sum(a.conjugate() * a for a in self.record().amp).to_exact()
+        return bilinear(self.record(), ExactMatrix.identity(8))
 
 
 def photon_plane_wave(n, l, p0, hbar_sign: int = 1, c_sign: int = 1) -> PhotonState:
@@ -204,8 +204,8 @@ def _q_relabeled(wave: PhotonState | Image) -> PlaneWaveFunction:
     rec = wave.record()
     k0, k = rec.kappa[0], rec.kappa[1:]
     if wave.hbar_sign > 0:  # own labels (-k0, k), flipped (k0, -k)
-        return plane_wave(rec.amp, k0, [-x for x in k], -1)
-    return plane_wave(rec.amp, -k0, k, 1)  # own labels (k0, -k), flipped (-k0, k)
+        return plane_wave(rec, k0, [-x for x in k], -1)
+    return plane_wave(rec, -k0, k, 1)  # own labels (k0, -k), flipped (-k0, k)
 
 
 def apply_Q_photon(wave: PhotonState | Image, gs: GammaSet, lam: ExactComplex = MINUS_I) -> Image:
@@ -226,9 +226,7 @@ def phase_displacement_form(state: PhotonState) -> PlaneWaveFunction:
     folding e^(i pi/2) = i into the amplitude.
     """
     base = state.record()
-    amp = [a * ExactComplex(-1) * EC_I for a in base.amp]
-    kappa = [-k for k in base.kappa]
-    return PlaneWaveFunction(amp, kappa)
+    return replace(base.scale(ExactComplex(-1) * EC_I), kappa=[-k for k in base.kappa])
 
 
 def dirac_form_residual(wave: PhotonState | Image, gs: GammaSet) -> float:
@@ -240,6 +238,6 @@ def currents(state: PhotonState, conjugated: Image, gs: GammaSet
              ) -> tuple[ExactComplex, tuple, ExactComplex, tuple]:
     """The bilinears Psi-bar gamma^a Psi for the state and its conjugate."""
     g0g = [gs.g0 @ g for g in gs.vector]  # each g0 g^a once per call
-    amps = (state.record().amp, conjugated.record().amp)
-    j, jc = ([bilinear(a, m, a) for m in g0g] for a in amps)
+    recs = (state.record(), conjugated.record())
+    j, jc = ([bilinear(r, m) for m in g0g] for r in recs)
     return j[0], tuple(j[1:]), jc[0], tuple(jc[1:])

@@ -17,7 +17,7 @@ import math
 import os
 import pickle
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +33,7 @@ from .sampling import (
     rational_unit_vector,
     spacetime_points,
 )
-from .waves import labels
+from .waves import Radical, amplitude, labels
 
 VERSION = "0.1.0"
 
@@ -633,7 +633,7 @@ def _photon_c_action(rng, lam):
     energy, _ = labels(conj)
     return _verdict([
         (c_rec.kappa == tuple(-k for k in rec.kappa), "C does not reverse the phase"),
-        (all(a == b * lam for a, b in zip(c_rec.amp, rec.amp)),
+        (replace(c_rec, kappa=rec.kappa) == rec.scale(lam),
          f"C's amplitudes are not lambda = {lam!r} times the state's"),
         (photon.apply_C_photon(conj, lam).record() == rec, "C C does not restore the record"),
         (energy == -st.wave.k0, f"C's energy label {energy} is not -k0 = {-st.wave.k0}"),
@@ -851,8 +851,9 @@ def _rest_frame(gamma4):
     u = st.bispinor()
     two_mc, norm = ExactComplex(2 * st.m), electron.spinor_norm(st, gamma4)
     return _verdict([
-        (u[2].is_zero() and u[3].is_zero(), "the lower block does not vanish"),
-        ((u[0] * u[0].conjugate()).to_exact() == two_mc and u[1].is_zero(),
+        # g0 = diag(I, -I) fixes exactly the bispinors whose lower block is 0
+        (u.apply_matrix(gamma4.g0) == u, "the lower block does not vanish"),
+        (u == amplitude(Radical.sqrt(2 * st.m), (1, 0, 0, 0)),
          f"the upper block is not sqrt(2 m c) w for w = (1, 0), 2 m c = {two_mc}"),
         (norm == two_mc, f"ubar u = {norm} is not 2 m c = {two_mc}"),
     ], "lower block vanishes; upper carries sqrt(2 m c) w")

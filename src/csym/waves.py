@@ -1,17 +1,17 @@
-"""Plane-wave function records built from exact square-root scalars.
+"""Plane-wave records: one root times a Gaussian-rational vector.
 
-A `Radical` is coeff * sqrt(radicand) with an exact complex coefficient and an
-int radicand, 1 or a non-square: a rational p/q is folded once, sqrt(p/q) =
-sqrt(p q) / q.  Sums and products stay exact as long as the radicands
-involved are commensurable (their product is a square), which holds for
-every state this package constructs.  A `PlaneWaveFunction`
-is an amplitude vector of radicals times exp(i * kappa . x) with rational
-kappa, so two realized wave functions can be compared for equality exactly
-and also evaluated numerically at sampled spacetime points.
+A `PlaneWaveFunction` is vec * sqrt(root) * exp(i * kappa . x) with a
+Gaussian-rational vec, one int root and rational kappa.  Every state built
+here has that form (sqrt(p0 - mc) = |p| / |p0 + mc| * sqrt(p0 + mc) for a
+Pythagorean |p|), and C, Q, complex conjugation and every table matrix act
+on vec and keep the root.  Records compare and hash by value, so realized
+wave functions can be compared exactly and also evaluated numerically at
+sampled spacetime points.  A `Radical`, coeff * sqrt(radicand) with an int
+radicand (1 or a non-square; sqrt(p/q) = sqrt(p q) / q), builds a root.
 
 The plane-wave layer that the photon and electron modules share is written
-here once: the exponent (`plane_wave`), the Dirac-form residual
-(`dirac_residual`), every exact radical sum (`radical_sum`), the label
+here once: the amplitude (`amplitude`), the exponent (`plane_wave`), the
+bilinear (`bilinear`), the Dirac-form residual (`dirac_residual`), the label
 rule (`labels`) and the sign rule (`check_sign`).  Every state and `Image`
 answers record(), c_sign, hbar_sign.
 """
@@ -60,75 +60,31 @@ class Radical:
             raise ValueError(f"sqrt of negative rational {x} needs an explicit branch")
         return Radical(negative_branch, -x)
 
-    @staticmethod
-    def of(coeff) -> "Radical":
-        return Radical(coeff, 1)
+    def __mul__(self, other: "Radical") -> "Radical":
+        return _folded(self.coeff * other.coeff, self.radicand * other.radicand)
 
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero()
-
-    def __mul__(self, other) -> "Radical":
-        if isinstance(other, Radical):
-            return _folded(self.coeff * other.coeff, self.radicand * other.radicand)
-        return _radical(self.coeff * other, self.radicand)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Radical":
-        return _radical(-self.coeff, self.radicand)
-
-    def __add__(self, other) -> "Radical":
-        if not isinstance(other, Radical):
-            other = Radical.of(other)
-        if other.is_zero():
+    def __add__(self, other: "Radical") -> "Radical":
+        if not other.coeff:
             return self
-        if self.is_zero():
+        if not self.coeff:
             return other
         r = self.radicand
-        if r == other.radicand:
-            return _radical(self.coeff + other.coeff, r)
         ratio = _root_ratio(other, r)
         if ratio is None:
             raise ValueError(
                 f"cannot add radicals with incommensurable radicands "
                 f"{r} and {other.radicand}"
             )
-        return _radical(self.coeff + ratio, r)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Radical":
-        return self + (-other if isinstance(other, Radical) else Radical.of(other) * -1)
-
-    def __truediv__(self, k) -> "Radical":
-        return _radical(self.coeff / k, self.radicand)
-
-    def conjugate(self) -> "Radical":
-        return _radical(self.coeff.conjugate(), self.radicand)
-
-    def to_exact(self) -> ExactComplex:
-        """The value as a plain ExactComplex; requires a rational radicand root."""
-        if self.radicand == 1:
-            return self.coeff
-        raise ValueError(f"value sqrt({self.radicand}) is irrational")
+        return _folded(self.coeff + ratio, r)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Radical):
-            try:
-                other = Radical.of(ExactComplex.coerce(other))
-            except TypeError:
-                return NotImplemented
+            return NotImplemented
         # zero holds radicand 1, and no other normal-form radicand is commensurable with 1
         if self.radicand == other.radicand:
             return self.coeff == other.coeff
         ratio = _root_ratio(other, self.radicand)
         return ratio is not None and self.coeff == ratio
-
-    def __hash__(self):
-        # equal radicals have equal squares; a rational one hashes like its value
-        if self.radicand == 1:
-            return hash(self.coeff)
-        return hash(self.coeff * self.coeff * self.radicand)
 
     def to_complex(self) -> complex:
         return self.coeff.to_complex() * math.sqrt(self.radicand)
@@ -139,28 +95,21 @@ class Radical:
         return f"({self.coeff!r})*sqrt({self.radicand})"
 
 
-def _radical(coeff: ExactComplex, radicand: int) -> Radical:
-    """coeff * sqrt(radicand) for a radicand some Radical already holds.
-
-    Such a radicand is 1 or a positive non-square, so only a zero coefficient
-    needs normalizing; the validation and the square-root test of
-    Radical(coeff, radicand) are skipped.
-    """
-    r = object.__new__(Radical)
-    if coeff.is_zero():
-        coeff, radicand = EC_ZERO, 1
-    object.__setattr__(r, "coeff", coeff)
-    object.__setattr__(r, "radicand", radicand)
-    return r
-
-
 def _folded(coeff: ExactComplex, radicand: int) -> Radical:
-    """coeff * sqrt(radicand) for an int radicand >= 0, a square folded into coeff."""
-    if radicand != 1:
+    """coeff * sqrt(radicand) for an int radicand >= 0, in normal form.
+
+    A square radicand is folded into coeff, and a zero holds radicand 1.
+    """
+    if not coeff:
+        coeff, radicand = EC_ZERO, 1
+    elif radicand != 1:
         s = math.isqrt(radicand)
         if s * s == radicand:
             coeff, radicand = coeff * s, 1
-    return _radical(coeff, radicand)
+    r = object.__new__(Radical)
+    object.__setattr__(r, "coeff", coeff)
+    object.__setattr__(r, "radicand", radicand)
+    return r
 
 
 def _root_ratio(x: Radical, r: int) -> ExactComplex | None:
@@ -176,73 +125,79 @@ def _root_ratio(x: Radical, r: int) -> ExactComplex | None:
     return _reduced(c._a * s, c._b * s, c._d * r)
 
 
-#: the zero radical every exact sum starts from
-RADICAL_ZERO = _radical(EC_ZERO, 1)
-
-
-def radical_sum(terms) -> Radical:
-    """The exact sum of the radicals in terms, added left to right."""
-    return sum(terms, RADICAL_ZERO)
-
-
-def matrix_times_radicals(m: ExactMatrix, vec: tuple[Radical, ...]) -> tuple[Radical, ...]:
-    if m.cols != len(vec):
-        raise ValueError(f"cannot apply {m.rows}x{m.cols} matrix to length-{len(vec)} vector")
-    return tuple(
-        radical_sum(v * e for e, v in zip(m.row(i), vec) if not e.is_zero() and not v.is_zero())
-        for i in range(m.rows)
-    )
-
-
-def bilinear(left: tuple[Radical, ...], m: ExactMatrix, right: tuple[Radical, ...]
-             ) -> ExactComplex:
-    """left^dagger @ m @ right, folded to an exact complex number."""
-    mv = matrix_times_radicals(m, right)
-    return radical_sum(l.conjugate() * r for l, r in zip(left, mv)).to_exact()
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PlaneWaveFunction:
-    """amp * exp(i * sum_a kappa_a x^a) with radical amplitudes, rational kappa.
+    """vec * sqrt(root) * exp(i * sum_a kappa_a x^a): one root for every entry.
 
-    A record is plain exact data: amp holds Radicals and kappa rationals, as
-    given; equal records compare and hash equal.
+    A record is plain exact data: vec holds ExactComplex entries, root an int
+    >= 1 and kappa rationals, as given.  Records compare and hash by value,
+    so (v, r) and (v / k, k^2 r) are equal records.
     """
 
-    amp: tuple[Radical, ...]
+    vec: tuple[ExactComplex, ...]
+    root: int
     kappa: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "amp", tuple(self.amp))
+        object.__setattr__(self, "vec", tuple(self.vec))
         object.__setattr__(self, "kappa", tuple(self.kappa))
         if len(self.kappa) != 4:
             raise ValueError(f"kappa must have 4 components, got {len(self.kappa)}")
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PlaneWaveFunction:
+            return NotImplemented
+        r, r2, v, v2 = self.root, other.root, self.vec, other.vec
+        if self.kappa != other.kappa or len(v) != len(v2):
+            return False
+        if r == r2:
+            return v == v2
+        s = math.isqrt(r * r2)  # sqrt(r2) = (s / r) sqrt(r) when r r2 = s^2
+        if s * s != r * r2:
+            return not (any(v) or any(v2))
+        return all(a * r == b * s for a, b in zip(v, v2))
+
+    def __hash__(self):
+        # equal values have equal entrywise squares v * v * root
+        return hash((tuple(a * a * self.root for a in self.vec), self.kappa))
+
     def conjugate_function(self) -> "PlaneWaveFunction":
         return PlaneWaveFunction(
-            [a.conjugate() for a in self.amp], [-k for k in self.kappa]
+            [a.conjugate() for a in self.vec], self.root, [-k for k in self.kappa]
         )
 
     def apply_matrix(self, m: ExactMatrix) -> "PlaneWaveFunction":
-        return PlaneWaveFunction(matrix_times_radicals(m, self.amp), self.kappa)
+        return PlaneWaveFunction((m @ ExactMatrix.column(self.vec)).entries, self.root, self.kappa)
 
     def scale(self, factor) -> "PlaneWaveFunction":
-        return PlaneWaveFunction([a * factor for a in self.amp], self.kappa)
+        return PlaneWaveFunction([a * factor for a in self.vec], self.root, self.kappa)
 
     def evaluate(self, x) -> np.ndarray:
         """Numeric value at spacetime points x.
 
         x is one point (x0, x1, x2, x3) of shape (4,), giving an amplitude
         vector of shape (n,), or an (N, 4) array of points, giving (N, n)
-        with one row per point.  The exact amplitudes and kappa are converted
-        to floats once per call, not once per point.  Each phase kappa . x is
-        summed left to right, so a row of an array result equals the result
-        for that point alone.
+        with one row per point.  The exact vector, its root and kappa are
+        converted to floats once per call, not once per point.  Each phase
+        kappa . x is summed left to right, so a row of an array result equals
+        the result for that point alone.
         """
         kappa = np.array([float(k) for k in self.kappa])
-        amp = np.array([a.to_complex() for a in self.amp])
+        amp = np.array([a.to_complex() for a in self.vec]) * math.sqrt(self.root)
         phase = (np.asarray(x, dtype=float) * kappa).sum(axis=-1)
         return np.multiply.outer(np.exp(1j * phase), amp)
+
+
+def amplitude(scale: Radical, vec) -> PlaneWaveFunction:
+    """vec * scale as a constant record (kappa 0); its root is scale's radicand."""
+    c = scale.coeff
+    return PlaneWaveFunction([c * a for a in vec], scale.radicand, (0, 0, 0, 0))
+
+
+def bilinear(rec: PlaneWaveFunction, m: ExactMatrix) -> ExactComplex:
+    """rec^dagger @ m @ rec at any point, exact: root times vec^dagger m vec."""
+    terms = (a.conjugate() * b for a, b in zip(rec.vec, rec.apply_matrix(m).vec))
+    return sum(terms, EC_ZERO) * rec.root
 
 
 def check_sign(name: str, value) -> None:
@@ -251,16 +206,15 @@ def check_sign(name: str, value) -> None:
         raise ValueError(f"{name} must be +1 or -1, got {value!r}")
 
 
-def plane_wave(amp, p0: Fraction, p, hbar_sign: int) -> PlaneWaveFunction:
+def plane_wave(amp: PlaneWaveFunction, p0: Fraction, p, hbar_sign: int) -> PlaneWaveFunction:
     """amp * exp[-(i/hbar)(p0 x0 - p.x)] with hbar = hbar_sign, the int +1 or -1.
 
-    Dividing by a unit hbar is a sign flip, so kappa holds the labels or
-    their negations.
+    amp gives the vector and root; its own kappa is replaced.  Dividing by a
+    unit hbar is a sign flip, so kappa holds the labels or their negations.
     """
     check_sign("hbar_sign", hbar_sign)
-    if hbar_sign == 1:
-        return PlaneWaveFunction(amp, [-p0, *p])
-    return PlaneWaveFunction(amp, [p0, *(-pk for pk in p)])
+    kappa = [-p0, *p] if hbar_sign == 1 else [p0, *(-pk for pk in p)]
+    return PlaneWaveFunction(amp.vec, amp.root, kappa)
 
 
 def labels(wave) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction]]:
@@ -298,7 +252,8 @@ def dirac_residual(rec: PlaneWaveFunction, mass_term: Fraction, hbar_sign: int,
     a state and for a transformed wave, are all this one residual.  On
     exp(i kappa.x), d_a brings down i*kappa_a, so the operator's coefficient
     matrix is -hbar * sum_a kappa_a gamma^a - mass_term * identity, with
-    hbar = hbar_sign, +1 or -1.
+    hbar = hbar_sign, +1 or -1.  It acts on the vector; the root is one
+    common factor.
     """
     n = gammas[0].rows
     m = ExactMatrix.zeros(n, n)
@@ -308,4 +263,5 @@ def dirac_residual(rec: PlaneWaveFunction, mass_term: Fraction, hbar_sign: int,
             m = m + g.scale(-c if hbar_sign > 0 else c)
     if mass_term != 0:
         m = m - ExactMatrix.identity(n).scale(ExactComplex(mass_term))
-    return max((abs(v.to_complex()) for v in matrix_times_radicals(m, rec.amp)), default=0.0)
+    worst = max((abs(v.to_complex()) for v in rec.apply_matrix(m).vec), default=0.0)
+    return worst * math.sqrt(rec.root)

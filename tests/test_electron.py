@@ -38,9 +38,24 @@ from csym.sampling import (
     rational_unit_vector,
     spacetime_points,
 )
-from csym.waves import PlaneWaveFunction, Radical, labels
+from csym.waves import PlaneWaveFunction, Radical, amplitude, bilinear, labels
 
 MINUS_I = ExactComplex(0, -1)
+
+
+def _one_root(entries, kappa) -> PlaneWaveFunction:
+    """The record of per-entry radicals, written over the largest of their radicands.
+
+    An entry e equals (c / root) sqrt(root) when e sqrt(root) folds to a
+    rational c; an entry incommensurable with that root fails the assertion.
+    """
+    root = max(e.radicand for e in entries)
+    vec = []
+    for e in entries:
+        folded = e * Radical(1, root)
+        assert folded.radicand == 1, (e, root)
+        vec.append(folded.coeff / root)
+    return PlaneWaveFunction(vec, root, kappa)
 
 
 def _reference_q_record(st, gs):
@@ -60,12 +75,14 @@ def _reference_q_record(st, gs):
     radm = Radical.sqrt(p0 - mc, negative_branch=MINUS_I)
     pref = Radical(1, 1 / (2 * p0)) if p0 > 0 else Radical(MINUS_I, -1 / (2 * p0))
     if st.branch == 1:
-        parts = [radp * z0, radp * z1, radm * nsz[0], radm * nsz[1]]
+        parts = [radp * Radical(z0), radp * Radical(z1), radm * Radical(nsz[0]),
+                 radm * Radical(nsz[1])]
     else:
-        parts = [radm * nsz[0], radm * nsz[1], radp * z0, radp * z1]
+        parts = [radm * Radical(nsz[0]), radm * Radical(nsz[1]), radp * Radical(z0),
+                 radp * Radical(z1)]
     sign = -st.branch
     kappa = [sign * p0 / hb] + [-sign * pk / hb for pk in p]
-    relabeled = PlaneWaveFunction([x * snorm * pref for x in parts], kappa)
+    relabeled = _one_root([x * snorm * pref for x in parts], kappa)
     return relabeled.conjugate_function().apply_matrix(-gs.g2)
 
 
@@ -75,19 +92,19 @@ def _reference_transform_wave(entry, rec):
     The argument signs scale kappa; conjugation conjugates every amplitude
     and negates kappa; the matrix then acts on the amplitudes.
     """
-    amp = rec.amp
+    vec = rec.vec
     kappa = [rec.kappa[0] * entry.arg_sig[0]] + [k * entry.arg_sig[1] for k in rec.kappa[1:]]
     if entry.conj:
-        amp = tuple(a.conjugate() for a in amp)
+        vec = tuple(a.conjugate() for a in vec)
         kappa = [-k for k in kappa]
-    return PlaneWaveFunction(amp, kappa).apply_matrix(entry.matrix)
+    return PlaneWaveFunction(vec, rec.root, kappa).apply_matrix(entry.matrix)
 
 
 def _kappa_kept_under_conjugation(entry, rec):
     """A wrong transform: conjugates the amplitudes but keeps kappa's sign."""
-    amp = tuple(a.conjugate() for a in rec.amp) if entry.conj else rec.amp
+    vec = tuple(a.conjugate() for a in rec.vec) if entry.conj else rec.vec
     kappa = [rec.kappa[0] * entry.arg_sig[0]] + [k * entry.arg_sig[1] for k in rec.kappa[1:]]
-    return PlaneWaveFunction(amp, kappa).apply_matrix(entry.matrix)
+    return PlaneWaveFunction(vec, rec.root, kappa).apply_matrix(entry.matrix)
 
 
 def _matches_reference_transform(transform, gs, rng):
@@ -377,8 +394,8 @@ class TestSpinorStates:
     def test_rest_frame(self, gamma4):
         st = build_spinor((0, 0, 0), Fraction(3, 2), (1, 0))
         u = st.bispinor()
-        assert u[1].is_zero() and u[2].is_zero() and u[3].is_zero()
-        assert (u[0] * u[0].conjugate()).to_exact() == ExactComplex(2 * st.m)
+        assert u == amplitude(Radical.sqrt(2 * st.m), (1, 0, 0, 0))
+        assert bilinear(u, ExactMatrix.identity(4)) == ExactComplex(2 * st.m)
 
     def test_irrational_energy_rejected(self):
         with pytest.raises(ValueError, match="perfect square"):
@@ -441,9 +458,8 @@ class TestSpinorStates:
         st = build_spinor((0, 0, 0), 2, (ExactComplex(3, 0), ExactComplex(0, 4)))
         # |z|^2 = 25 is folded into the amplitude, so w^dagger w = 1 exactly
         assert st.s == 25
-        u = st.bispinor()
-        total = (u[0] * u[0].conjugate() + u[1] * u[1].conjugate()).to_exact()
-        assert total == ExactComplex(2 * st.m)
+        upper = ExactMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4])
+        assert bilinear(st.bispinor(), upper) == ExactComplex(2 * st.m)
 
     @pytest.mark.parametrize("branch", [1, -1])
     @pytest.mark.parametrize("seed", [0, 1, 7])

@@ -37,7 +37,7 @@ from csym.signgroup import (
     canonical_operators,
     classical_conjugation_operator,
 )
-from csym.waves import Radical
+from csym.waves import Radical, amplitude
 
 
 CANONICAL = canonical_operators()
@@ -384,7 +384,7 @@ class TestPlaneWaveRecord:
             (Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)), (3, -2, 0), Fraction(5, 3)
         )
         rec = w.record()
-        assert rec.amp == tuple(Radical.of(x) for x in field_column(w))
+        assert rec.root == 1 and rec.vec == tuple(ExactComplex(x) for x in field_column(w))
         assert rec.kappa == (-w.k0,) + w.k  # exp[-i(k0 x0 - k.x)]
 
     def test_photon_record_is_the_normalized_wave_record(self, rng):
@@ -398,8 +398,9 @@ class TestPlaneWaveRecord:
                 # exp[-(i/hbar)(k0 x0 - k.x)]: a negative hbar negates kappa
                 assert photon_rec.kappa == tuple(hbar_sign * k for k in wave_rec.kappa)
                 # photon amplitude times sqrt(2 |l|^2) is the wave's, first 8 entries
-                root = Radical.sqrt(2 * dot(l, l))
-                assert tuple(a * root for a in photon_rec.amp) == wave_rec.amp[:8]
+                scaled = amplitude(Radical.sqrt(2 * dot(l, l)) * Radical(1, photon_rec.root),
+                                   photon_rec.vec)
+                assert scaled == amplitude(Radical(1), wave_rec.vec[:8])
 
 
 def _energy_flux_check(monkeypatch, name, replacement):

@@ -19,15 +19,15 @@ from csym import electron, gamma, kinematics, maxwell, photon, report, signgroup
 from csym.exact import ExactMatrix
 from csym.report import RunConfig, run
 from csym.sampling import dot
-from csym.waves import PlaneWaveFunction, Radical, bilinear, dirac_residual, plane_wave
+from csym.waves import Radical, amplitude, bilinear, dirac_residual, plane_wave
 from test_electron import _branch_blind_partner
 
 
 def _currents_without_g0(monkeypatch):
     """Psi^dagger g^a Psi in place of Psi-bar g^a Psi: the g0 of Psi-bar is lost."""
     def currents(state, conjugated, gs):
-        amps = (state.record().amp, conjugated.record().amp)
-        j, jc = ([bilinear(a, g, a) for g in gs.vector] for a in amps)
+        recs = (state.record(), conjugated.record())
+        j, jc = ([bilinear(r, g) for g in gs.vector] for r in recs)
         return j[0], tuple(j[1:]), jc[0], tuple(jc[1:])
     monkeypatch.setattr(photon, "currents", currents)
 
@@ -52,7 +52,7 @@ def _plane_wave_ignoring_hbar_sign(monkeypatch):
     binding is replaced.
     """
     def plane_wave(amp, p0, p, hbar_sign):
-        return PlaneWaveFunction(amp, [-p0, *p])
+        return replace(amp, kappa=[-p0, *p])
     for module in (waves, maxwell, photon, electron):
         monkeypatch.setattr(module, "plane_wave", plane_wave)
 
@@ -67,8 +67,8 @@ def _orthogonal_vector_without_projection(monkeypatch):
 def _photon_norm_without_factor_2(monkeypatch):
     """A photon amplitude over sqrt(|l|^2), not sqrt(2 |l|^2): the norm is 2."""
     def record(self):
-        amp = [Radical(1, 1 / dot(self.wave.l, self.wave.l)) * x
-               for x in maxwell.field_column(self.wave)[:8]]
+        amp = amplitude(Radical(1, 1 / dot(self.wave.l, self.wave.l)),
+                        maxwell.field_column(self.wave)[:8])
         return plane_wave(amp, self.wave.k0, self.wave.k, self.hbar_sign)
     monkeypatch.setattr(photon.PhotonState, "record", record)
 
@@ -150,8 +150,18 @@ def _negative_branch_blocks_swapped(monkeypatch):
 
     def swapped(self, prefactor=None):
         u = bispinor(self, prefactor)
-        return u if self.branch == 1 else u[2:] + u[:2]
+        return u if self.branch == 1 else replace(u, vec=u.vec[2:] + u.vec[:2])
     monkeypatch.setattr(electron.SpinorState, "bispinor", swapped)
+
+
+def _q_spinor_root_doubled(monkeypatch):
+    """An electron Q image whose record's root is doubled: its value times sqrt(2)."""
+    apply_q = electron.apply_Q_spinor
+
+    def apply_Q_spinor(state, gs):
+        q = apply_q(state, gs)
+        return replace(q, function=replace(q.function, root=2 * q.function.root))
+    monkeypatch.setattr(electron, "apply_Q_spinor", apply_Q_spinor)
 
 
 def _rest_state_on_negative_branch(monkeypatch):
@@ -303,7 +313,7 @@ def _wave_record_with_k0_negated(monkeypatch):
 
     def negated(self):
         rec = record(self)
-        return PlaneWaveFunction(rec.amp, (-rec.kappa[0], *rec.kappa[1:]))
+        return replace(rec, kappa=(-rec.kappa[0], *rec.kappa[1:]))
     monkeypatch.setattr(maxwell.PlaneWave, "record", negated)
 
 
@@ -409,6 +419,11 @@ MUTATIONS = [
      {"electron.cq-record-equality", "electron.cq-pointwise-equality",
       "electron.conjugation-commutator", "electron.spinor-normalization",
       "electron.spinor-residuals"}),
+    # a root fault: Q's value off by sqrt(2) differs from C's exactly and at every
+    # point, and C Q no longer restores the state
+    (_q_spinor_root_doubled, dict(suites=("electron",)),
+     {"electron.cq-record-equality", "electron.cq-pointwise-equality",
+      "electron.conjugation-commutator"}),
     (_rest_state_on_negative_branch, dict(suites=("electron",)), {"electron.rest-frame"}),
     (_qp_matrix_without_i, dict(suites=("electron",)), {"electron.table-correspondence"}),
     (_symmetry_ignoring_conjugation, dict(suites=("electron",)),

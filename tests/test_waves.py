@@ -1,4 +1,4 @@
-"""Radical scalars, plane-wave records, and the exact sampling helpers."""
+"""Radical scalars, one-root plane-wave records, and the exact sampling helpers."""
 
 import math
 import re
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csym import electron, maxwell, photon, report
-from csym.exact import EC_I, ExactComplex, ExactMatrix
+from csym.exact import EC_I, EC_ONE, ExactComplex, ExactMatrix
 from csym.sampling import (
     cross,
     dot,
@@ -26,6 +26,7 @@ from csym.waves import (
     Image,
     PlaneWaveFunction,
     Radical,
+    amplitude,
     bilinear,
     dirac_residual,
     labels,
@@ -41,7 +42,7 @@ class TestRadical:
     def test_product_of_matching_radicands(self):
         a = Radical(2, Fraction(3))
         b = Radical(5, Fraction(3))
-        assert (a * b).to_exact() == ExactComplex(30)
+        assert a * b == Radical(30)
 
     def test_commensurable_addition(self):
         # sqrt(8) = 2 sqrt(2)
@@ -57,15 +58,15 @@ class TestRadical:
         with pytest.raises(ValueError):
             Radical(1, -2)
         r = Radical.sqrt(Fraction(-4), negative_branch=ExactComplex(0, -1))
-        assert r.to_exact() == ExactComplex(0, -2)
+        assert r == Radical(ExactComplex(0, -2))
 
     def test_cross_radicand_equality(self):
         assert Radical(2, Fraction(9, 2)) == Radical(3, 2)
         assert Radical(1, 2) != Radical(1, 3)
 
     def test_zero_canonical(self):
-        assert Radical(0, 5).is_zero()
-        assert Radical(1, 0).is_zero()
+        for zero in (Radical(0, 5), Radical(1, 0)):
+            assert (zero.coeff, zero.radicand) == (ExactComplex(0), 1)
         assert Radical(0, 5) == Radical(1, 0)
 
     def test_numeric_value(self):
@@ -77,21 +78,21 @@ class TestRadical:
 
 class TestPlaneWaveFunction:
     def test_conjugate_function(self):
-        f = PlaneWaveFunction([Radical(EC_I, 2)], [1, 0, 0, -2])
+        f = PlaneWaveFunction([EC_I], 2, [1, 0, 0, -2])
         g = f.conjugate_function()
         assert g.kappa == (-1, 0, 0, 2)
-        assert g.amp[0].coeff == ExactComplex(0, -1)
+        assert g.vec == (ExactComplex(0, -1),) and g.root == 2
 
     def test_matrix_application(self):
         m = ExactMatrix.from_rows([[0, 1], [1, 0]])
-        f = PlaneWaveFunction([Radical(1, 2), Radical(3, 2)], [0, 0, 0, 0])
+        f = PlaneWaveFunction([EC_ONE, ExactComplex(3)], 2, [0, 0, 0, 0])
         g = f.apply_matrix(m)
-        assert g.amp[0] == Radical(3, 2) and g.amp[1] == Radical(1, 2)
+        assert g.vec == (ExactComplex(3), EC_ONE) and g.root == 2
 
     def test_evaluate_matches_hand_value(self):
         import cmath
 
-        f = PlaneWaveFunction([Radical(2, 1)], [Fraction(1, 2), 0, 0, 0])
+        f = PlaneWaveFunction([ExactComplex(2)], 1, [Fraction(1, 2), 0, 0, 0])
         val = f.evaluate((3.0, 0.0, 0.0, 0.0))
         assert val[0] == pytest.approx(2 * cmath.exp(1.5j))
 
@@ -100,11 +101,11 @@ def _scalar_formula(rec, x):
     """A record's value at one point by the per-point cos/sin formula."""
     phase = sum(float(k) * float(xi) for k, xi in zip(rec.kappa, x))
     factor = complex(math.cos(phase), math.sin(phase))
-    return np.array([a.to_complex() * factor for a in rec.amp])
+    return np.array([a.to_complex() * math.sqrt(rec.root) * factor for a in rec.vec])
 
 
 def _states():
-    """A photon and a moving electron state with irrational radicands."""
+    """A photon and a moving electron state with irrational roots."""
     ph = photon.photon_plane_wave((Fraction(3, 5), Fraction(4, 5), 0), (0, 0, 1), Fraction(7, 3))
     sp = electron.build_spinor((Fraction(9, 13), Fraction(-12, 13), Fraction(36, 13)), 4,
                                (ExactComplex(1, 2), ExactComplex(-1, Fraction(1, 2))))
@@ -112,7 +113,7 @@ def _states():
 
 
 def _records(gamma4, gamma8):
-    """Photon and electron records, plain and conjugated, with irrational radicands."""
+    """Photon and electron records, plain and conjugated, with irrational roots."""
     ph, sp = _states()
     return [
         ph.record(),
@@ -133,7 +134,7 @@ def test_labels_of_every_kind_of_wave(gamma4, gamma8):
     q_sp = electron.apply_Q_spinor(sp, gamma4)
     w = ph.wave
     cases = [
-        (Image(PlaneWaveFunction([Radical(1, 1)] * 2, [-3, 1, 2, -5]), -1, 1), (-3, (1, 2, -5))),
+        (Image(PlaneWaveFunction([EC_ONE] * 2, 1, [-3, 1, 2, -5]), -1, 1), (-3, (1, 2, -5))),
         (ph, (w.k0, w.k)),
         (photon.apply_C_photon(ph), (-w.k0, _flip(w.k))),  # negative energy, same hyperplane
         (photon.apply_Q_photon(ph, gamma8), (w.k0, _flip(w.k))),  # positive, flipped hyperplane
@@ -150,8 +151,12 @@ def _wave():
     return maxwell.PlaneWave.make((0, 0, 1), (1, 0, 0), 1)
 
 
+#: the constant record 1, the amplitude of the test waves built with plane_wave
+_ONE = amplitude(Radical(1), [1])
+
+
 def _plane_wave_with_sign(hbar_sign):
-    return lambda: plane_wave([Radical.of(1)], Fraction(1), (0, 0, 0), hbar_sign)
+    return lambda: plane_wave(_ONE, Fraction(1), (0, 0, 0), hbar_sign)
 
 
 @pytest.mark.parametrize("field, got, build", [
@@ -190,7 +195,7 @@ def _spinor_with(field, value):
                                 p_abs=Fraction(3, 2), **{field: value})
 
 
-_IMAGE = Image(function=plane_wave([Radical.of(1)], Fraction(1), (0, 0, 0), 1),
+_IMAGE = Image(function=plane_wave(_ONE, Fraction(1), (0, 0, 0), 1),
                c_sign=1, hbar_sign=1)
 
 
@@ -201,7 +206,7 @@ def _spinor_image_with(field, value):
 
 #: (label, constructor taking the label's value): every +-1 label of a state or wave
 SIGN_LABELS = {
-    "plane_wave": ("hbar_sign", lambda v: plane_wave([Radical.of(1)], Fraction(1), (0, 0, 0), v)),
+    "plane_wave": ("hbar_sign", lambda v: plane_wave(_ONE, Fraction(1), (0, 0, 0), v)),
     "PlaneWave.make": ("c_sign", lambda v: maxwell.PlaneWave.make((0, 0, 1), (1, 0, 0), 1, v)),
     "PhotonState": ("hbar_sign", lambda v: photon.PhotonState(_wave(), hbar_sign=v)),
     "photon_plane_wave": ("hbar_sign",
@@ -292,23 +297,23 @@ class TestDiracResidual:
         cases = [(ph.record(), Fraction(0), gamma8.vector), (sp.record(), sp.mc, gamma4.vector)]
         for rec, mass_term, gammas in cases:
             assert dirac_residual(rec, mass_term, 1, gammas) == 0.0
-            nonzero = next(a for a in rec.amp if not a.is_zero())  # a commensurable radicand
-            for i, a in enumerate(rec.amp):
-                amp = list(rec.amp)
-                amp[i] = nonzero if a.is_zero() else a * 2
-                bad = PlaneWaveFunction(amp, rec.kappa)
+            nonzero = next(a for a in rec.vec if a)
+            for i, a in enumerate(rec.vec):
+                vec = list(rec.vec)
+                vec[i] = a * 2 if a else nonzero
+                bad = PlaneWaveFunction(vec, rec.root, rec.kappa)
                 assert dirac_residual(bad, mass_term, 1, gammas) > 0.0, i
 
 
 def _fields(rec):
-    return [(a.coeff, a.radicand) for a in rec.amp], rec.kappa
+    return rec.vec, rec.root, rec.kappa
 
 
 class TestCQRecordsFieldByField:
     """C and Q build records alike, not only equal in value.
 
-    Equal (coeff, radicand) pairs make the two float evaluations identical,
-    which keeps both cq-pointwise-equality gaps at exactly 0.0.
+    Equal vectors and roots make the two float evaluations identical, which
+    keeps both cq-pointwise-equality gaps at exactly 0.0.
     """
 
     @pytest.mark.parametrize("lam", photon.ALLOWED_LAMBDA, ids=repr)
@@ -334,10 +339,10 @@ class TestEvaluateOnArrays:
     def test_array_matches_rows_and_scalar_formula(self, gamma4, gamma8, n_points):
         rng = np.random.default_rng(n_points)
         for rec in _records(gamma4, gamma8):
-            assert any(a.radicand != 1 for a in rec.amp)
+            assert rec.root != 1
             x = spacetime_points(rng, n_points)
             values = rec.evaluate(x)
-            assert values.shape == (n_points, len(rec.amp))
+            assert values.shape == (n_points, len(rec.vec))
             rows = np.array([rec.evaluate(p) for p in x])
             assert rows.shape == values.shape
             assert _rowwise_gap(values, rows) <= 1e-14
@@ -347,21 +352,21 @@ class TestEvaluateOnArrays:
         x = (Fraction(1, 2), -0.25, 0.75, 1)
         for rec in _records(gamma4, gamma8):
             value = rec.evaluate(x)
-            assert value.shape == (len(rec.amp),)
+            assert value.shape == (len(rec.vec),)
             assert _rowwise_gap(value[None, :], _scalar_formula(rec, x)[None, :]) <= 1e-14
 
 
 class TestBilinear:
     def test_mixed_radicands_fold_when_commensurable(self):
-        # entries sqrt(2) and sqrt(8): products give rational values
-        vec = (Radical(1, 2), Radical(1, 8))
+        # entries sqrt(2) and sqrt(8) = 2 sqrt(2): one root 2, products give rational values
+        rec = PlaneWaveFunction((EC_ONE, ExactComplex(2)), 2, (0, 0, 0, 0))
         m = ExactMatrix.from_rows([[0, 1], [1, 0]])
-        out = bilinear(vec, m, vec)
+        out = bilinear(rec, m)
         assert out == ExactComplex(8)  # 2 * sqrt(2)*sqrt(8) = 2*4
 
     def test_identity_norm(self):
-        vec = (Radical(ExactComplex(0, 2), Fraction(1, 2)),)
-        out = bilinear(vec, ExactMatrix.identity(1), vec)
+        rec = amplitude(Radical(ExactComplex(0, 2), Fraction(1, 2)), [1])
+        out = bilinear(rec, ExactMatrix.identity(1))
         assert out == ExactComplex(2)
 
 
@@ -430,13 +435,43 @@ class TestIntVectorArithmetic:
         assert c == _fraction_cross(a, b) and all(x.__class__ is Fraction for x in c)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(_rational, _rational), min_size=1, max_size=4),
-           st.sampled_from([1, 2, 3, 6]), st.sampled_from([1, 2, 5]))
-    def test_radical_dot_is_the_generic_sum(self, pairs, ra, rb):
-        a = [Radical(x, ra) for x, _ in pairs]
-        b = [Radical(y, rb) for _, y in pairs]
+    @given(st.lists(st.tuples(_rational, _rational), min_size=1, max_size=4))
+    def test_gaussian_dot_is_the_generic_sum(self, pairs):
+        """A record's vector is Gaussian rational; its dot is the plain sum."""
+        a = [ExactComplex(x, y) for x, y in pairs]
+        b = [ExactComplex(y, -x) for x, y in pairs]
         d = dot(a, b)
-        assert d == sum(x * y for x, y in zip(a, b)) and isinstance(d, Radical)
+        assert d == sum(x * y for x, y in zip(a, b)) and isinstance(d, ExactComplex)
+
+
+_KAPPA = (Fraction(1, 2), 0, -3, Fraction(7, 5))
+_vector = st.lists(st.builds(ExactComplex, _rational, _rational), min_size=1, max_size=8)
+
+
+class TestRecordValueEquality:
+    """Records compare and hash by value, not by their fields."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_vector.filter(any), st.sampled_from([1, 2, 3, 5, 6, 7, 8, 12]), st.integers(2, 9))
+    def test_rescaled_root_compares_and_hashes_equal(self, vec, r, k):
+        """(v / k, k^2 r) is the (v, r) record; (v, 2 r) is it times sqrt(2)."""
+        rec = PlaneWaveFunction(vec, r, _KAPPA)
+        same = PlaneWaveFunction([a / k for a in vec], k * k * r, _KAPPA)
+        assert same == rec and rec == same and hash(same) == hash(rec)
+        x = spacetime_points(np.random.default_rng(k), 3)
+        assert np.allclose(same.evaluate(x), rec.evaluate(x), rtol=1e-12, atol=0)
+        doubled = PlaneWaveFunction(vec, 2 * r, _KAPPA)
+        assert doubled != rec and rec != doubled
+        assert doubled != same and doubled != rec.scale(2)
+
+    def test_hash_examples(self):
+        one, two, zero = ExactComplex(1), ExactComplex(2), ExactComplex(0)
+        assert len({PlaneWaveFunction([one], 8, _KAPPA), PlaneWaveFunction([two], 2, _KAPPA)}) == 1
+        # a zero vector is the value 0 whatever its root
+        assert PlaneWaveFunction([zero], 5, _KAPPA) == PlaneWaveFunction([zero], 3, _KAPPA)
+        assert PlaneWaveFunction([one], 2, _KAPPA) != PlaneWaveFunction([one], 3, _KAPPA)
+        assert PlaneWaveFunction([one], 2, _KAPPA) != PlaneWaveFunction([one, zero], 2, _KAPPA)
+        assert PlaneWaveFunction([one], 2, _KAPPA) != PlaneWaveFunction([one], 2, (0, 0, 0, 0))
 
 
 def _parent_unit_vector(rng):
