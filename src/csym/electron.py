@@ -20,7 +20,7 @@ Sign conventions baked in here and stated once:
   check is the arbiter.
 * Under Q the action quantum flips together with the speed of light, so all
   4-momentum labels flip while the realized exponent is unchanged.  The
-  Pauli matrices flip too, so (n.sigma) is unchanged as n -> -n.
+  Pauli matrices flip too, so (sigma.p) is unchanged as p -> -p.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .gamma import (
     build_gamma_set,
     solve_conjugation_space,
 )
-from .sampling import Vec3, _over_common, check_vector, dot
+from .sampling import Vec3, check_vector, dot
 from .waves import (
     Image,
     PlaneWaveFunction,
@@ -214,6 +214,8 @@ class SpinorState:
     construction); build_spinor derives them from p and m.  Construction is the
     one place the labels are validated: p, positive mass, z (2 ExactComplex,
     not both 0), the four signs (each the int +1 or -1) and the two roots.
+    The C and Q images come only from relabeled(), which checks their new z
+    and signs and copies the roots, since neither map moves m or |p|^2.
     sigma_sign -1 flips the Pauli matrices, as light-speed inversion does.
     """
 
@@ -254,34 +256,47 @@ class SpinorState:
     def mc(self) -> Fraction:
         return self.m if self.c_sign > 0 else -self.m
 
-    @cached_property
-    def n(self) -> Vec3:
-        if self.p_abs == 0:
-            return (Fraction(0), Fraction(0), Fraction(1))  # direction is immaterial at rest
-        # p / |p| = (num / d) / (a / b) = num b / (d a)
-        num, d = _over_common(self.p)
-        a, b = self.p_abs.numerator, self.p_abs.denominator
-        return tuple(Fraction(x * b, d * a) for x in num)
-
     def bispinor(self, prefactor: Radical | None = None) -> PlaneWaveFunction:
         """The amplitude u, times prefactor when one is given, as a constant record.
 
         sqrt(p0 - mc) = |p| / |p0 + mc| * sqrt(p0 + mc) on both c signs, the
         -i branch included, so u is one radical times a Gaussian-rational
         vector: sqrt((p0 + mc) / z^dagger z) and the prefactor make that
-        radical, and the lower block carries the rational |p| / |p0 + mc|.
+        radical, and the lower block is (sigma.p) z / |p0 + mc|, rational.
         """
         a = self.p0 + self.mc
         root = Radical.sqrt(a / self.s, negative_branch=MINUS_I)  # s > 0 keeps a's sign
         if prefactor is not None:
             root = root * prefactor
-        t = ExactComplex(self.sigma_sign * self.p_abs / abs(a))  # (n.sigma) z is linear in n
-        (n1, n2, n3), (z0, z1) = self.n, self.z
-        n12 = ExactComplex(n1, n2)
-        nsz = (t * (z0 * n3 + n12.conjugate() * z1), t * (n12 * z0 - z1 * n3))
+        t = self.sigma_sign / abs(a)
+        (p1, p2, p3), (z0, z1) = self.p, self.z
+        p12 = ExactComplex(p1, p2)
+        psz = ((z0 * p3 + p12.conjugate() * z1) * t, (p12 * z0 - z1 * p3) * t)
         if self.branch == 1:
-            return amplitude(root, (z0, z1, *nsz))
-        return amplitude(root, (*nsz, z0, z1))
+            return amplitude(root, (z0, z1, *psz))
+        return amplitude(root, (*psz, z0, z1))
+
+    def relabeled(self, *, z: tuple[ExactComplex, ExactComplex], branch: int, p_sign: int,
+                  c_sign: int, hbar_sign: int, sigma_sign: int) -> SpinorState:
+        """This state relabeled by C or Q: the one constructor of their images.
+
+        C and Q change the 2-spinor label, the signs and the sign of p, none
+        of which moves m or |p|^2, so the mass, energy and |p| labels that
+        this state proved are copied; z and the five signs are checked as
+        __post_init__ checks them.
+        """
+        _check_z("z", z)
+        for name, sign in (("branch", branch), ("p_sign", p_sign), ("c_sign", c_sign),
+                           ("hbar_sign", hbar_sign), ("sigma_sign", sigma_sign)):
+            check_sign(name, sign)
+        out = object.__new__(SpinorState)
+        # a frozen dataclass's fields live in its __dict__; __post_init__ is not run again
+        out.__dict__.update(
+            p=self.p if p_sign == 1 else tuple(-x for x in self.p), m=self.m, z=z,
+            energy=self.energy, p_abs=self.p_abs, branch=branch, c_sign=c_sign,
+            hbar_sign=hbar_sign, sigma_sign=sigma_sign,
+        )
+        return out
 
     def record(self) -> PlaneWaveFunction:
         return self._record
@@ -352,7 +367,9 @@ def apply_C_spinor(state: SpinorState | ConjugatedSpinor, gs: GammaSet
     conjugated by the matrix route.
     """
     if isinstance(state, SpinorState):
-        return replace(state, z=_partner_z(state.z, state.branch), branch=-state.branch)
+        return state.relabeled(z=_partner_z(state.z, state.branch), branch=-state.branch,
+                               p_sign=1, c_sign=state.c_sign, hbar_sign=state.hbar_sign,
+                               sigma_sign=state.sigma_sign)
     return ConjugatedSpinor(
         function=state.record().conjugate_function().apply_matrix(gs.g2),
         z_label=_partner_z(state.z_label, state.effective_branch),
@@ -370,12 +387,10 @@ def apply_Q_spinor(state: SpinorState, gs: GammaSet) -> ConjugatedSpinor:
     if not isinstance(state, SpinorState):
         raise TypeError("Q relabels a SpinorState's own c, hbar, p and sigma, which an image "
                         f"does not carry; got {type(state).__name__}")
-    relabeled = replace(
-        state, p=tuple(-pk for pk in state.p), c_sign=-state.c_sign,
-        hbar_sign=-state.hbar_sign, sigma_sign=-state.sigma_sign,
-    )
+    relabeled = state.relabeled(z=state.z, branch=state.branch, p_sign=-1, c_sign=-state.c_sign,
+                            hbar_sign=-state.hbar_sign, sigma_sign=-state.sigma_sign)
     return ConjugatedSpinor(
-        function=relabeled.record().conjugate_function().apply_matrix(-gs.g2),
+        function=relabeled.record().conjugate_function().apply_matrix(gs.minus_g2),
         z_label=_partner_z(state.z, state.branch),
         effective_branch=-state.branch,
         c_sign=relabeled.c_sign,

@@ -5,8 +5,9 @@ held as three ints, reduced so that d > 0 and gcd(a, b, d) == 1, and every
 matrix operation (products, elimination, nullspaces, row-space comparison) is
 carried out without any rounding.  Identity checks built on top of it are
 therefore zero-tolerance by construction.  Matrices are stored dense;
-elimination reduces rows held as dicts of their nonzeros, scaling each pivot
-row once by the inverse of its pivot.
+every product runs on a matrix's sparse rows, computed once, and reduces each
+output entry once; elimination reduces rows held as dicts of their nonzeros,
+scaling each pivot row once by the inverse of its pivot.
 """
 
 from __future__ import annotations
@@ -95,7 +96,16 @@ class ExactComplex:
         return ExactComplex.coerce(other) - self
 
     def __mul__(self, other) -> "ExactComplex":
-        o = other if other.__class__ is ExactComplex else ExactComplex.coerce(other)
+        cls = other.__class__
+        if cls is ExactComplex:
+            o = other
+        elif cls is int:  # a rational factor scales the triple without a coercion
+            return _reduced(self._a * other, self._b * other, self._d)
+        elif cls is Fraction:
+            n = other.numerator
+            return _reduced(self._a * n, self._b * n, self._d * other.denominator)
+        else:
+            o = ExactComplex.coerce(other)
         a, b, c, e = self._a, self._b, o._a, o._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * o._d)
 
@@ -196,14 +206,18 @@ def fraction_sqrt(q: Fraction) -> Fraction | None:
 
 
 class ExactMatrix:
-    """Dense matrix over ExactComplex, immutable, row-major."""
+    """Dense matrix over ExactComplex, immutable, row-major.
 
-    __slots__ = ("rows", "cols", "entries")
+    Products read the sparse rows: each row's nonzero entries as (column, a,
+    b, d) int tuples, computed on first use and kept.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_sparse")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         if rows <= 0 or cols <= 0:
             raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-        ents = tuple(ExactComplex.coerce(e) for e in entries)
+        ents = tuple(e if e.__class__ is ExactComplex else ExactComplex.coerce(e) for e in entries)
         if len(ents) != rows * cols:
             raise ValueError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(ents)}"
@@ -211,6 +225,7 @@ class ExactMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ents)
+        object.__setattr__(self, "_sparse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -278,24 +293,53 @@ class ExactMatrix:
         f = ExactComplex.coerce(factor)
         return ExactMatrix(self.rows, self.cols, [f * a for a in self.entries])
 
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        sparse = self._sparse
+        if sparse is None:
+            c = self.cols
+            sparse = tuple(
+                tuple((j, e._a, e._b, e._d)
+                      for j, e in enumerate(self.entries[i * c:(i + 1) * c]) if e._a or e._b)
+                for i in range(self.rows)
+            )
+            object.__setattr__(self, "_sparse", sparse)
+        return sparse
+
+    def apply(self, vec: Sequence[ExactComplex]) -> tuple[ExactComplex, ...]:
+        """self @ vec for a vector of ExactComplex entries, as a tuple.
+
+        Each output entry sums its row's nonzero products as ints over one
+        running denominator and is reduced once.
+        """
+        if len(vec) != self.cols:
+            raise ValueError(f"cannot apply a {self.rows}x{self.cols} matrix to {len(vec)} entries")
+        out = []
+        for row in self._sparse_rows():
+            re = im = 0
+            den = 1
+            for j, a, b, d in row:
+                x = vec[j]
+                c, e = x._a, x._b
+                if c or e:
+                    f = d * x._d
+                    if f == den:
+                        re += a * c - b * e
+                        im += a * e + b * c
+                    else:
+                        re = re * f + (a * c - b * e) * den
+                        im = im * f + (a * e + b * c) * den
+                        den *= f
+            out.append(_reduced(re, im, den) if re or im else EC_ZERO)
+        return tuple(out)
+
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = [EC_ZERO] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a.is_zero():
-                    continue
-                obase = k * other.cols
-                for j in range(other.cols):
-                    b = other.entries[obase + j]
-                    if not b.is_zero():
-                        out[i * other.cols + j] = out[i * other.cols + j] + a * b
-        return ExactMatrix(self.rows, other.cols, out)
+        n = other.cols
+        columns = [self.apply(other.entries[j::n]) for j in range(n)]
+        return ExactMatrix(self.rows, n, [x for row in zip(*columns) for x in row])
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
@@ -403,10 +447,8 @@ def nullspace(m: ExactMatrix) -> tuple[list[ExactMatrix], int]:
         for r, pc in enumerate(pivots):
             vec[pc] = -rref_rows[r][fc]
         basis.append(ExactMatrix.column(vec))
-    m_rows = [_nonzeros(m.row(i)) for i in range(m.rows)]
     for v in basis:
-        x = dict(_nonzeros(v.entries))
-        if any(sum((a * x[j] for j, a in row if j in x), EC_ZERO) for row in m_rows):
+        if any(m.apply(v.entries)):
             raise AssertionError("internal error: nullspace vector fails m @ v = 0")
     return basis, rank
 

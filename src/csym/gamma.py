@@ -60,6 +60,16 @@ class GammaSet:
     def vector(self) -> tuple[ExactMatrix, ...]:
         return (self.g0, self.g1, self.g2, self.g3)
 
+    @cached_property
+    def minus_g2(self) -> ExactMatrix:
+        """-g2, the sigma-flipped g2 that light-speed inversion applies; built once per set."""
+        return -self.g2
+
+    @cached_property
+    def bar_vector(self) -> tuple[ExactMatrix, ...]:
+        """g0 g^a for each a, the matrices of the bilinears Psi-bar g^a Psi; built once per set."""
+        return tuple(self.g0 @ g for g in self.vector)
+
 
 def block(tl, tr, bl, br) -> ExactMatrix:
     """The block matrix [[tl, tr], [bl, br]] of four equal square blocks."""

@@ -29,7 +29,7 @@ from functools import cached_property
 from .exact import EC_ONE, ExactComplex, ExactMatrix, RowSpan, _frac
 from .sampling import Vec3, _rational, check_vector, cross, dot
 from .signgroup import BLOCKS, FieldOperator, classical_conjugation_operator
-from .waves import PlaneWaveFunction, Radical, amplitude, check_sign, plane_wave
+from .waves import PlaneWaveFunction, Radical, amplitude, check_sign, plane_wave, quadratic_form
 
 N_COMPONENTS = 16
 N_SLOTS = 5  # coefficient of (1, d0, d1, d2, d3) per component
@@ -218,17 +218,15 @@ class PlaneWave:
 def plane_wave_residual(system: LinearFieldSystem, w: PlaneWave) -> Fraction:
     """Max |equation value| of the system's curl/div rows on the wave.
 
-    The rows act on the vector of w.record(), whose root is 1, with the
-    derivatives taken analytically on its phase exp(i kappa.x): d_a -> i
-    kappa_a.  The common phase factor is dropped (it never vanishes), and the
-    column's sources are zero, so a valid plane wave gives exactly zero.
+    The rows act on the wave's field column, the amplitude of w.record(),
+    with the derivatives taken analytically on the record's phase
+    exp(i kappa.x): d_a -> i kappa_a.  The common phase factor is dropped (it
+    never vanishes), and the column's sources are zero, so a valid plane wave
+    gives exactly zero.
     """
-    rec = w.record()
-    factors = (EC_ONE,) + tuple(ExactComplex(0, k) for k in rec.kappa)  # 1, then d_a
-    column = [a * d for a in rec.vec for d in factors]
-    field_rows = ExactMatrix(N_FIELD_EQUATIONS, ROW_WIDTH,
-                             system.rows.entries[:N_FIELD_EQUATIONS * ROW_WIDTH])
-    values = (field_rows @ ExactMatrix.column(column)).entries
+    factors = (EC_ONE,) + tuple(ExactComplex(0, k) for k in w.record().kappa)  # 1, then d_a
+    column = [d * a for a in field_column(w) for d in factors]
+    values = system.rows.apply(column)[:N_FIELD_EQUATIONS]
     return max(abs(r.re) + abs(r.im) for r in values)
 
 
@@ -254,9 +252,9 @@ def classical_conjugate_wave(w: PlaneWave) -> PlaneWave:
 
 def _energy_flux(column, c_sign: int):
     """The one energy-flux formula, in units of 1/pi, on a field column's
-    entries: W = (E.E + H.H)/8 and S = c (E x H)/4."""
+    entries: (W, S1, S2, S3) with W = (E.E + H.H)/8 and S = c (E x H)/4."""
     e, h = [column[i] for i in E_IDX], [column[i] for i in H_IDX]
-    return (dot(e, e) + dot(h, h)) / 8, tuple(c_sign * v / 4 for v in cross(e, h))
+    return ((dot(e, e) + dot(h, h)) / 8, *(c_sign * v / 4 for v in cross(e, h)))
 
 
 def energy_poynting_record(wave) -> tuple[ExactComplex, tuple[ExactComplex, ...]]:
@@ -268,10 +266,8 @@ def energy_poynting_record(wave) -> tuple[ExactComplex, tuple[ExactComplex, ...]
     coefficients times cos^2(phase)/pi, and on a conjugated photon with
     imaginary lambda the formal energy comes out negative.
     """
-    rec = wave.record()
-    # quadratic in the amplitudes, so the record's root is one rational factor
-    energy, flux = _energy_flux(rec.vec, wave.c_sign)
-    return energy * rec.root, tuple(v * rec.root for v in flux)
+    energy, *flux = quadratic_form(wave.record(), lambda v: _energy_flux(v, wave.c_sign))
+    return energy, tuple(flux)
 
 
 def energy_poynting(w: PlaneWave, x):
@@ -286,5 +282,5 @@ def energy_poynting(w: PlaneWave, x):
     fields = w.record().evaluate(x).real.T
     if fields.ndim == 1:
         fields = fields.tolist()  # one point: plain floats
-    W, S = _energy_flux(fields, w.c_sign)
+    W, *S = _energy_flux(fields, w.c_sign)
     return W / math.pi, tuple(v / math.pi for v in S)

@@ -49,6 +49,8 @@ from .waves import (
 #: all five matrices real; {g0, g5} = -2I and g5 anticommutes with g1, g2, g3
 GAMMA8 = GammaSpec(reality=(1, 1, 1, 1, 1), g5_anticommutator=(-2, 0, 0, 0), g5_product=False)
 
+IDENTITY_8 = ExactMatrix.identity(8)
+
 ALLOWED_LAMBDA = (
     ExactComplex(1),
     ExactComplex(-1),
@@ -161,7 +163,7 @@ class PhotonState:
         return plane_wave(amp, self.wave.k0, self.wave.k, self.hbar_sign)
 
     def norm_sq(self) -> ExactComplex:
-        return bilinear(self.record(), ExactMatrix.identity(8))
+        return bilinear(self.record(), IDENTITY_8)
 
 
 def photon_plane_wave(n, l, p0, hbar_sign: int = 1, c_sign: int = 1) -> PhotonState:
@@ -237,7 +239,6 @@ def dirac_form_residual(wave: PhotonState | Image, gs: GammaSet) -> float:
 def currents(state: PhotonState, conjugated: Image, gs: GammaSet
              ) -> tuple[ExactComplex, tuple, ExactComplex, tuple]:
     """The bilinears Psi-bar gamma^a Psi for the state and its conjugate."""
-    g0g = [gs.g0 @ g for g in gs.vector]  # each g0 g^a once per call
     recs = (state.record(), conjugated.record())
-    j, jc = ([bilinear(r, m) for m in g0g] for r in recs)
+    j, jc = ([bilinear(r, m) for m in gs.bar_vector] for r in recs)
     return j[0], tuple(j[1:]), jc[0], tuple(jc[1:])

@@ -11,9 +11,10 @@ radicand (1 or a non-square; sqrt(p/q) = sqrt(p q) / q), builds a root.
 
 The plane-wave layer that the photon and electron modules share is written
 here once: the amplitude (`amplitude`), the exponent (`plane_wave`), the
-bilinear (`bilinear`), the Dirac-form residual (`dirac_residual`), the label
-rule (`labels`) and the sign rule (`check_sign`).  Every state and `Image`
-answers record(), c_sign, hbar_sign.
+bilinear (`bilinear`), the plain quadratic form (`quadratic_form`), the
+Dirac-form residual (`dirac_residual`), the label rule (`labels`) and the
+sign rule (`check_sign`).  Every state and `Image` answers record(), c_sign,
+hbar_sign.  Outside this module no code reads a record's vector or root.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class PlaneWaveFunction:
         )
 
     def apply_matrix(self, m: ExactMatrix) -> "PlaneWaveFunction":
-        return PlaneWaveFunction((m @ ExactMatrix.column(self.vec)).entries, self.root, self.kappa)
+        return PlaneWaveFunction(m.apply(self.vec), self.root, self.kappa)
 
     def scale(self, factor) -> "PlaneWaveFunction":
         return PlaneWaveFunction([a * factor for a in self.vec], self.root, self.kappa)
@@ -196,8 +197,17 @@ def amplitude(scale: Radical, vec) -> PlaneWaveFunction:
 
 def bilinear(rec: PlaneWaveFunction, m: ExactMatrix) -> ExactComplex:
     """rec^dagger @ m @ rec at any point, exact: root times vec^dagger m vec."""
-    terms = (a.conjugate() * b for a, b in zip(rec.vec, rec.apply_matrix(m).vec))
+    terms = (a.conjugate() * b for a, b in zip(rec.vec, m.apply(rec.vec)))
     return sum(terms, EC_ZERO) * rec.root
+
+
+def quadratic_form(rec: PlaneWaveFunction, form) -> tuple[ExactComplex, ...]:
+    """The values of form, quadratic in the amplitudes, on rec's amplitudes at any point.
+
+    form maps an amplitude vector to a tuple of values and squares without
+    complex conjugation, so form(sqrt(root) vec) = root * form(vec), exact.
+    """
+    return tuple(v * rec.root for v in form(rec.vec))
 
 
 def check_sign(name: str, value) -> None:
@@ -250,18 +260,16 @@ def dirac_residual(rec: PlaneWaveFunction, mass_term: Fraction, hbar_sign: int,
 
     The photon's massless Dirac form and the electron's free equation, for
     a state and for a transformed wave, are all this one residual.  On
-    exp(i kappa.x), d_a brings down i*kappa_a, so the operator's coefficient
-    matrix is -hbar * sum_a kappa_a gamma^a - mass_term * identity, with
-    hbar = hbar_sign, +1 or -1.  It acts on the vector; the root is one
-    common factor.
+    exp(i kappa.x), d_a brings down i*kappa_a, so the operator acts on the
+    vector as -hbar * sum_a kappa_a gamma^a - mass_term, with hbar =
+    hbar_sign, +1 or -1: each gamma is applied to the vector once.  The root
+    is one common factor.
     """
-    n = gammas[0].rows
-    m = ExactMatrix.zeros(n, n)
+    vec = rec.vec
+    out = [a * -mass_term for a in vec]
     for k, g in zip(rec.kappa, gammas):
         if k != 0:
-            c = ExactComplex(k)
-            m = m + g.scale(-c if hbar_sign > 0 else c)
-    if mass_term != 0:
-        m = m - ExactMatrix.identity(n).scale(ExactComplex(mass_term))
-    worst = max((abs(v.to_complex()) for v in rec.apply_matrix(m).vec), default=0.0)
+            c = -k if hbar_sign > 0 else k
+            out = [o + a * c for o, a in zip(out, g.apply(vec))]
+    worst = max((abs(v.to_complex()) for v in out), default=0.0)
     return worst * math.sqrt(rec.root)

@@ -68,7 +68,9 @@ def _reference_q_record(st, gs):
     """
     p0, mc, hb = -st.p0, -st.mc, Fraction(-st.hbar_sign)
     p = tuple(-pk for pk in st.p)
-    (n1, n2, n3), (z0, z1) = st.n, st.z
+    # the direction n = p / |p|, any unit vector at rest where the lower block vanishes
+    n1, n2, n3 = (pk / st.p_abs for pk in st.p) if st.p_abs else (0, 0, 1)
+    z0, z1 = st.z
     nsz = (n3 * z0 + ExactComplex(n1, -n2) * z1, ExactComplex(n1, n2) * z0 - n3 * z1)
     snorm = Radical(1, 1 / st.s)
     radp = Radical.sqrt(p0 + mc, negative_branch=MINUS_I)
@@ -591,6 +593,50 @@ class TestImageLabels:
             assert labels(q) == (energy, tuple(-x for x in p))
             assert labels(q_of_neg) == (-energy, p)
         assert calls == []
+
+    @pytest.mark.parametrize("branch", [1, -1])
+    def test_images_equal_the_validated_replace_states(self, gamma4, rng, branch):
+        """relabeled() copies the proven roots; the states equal those __post_init__ validates."""
+        def fields(state):
+            return [getattr(state, f.name) for f in dataclasses.fields(SpinorState)]
+
+        for _ in range(20):
+            st = random_spinor(rng, branch=branch)
+            want_c = dataclasses.replace(st, z=electron._partner_z(st.z, branch), branch=-branch)
+            want_q = dataclasses.replace(st, p=tuple(-x for x in st.p), c_sign=-1, hbar_sign=-1,
+                                         sigma_sign=-1)
+            got_q = st.relabeled(z=st.z, branch=branch, p_sign=-1, c_sign=-1, hbar_sign=-1,
+                                 sigma_sign=-1)
+            for got, want in ((apply_C_spinor(st, gamma4), want_c), (got_q, want_q)):
+                assert fields(got) == fields(want) and got == want
+                assert all(x.__class__ is Fraction for x in got.p)
+                assert got.record() == want.record()
+            assert apply_Q_spinor(st, gamma4).record() == \
+                want_q.record().conjugate_function().apply_matrix(-gamma4.g2)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"branch": 2}, "branch must be +1 or -1, got 2"),
+        ({"p_sign": True}, "p_sign must be +1 or -1, got True"),
+        ({"sigma_sign": Fraction(-1)}, "sigma_sign must be +1 or -1, got Fraction(-1, 1)"),
+        ({"z": (ExactComplex(0), ExactComplex(0))}, "spinor label z must be nonzero"),
+    ])
+    def test_relabeled_checks_the_new_signs_and_z(self, rng, change, message):
+        st = random_spinor(rng)
+        labels = dict(z=st.z, branch=1, p_sign=1, c_sign=1, hbar_sign=1, sigma_sign=1)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            st.relabeled(**(labels | change))
+
+    @pytest.mark.parametrize("name", ["energy", "p_abs"])
+    def test_a_wrong_root_is_still_rejected(self, gamma4, rng, name):
+        """Only relabeled() skips the root check; a direct or replaced state still runs it."""
+        st = random_spinor(rng)
+        for state in (st, apply_C_spinor(st, gamma4)):
+            wrong = getattr(state, name) + 1
+            with pytest.raises(ValueError, match=f"^{name} label {wrong} is not the nonnegative"):
+                dataclasses.replace(state, **{name: wrong})
+            labels = {f.name: getattr(state, f.name) for f in dataclasses.fields(SpinorState)}
+            with pytest.raises(ValueError, match=f"^{name} label {wrong} is not the nonnegative"):
+                SpinorState(**(labels | {name: wrong}))
 
     def test_q_of_an_image_names_the_rule(self, gamma4, rng):
         q = apply_Q_spinor(random_spinor(rng), gamma4)

@@ -682,6 +682,80 @@ class TestTripleAgainstFractionPairs:
             ExactComplex(1) * 0.5j
 
 
+# --- the sparse matrix-vector kernel and the rational scaling fast path ----
+
+def _is_reduced_triple(z) -> bool:
+    return z.__class__ is ExactComplex and z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
+
+
+@st.composite
+def _matrix_and_vector(draw):
+    """A matrix of any shape up to 5x5, often with zero entries and zero rows,
+    and a vector of its width."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(ExactComplex(0)), _gaussian_rational)
+    entries = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        entries[i * cols:(i + 1) * cols] = [ExactComplex(0)] * cols
+    return ExactMatrix(rows, cols, entries), draw(st.lists(entry, min_size=cols, max_size=cols))
+
+
+def _summed(m, vec):
+    """m @ vec entry by entry with ExactComplex + and *, reducing every step."""
+    return tuple(sum((m[i, j] * vec[j] for j in range(m.cols)), ExactComplex(0))
+                 for i in range(m.rows))
+
+
+class TestApplyKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_matrix_and_vector())
+    def test_apply_is_the_column_product(self, mv):
+        m, vec = mv
+        got = m.apply(vec)
+        assert len(got) == m.rows and all(_is_reduced_triple(z) for z in got)
+        assert got == (m @ ExactMatrix.column(vec)).entries == _summed(m, vec)
+        assert [(z._a, z._b, z._d) for z in got] == [(z._a, z._b, z._d) for z in _summed(m, vec)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrix_and_vector(), st.integers(1, 4), st.data())
+    def test_matmul_is_the_summed_product(self, mv, n, data):
+        a, _ = mv
+        b = ExactMatrix(a.cols, n, data.draw(st.lists(_gaussian_rational, min_size=a.cols * n,
+                                                      max_size=a.cols * n)))
+        want = [_summed(a, b.entries[j::n]) for j in range(n)]
+        assert (a @ b).shape == (a.rows, n)
+        assert all((a @ b)[i, j] == want[j][i] for i in range(a.rows) for j in range(n))
+
+    def test_zero_rows_non_monomial_entries_and_a_wide_shape(self):
+        h = Fraction(1, 2)
+        m = ExactMatrix.from_rows([[0, 0, 0], [h, ExactComplex(1, 3), Fraction(-2, 3)]])
+        vec = (ExactComplex(2, -1), ExactComplex(Fraction(1, 6)), ExactComplex(Fraction(3, 4)))
+        got = m.apply(vec)
+        # (1 - i/2) + (1/6 + i/2) - 1/2: three denominators, the imaginary parts cancel
+        assert [(z._a, z._b, z._d) for z in got] == [(0, 0, 1), (2, 0, 3)]
+
+    def test_a_vector_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="cannot apply a 2x2 matrix to 3 entries"):
+            ExactMatrix.identity(2).apply((EC_ONE,) * 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gaussian_rational, st.one_of(st.integers(-50, 50), _rational))
+    def test_a_rational_factor_scales_like_its_exact_complex(self, z, q):
+        for got in (z * q, q * z):
+            want = z * ExactComplex(q)
+            assert _is_reduced_triple(got) and (got._a, got._b, got._d) == (want._a, want._b, want._d)
+
+    @pytest.mark.parametrize("q", [0, -3, Fraction(0), Fraction(-5, 6), 7, Fraction(4, 2)])
+    def test_rational_factor_examples(self, q):
+        z = ExactComplex(Fraction(3, 10), Fraction(-1, 4))
+        assert z * q == z * ExactComplex(q) and _is_reduced_triple(z * q)
+
+    def test_a_bool_factor_is_coerced_as_before(self):
+        z = ExactComplex(Fraction(3, 10), Fraction(-1, 4))
+        assert z * True == z and True * z == z
+        assert z * False == ExactComplex(0) and _is_reduced_triple(z * False)
+
+
 class TestRadicalFastPath:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), _gaussian_rational)

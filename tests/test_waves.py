@@ -533,9 +533,18 @@ class TestSamplingMatchesFractionFormulas:
             states = (sp, electron.apply_C_spinor(sp, gamma4),
                       replace(sp, p=tuple(-x for x in sp.p), c_sign=-1, sigma_sign=-1))
             for s in states:
-                want_n = ((0, 0, 1) if s.p_abs == 0
-                          else tuple(pi / s.p_abs for pi in s.p))
-                assert s.n == want_n and all(x.__class__ is Fraction for x in s.n)
+                # the lower block (sigma.p) z / |p0 + mc| is |p| / |p0 + mc| (sigma.n) z
+                # on the direction n = p / |p|, any unit vector at rest
+                n1, n2, n3 = (0, 0, 1) if s.p_abs == 0 else (pi / s.p_abs for pi in s.p)
+                z0, z1 = s.z
+                nsz = (n3 * z0 + ExactComplex(n1, -n2) * z1, ExactComplex(n1, n2) * z0 - n3 * z1)
+                t = s.sigma_sign * s.p_abs / abs(s.p0 + s.mc)
+                u = s.bispinor().vec
+                upper, lower = (u[:2], u[2:]) if s.branch == 1 else (u[2:], u[:2])
+                k = 0 if z0 else 1
+                coeff = upper[k] / s.z[k]
+                assert upper == (coeff * z0, coeff * z1)
+                assert lower == tuple(coeff * t * x for x in nsz)
                 assert s.s == s.z[0].norm_sq() + s.z[1].norm_sq()
                 assert s.p0 == s.energy / Fraction(s.c_sign)
                 assert s.mc == s.m * Fraction(s.c_sign)
