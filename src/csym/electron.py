@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import EC_I, ExactComplex, ExactMatrix, _frac, fraction_sqrt, matrix_rank
+from .exact import EC_I, ExactComplex, ExactMatrix, _frac, _reduced, fraction_sqrt, matrix_rank
 from .gamma import (
     ConjugationSpace,
     GammaSet,
@@ -38,7 +38,7 @@ from .gamma import (
     build_gamma_set,
     solve_conjugation_space,
 )
-from .sampling import Vec3, check_vector, dot
+from .sampling import Vec3, _over_common, check_vector, dot
 from .waves import (
     Image,
     PlaneWaveFunction,
@@ -268,10 +268,16 @@ class SpinorState:
         root = Radical.sqrt(a / self.s, negative_branch=MINUS_I)  # s > 0 keeps a's sign
         if prefactor is not None:
             root = root * prefactor
-        t = self.sigma_sign / abs(a)
-        (p1, p2, p3), (z0, z1) = self.p, self.z
-        p12 = ExactComplex(p1, p2)
-        psz = ((z0 * p3 + p12.conjugate() * z1) * t, (p12 * z0 - z1 * p3) * t)
+        # (sigma.p) z = (p3 z0 + (p1 - i p2) z1, (p1 + i p2) z0 - p3 z1) times
+        # t = sigma / |a|, on int numerators: p = (q1, q2, q3) / q, z0 and z1
+        # are (a0 + b0 i) / d0 and (a1 + b1 i) / d1, t = k / |a's numerator|
+        (z0, z1), ((q1, q2, q3), q) = self.z, _over_common(self.p)
+        (a0, b0, d0), (a1, b1, d1) = (z0._a, z0._b, z0._d), (z1._a, z1._b, z1._d)
+        k, den = self.sigma_sign * a.denominator, q * d0 * d1 * abs(a.numerator)
+        psz = (_reduced((q3 * a0 * d1 + (q1 * a1 + q2 * b1) * d0) * k,
+                        (q3 * b0 * d1 + (q1 * b1 - q2 * a1) * d0) * k, den),
+               _reduced(((q1 * a0 - q2 * b0) * d1 - q3 * a1 * d0) * k,
+                        ((q1 * b0 + q2 * a0) * d1 - q3 * b1 * d0) * k, den))
         if self.branch == 1:
             return amplitude(root, (z0, z1, *psz))
         return amplitude(root, (*psz, z0, z1))

@@ -230,6 +230,10 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, with the sparse rows not yet computed
+        return ExactMatrix, (self.rows, self.cols, self.entries)
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "ExactMatrix":

@@ -164,11 +164,20 @@ SCAN_BLOCK = 1_000  # draws evaluated together; bounds the arrays a scan holds
 def _draw_block(rng: np.random.Generator, size: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """size draws in stream order: w, the ratio w'/w, then n and n' as rows
-    of one (2, 3) normal draw (the same words as two (3,) draws)."""
-    rows = [(rng.uniform(1e-3, 1e3), rng.uniform(1.0 + 1e-9, 1e3), rng.normal(size=(2, 3)))
-            for _ in range(size)]
-    omega, ratio, z = zip(*rows)
-    return np.array(omega), np.array(ratio), np.array(z)
+    of one (2, 3) normal draw (the same words as two (3,) draws).
+
+    The words and formulas are rng.uniform's and rng.normal's: two randoms and
+    one standard normal per draw fill preallocated rows, then the block takes
+    lo + (hi - lo) * u and adds 0.0 to the normals, since rng.normal is
+    0.0 + 1.0 * standard_normal, which turns -0.0 into 0.0.
+    """
+    u, z = np.empty((size, 2)), np.empty((size, 2, 3))
+    random, standard_normal = rng.random, rng.standard_normal
+    for u_row, z_row in zip(u, z):
+        random(out=u_row)
+        standard_normal(out=z_row)
+    ratio_lo = 1.0 + 1e-9
+    return (1e-3 + (1e3 - 1e-3) * u[:, 0], ratio_lo + (1e3 - ratio_lo) * u[:, 1], z + 0.0)
 
 
 def infeasibility_scan(draws: int = 10_000, seed: int = 0, tolerance: float = 1e-12

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import EC_ONE, ExactComplex, ExactMatrix, RowSpan, _frac
-from .sampling import Vec3, _rational, check_vector, cross, dot
+from .sampling import Vec3, _over_common, _rational, check_vector, cross, dot
 from .signgroup import BLOCKS, FieldOperator, classical_conjugation_operator
 from .waves import PlaneWaveFunction, Radical, amplitude, check_sign, plane_wave, quadratic_form
 
@@ -189,9 +189,10 @@ class PlaneWave:
             check_vector(name, getattr(self, name))
         if not _rational((self.k0,)):
             raise ValueError(f"wavenumber k0 must be an exact rational, got {self.k0!r}")
-        if dot(self.n, self.n) != 1:
+        (nn, d), (ll, _) = _over_common(self.n), _over_common(self.l)  # the dots on numerators
+        if sum(x * x for x in nn) != d * d:
             raise ValueError(f"guiding vector must be exactly unit: |n|^2 = {dot(self.n, self.n)}")
-        if dot(self.n, self.l) != 0:
+        if sum(x * y for x, y in zip(nn, ll)):
             raise ValueError(f"polarization must be transverse: n.l = {dot(self.n, self.l)}")
         if not any(self.l):
             raise ValueError("electric polarization l must be nonzero")
@@ -206,7 +207,7 @@ class PlaneWave:
         m = cross(n, l) if m is None else tuple(_frac(x) for x in m)
         return PlaneWave(l=l, m=m, n=n, k0=_frac(k0), c_sign=c_sign)
 
-    @property
+    @cached_property
     def k(self) -> Vec3:
         return tuple(self.k0 * ni for ni in self.n)
 

@@ -6,7 +6,7 @@ description and reference, and one runner executes a suite's entries in
 order on that suite's lazily built fixtures.  A run is deterministic for a
 fixed configuration (the random draws are seeded), and reports serialize
 byte-identically.  Exact checks ignore the tolerance; it applies only to
-floating-point spot checks at sampled spacetime points.
+floating-point spot checks.
 """
 
 from __future__ import annotations
@@ -263,8 +263,8 @@ def _run_suite(suite: str, config: RunConfig) -> list[CheckResult]:
 
 
 @_check("group", "sign-group-order",
-        "the three coordinate sign flips generate exactly 8 matrices",
-        "order-8 group of diagonal sign matrices on (x0, x, c)")
+        "the three coordinate sign flips close to exactly 8 sign triples",
+        "order-8 closure of the sign triples on (x0, x, c)")
 def _group_order(group_table):
     return len(group_table) == 8, f"order = {len(group_table)}"
 
@@ -282,7 +282,7 @@ def _group_abelian(structure):
 
 @_check("group", "sign-group-not-cyclic",
         "no single element generates the group (elementary abelian, not cyclic)",
-        "computed structure of the sign-matrix group")
+        "computed structure of the sign-triple group")
 def _group_not_cyclic(group_table, structure):
     largest = max(structure.element_orders.values())
     return _verdict([
@@ -529,29 +529,55 @@ def _random_photon(rng, hbar_sign=1, c_sign=1) -> photon.PhotonState:
     return photon.photon_plane_wave(n, l, p0, hbar_sign=hbar_sign, c_sign=c_sign)
 
 
-def _photon_cq(rng, lam, gamma8):
-    """Draw a photon state; return it with its C and Q records under the phase lam."""
-    st = _random_photon(rng)
-    return (st, photon.apply_C_photon(st, lam).record(),
-            photon.apply_Q_photon(st, gamma8, lam).record())
+def _floats(m) -> np.ndarray:
+    """An ExactMatrix as a complex numpy array."""
+    return np.array([e.to_complex() for e in m.entries]).reshape(m.shape)
 
 
-def _worst_gap(rng, draws: int, n_points: int, draw_cq) -> float:
-    """Worst relative gap between the C and Q records of `draws` states.
+def _q_kappa(p0, p, hbar_sign: int) -> tuple[Fraction, ...]:
+    """Q's exponent, exact, from the labels of a wave exp[-(i/hbar)(p0 x0 - p.x)].
 
-    draw_cq() returns (state, C record, Q record); each record is evaluated
-    once on an array of n_points sampled spacetime points, and the gap of a
-    point is max|cv - qv| / max|cv| over its components.  A non-finite gap
-    anywhere makes the result non-finite, so it cannot pass a tolerance.
+    Q flips p0, p and hbar and conjugates: -(-p0'/hbar', p'/hbar') at
+    p0' = -p0, p' = -p and 1/hbar' = hbar' = -hbar, which is
+    (hbar p0, -hbar p); the signs are multiplied as ints, not as Fractions.
     """
-    gaps = []
+    return (p0, *(-x for x in p)) if hbar_sign == 1 else (-p0, *p)
+
+
+def _oracle_gap(rng, draws: int, n_points: int, draw, c_matrix, q_oracle):
+    """(worst relative gap, None) over `draws` states from draw(rng), or
+    (None, state) for a state whose C and Q exponents differ.
+
+    C's amplitude is c_matrix times the state record's conjugated amplitude;
+    q_oracle(state) gives Q's amplitude in floats from the labels, with no
+    exact C or Q code, and Q's exact exponent.  Equal exponents scale every
+    component of a point by one phase, so the amplitudes' gap max|c - q| /
+    max|c| is the gap at every point; the points are drawn, not evaluated,
+    to keep the stream.  np.max keeps a NaN, which cannot pass a tolerance.
+    """
+    c_amps, q_amps = [], []
     for _ in range(draws):
-        _, c_rec, q_rec = draw_cq()
-        x = spacetime_points(rng, n_points)
-        cv, qv = c_rec.evaluate(x), q_rec.evaluate(x)
-        scale = np.maximum(np.max(np.abs(cv), axis=1), 1e-300)
-        gaps.append(np.max(np.abs(cv - qv), axis=1) / scale)
-    return float(np.max(gaps, initial=0.0))
+        st = draw(rng)
+        spacetime_points(rng, n_points)
+        rec = st.record()
+        q_amp, q_kappa = q_oracle(st)
+        if tuple(-k for k in rec.kappa) != q_kappa:
+            return None, st
+        c_amps.append(rec.evaluate((0, 0, 0, 0)))  # the value at the origin is the amplitude
+        q_amps.append(q_amp)
+    c, q = np.conj(c_amps) @ c_matrix.T, np.array(q_amps)
+    scale = np.maximum(np.max(np.abs(c), axis=1), 1e-300)
+    return float(np.max(np.max(np.abs(c - q), axis=1) / scale)), None
+
+
+def _photon_q(st: photon.PhotonState, lam: complex, g0: np.ndarray):
+    """Q's amplitude lam g0 g0 (0, l, 0, m)* / sqrt(2 |l|^2), in floats from
+    the state's polarizations, and its exact exponent.  The massless
+    amplitude holds no c or hbar, so Q's flipped labels leave it alone."""
+    l, m = ([float(x) for x in v] for v in (st.wave.l, st.wave.m))
+    col = np.array([0.0, *l, 0.0, *m]) / math.sqrt(2.0 * sum(x * x for x in l))
+    # the column is real, so it is its own conjugate
+    return lam * (g0 @ (g0 @ col)), _q_kappa(st.wave.k0, st.wave.k, st.hbar_sign)
 
 
 @_check("photon", "gamma-defining-identities",
@@ -645,8 +671,9 @@ def _photon_c_action(rng, lam):
         "pointwise identity of the two conjugations on photons")
 def _photon_cq_symbolic(config, rng, lam, gamma8):
     for _ in range(config.samples):
-        st, c_rec, q_rec = _photon_cq(rng, lam, gamma8)
-        if c_rec != q_rec:
+        st = _random_photon(rng)
+        c_rec = photon.apply_C_photon(st, lam).record()
+        if c_rec != photon.apply_Q_photon(st, gamma8, lam).record():
             return False, f"records differ for state {st}"
     return True, f"{config.samples} random states: records identical"
 
@@ -655,8 +682,13 @@ def _photon_cq_symbolic(config, rng, lam, gamma8):
         "the two conjugated functions agree numerically at sampled spacetime points",
         "numerical spot check of the conjugation identity")
 def _photon_cq_pointwise(config, rng, lam, gamma8):
-    samples = config.samples
-    worst = _worst_gap(rng, samples, samples, lambda: _photon_cq(rng, lam, gamma8))
+    """C = lam g0 g0 psi*, read off the state's record, against the float
+    oracle's Q: amplitudes in floats, exponents exactly (see _oracle_gap)."""
+    samples, g0, lam_c = config.samples, _floats(gamma8.g0), lam.to_complex()
+    worst, st = _oracle_gap(rng, samples, samples, _random_photon, lam_c * (g0 @ g0),
+                            lambda st: _photon_q(st, lam_c, g0))
+    if st is not None:
+        return False, f"the exponents of C and Q differ for state {st}"
     return worst <= config.tolerance, (
         f"{samples} states x {samples} points, worst relative gap {worst!r}"
     )
@@ -738,11 +770,32 @@ def random_spinor(rng, branch=1) -> electron.SpinorState:
                                 p_abs=p_abs, branch=branch)
 
 
-def _spinor_cq(rng, gamma4):
-    """Draw a spinor state; return it with its C and Q records."""
-    st = random_spinor(rng)
-    return (st, electron.apply_C_spinor(st, gamma4).record(),
-            electron.apply_Q_spinor(st, gamma4).record())
+def _root(x: float, branch: complex) -> complex:
+    """sqrt(x), or branch * sqrt(-x) for x < 0: the caller names the branch."""
+    return math.sqrt(x) if x >= 0 else branch * math.sqrt(-x)
+
+
+def _spinor_q(st: electron.SpinorState, minus_g2: np.ndarray):
+    """Q's amplitude -g2 u*, in floats from the state's labels, and its exact exponent.
+
+    u is the bispinor of the flipped labels (c, hbar, sigma and p negated),
+    sqrt((p0 + mc) / z^dagger z) / sqrt(2 p0) (z, sigma (sigma.p) z / |p0 + mc|),
+    blocks swapped on branch -1.  A negative radicand (both, for a c = +1
+    state) takes the principal branch (+i) in sqrt(2 p0) and the conjugate
+    one (-i) in sqrt(p0 + mc), the electron module's rule.
+    """
+    c, sigma = -st.c_sign, -st.sigma_sign
+    p0, mc = c * float(st.energy), c * float(st.m)
+    p1, p2, p3 = (-float(x) for x in st.p)
+    z0, z1 = (x.to_complex() for x in st.z)
+    a = p0 + mc
+    scale = _root(a / (abs(z0) ** 2 + abs(z1) ** 2), -1j) / _root(2.0 * p0, 1j)
+    t = sigma / abs(a)
+    lower = [t * (p3 * z0 + (p1 - 1j * p2) * z1), t * ((p1 + 1j * p2) * z0 - p3 * z1)]
+    u = [z0, z1, *lower] if st.branch == 1 else [*lower, z0, z1]
+    # the state's exponent sign is its branch times its hbar
+    return (minus_g2 @ (scale * np.array(u)).conj(),
+            _q_kappa(st.p0, st.p, st.branch * st.hbar_sign))
 
 
 @_check("electron", "gamma-defining-identities",
@@ -882,7 +935,9 @@ def _spinor_c_action(rng, gamma4):
         "pointwise identity of the two conjugations on spinors")
 def _spinor_cq_symbolic(config, rng, gamma4):
     for _ in range(config.samples):
-        st, c_rec, q_rec = _spinor_cq(rng, gamma4)
+        st = random_spinor(rng)
+        c_rec = electron.apply_C_spinor(st, gamma4).record()
+        q_rec = electron.apply_Q_spinor(st, gamma4).record()
         if c_rec != st.record().conjugate_function().apply_matrix(gamma4.g2):
             return False, f"the partner state's record is not g2 psi* for {st}"
         if c_rec != q_rec:
@@ -894,8 +949,13 @@ def _spinor_cq_symbolic(config, rng, gamma4):
         "the two conjugated spinor functions agree numerically at sampled points",
         "numerical spot check of the spinor conjugation identity")
 def _spinor_cq_pointwise(config, rng, gamma4):
-    worst = _worst_gap(rng, config.samples, max(10, config.samples // 10),
-                       lambda: _spinor_cq(rng, gamma4))
+    """C = g2 psi*, read off the state's record, against the float oracle's
+    Q: amplitudes in floats, exponents exactly (see _oracle_gap)."""
+    g2 = _floats(gamma4.g2)
+    worst, st = _oracle_gap(rng, config.samples, max(10, config.samples // 10), random_spinor,
+                            g2, lambda st: _spinor_q(st, -g2))
+    if st is not None:
+        return False, f"the exponents of C and Q differ for {st}"
     return worst <= config.tolerance, f"worst relative gap {worst!r}"
 
 

@@ -26,14 +26,14 @@ def rational_unit_vector(rng: np.random.Generator) -> Vec3:
     random axis permutation and sign pattern for coverage.
     """
     while True:
-        x, y, z = (int(v) for v in rng.integers(-9, 10, size=3))
+        x, y, z = rng.integers(-9, 10, size=3).tolist()
         if z != 0 and (x, y) != (0, 0):
             break
     d = x * x + y * y + z * z
     v = (2 * x * z, 2 * y * z, z * z - x * x - y * y)
-    perm = rng.permutation(3)
-    signs = rng.integers(0, 2, size=3) * 2 - 1
-    num = [int(signs[i]) * v[int(perm[i])] for i in range(3)]
+    perm = rng.permutation(3).tolist()
+    signs = rng.integers(0, 2, size=3).tolist()
+    num = [(2 * s - 1) * v[i] for s, i in zip(signs, perm)]
     assert sum(c * c for c in num) == d * d
     return tuple(Fraction(c, d) for c in num)
 
@@ -46,7 +46,7 @@ def rational_orthogonal_vector(rng: np.random.Generator, n: Vec3) -> Vec3:
     nn, d = _over_common(n)
     d2 = d * d
     while True:
-        v = [int(c) for c in rng.integers(-9, 10, size=3)]
+        v = rng.integers(-9, 10, size=3).tolist()
         s = sum(a * b for a, b in zip(v, nn))
         w = [a * d2 - s * b for a, b in zip(v, nn)]
         if any(w):
@@ -88,8 +88,8 @@ def momentum_mass_energy(rng: np.random.Generator) -> tuple[Fraction, Fraction, 
 def gaussian_rational_spinor(rng: np.random.Generator) -> tuple[ExactComplex, ExactComplex]:
     """A random nonzero 2-spinor with Gaussian-rational components."""
     while True:
-        n0, n1, n2, n3 = (int(v) for v in rng.integers(-9, 10, size=4))
-        d0, d1, d2, d3 = (int(v) for v in rng.integers(1, 10, size=4))
+        n0, n1, n2, n3 = rng.integers(-9, 10, size=4).tolist()
+        d0, d1, d2, d3 = rng.integers(1, 10, size=4).tolist()
         # (n0/d0) + (n1/d1) i = (n0 d1 + n1 d0 i) / (d0 d1)
         z = (_reduced(n0 * d1, n1 * d0, d0 * d1), _reduced(n2 * d3, n3 * d2, d2 * d3))
         if z[0] or z[1]:

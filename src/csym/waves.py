@@ -55,11 +55,14 @@ class Radical:
         normally +i (principal) or -i (conjugate).
         """
         x = _frac(x)
-        if x >= 0:
-            return Radical(EC_ONE, x)
-        if negative_branch is None:
+        n, d = x.numerator, x.denominator
+        if n >= 0:
+            c = EC_ONE
+        elif negative_branch is None:
             raise ValueError(f"sqrt of negative rational {x} needs an explicit branch")
-        return Radical(negative_branch, -x)
+        else:
+            c, n = ExactComplex.coerce(negative_branch), -n
+        return _folded(_reduced(c._a, c._b, c._d * d), n * d)  # sqrt(n/d) = sqrt(n d) / d
 
     def __mul__(self, other: "Radical") -> "Radical":
         return _folded(self.coeff * other.coeff, self.radicand * other.radicand)

@@ -31,6 +31,7 @@ from csym.electron import (
 )
 from csym.exact import EC_I, ExactComplex, ExactMatrix, anticommutator
 from csym.gamma import GammaIdentityError, solve_conjugation_space
+from csym import report as report_module
 from csym.report import RunConfig, random_spinor, run
 from csym.sampling import (
     gaussian_rational_spinor,
@@ -535,16 +536,15 @@ class TestConjugations:
             assert np.all(np.max(np.abs(cv - qv), axis=1) / scale <= 1e-12)
 
     def test_pointwise_check_rejects_negated_q(self, monkeypatch):
-        # one uniform radical branch turns C psi = Q psi into C psi = -Q psi
-        def negated_q(state, gs):
-            q = apply_Q_spinor(state, gs)
-            return dataclasses.replace(q, function=q.function.scale(-1))
-
-        monkeypatch.setattr("csym.electron.apply_Q_spinor", negated_q)
+        # one uniform radical branch turns C psi = Q psi into C psi = -Q psi:
+        # the oracle's Q with the principal +i branch on the bispinor radical
+        root = report_module._root
+        monkeypatch.setattr(report_module, "_root", lambda x, branch: root(x, 1j))
         report = run(RunConfig(suites=("electron",), samples=3))
         check = {c.id: c for c in report.checks}["electron.cq-pointwise-equality"]
         assert check.status == "fail"
-        assert check.details == "worst relative gap 2.0"
+        gap = float(check.details.removeprefix("worst relative gap "))
+        assert abs(gap - 2.0) <= 1e-12
 
     @pytest.mark.parametrize("branch", [1, -1])
     def test_q_record_matches_the_written_out_substitution(self, gamma4, rng, branch):
@@ -691,6 +691,11 @@ class TestWrongQControl:
 
     def test_suite_checks_reject_unflipped_sigma(self, monkeypatch):
         _sigma_unflipped(monkeypatch)
+        # the pointwise oracle flips sigma itself: hand it the state with sigma
+        # already flipped, so that its Q keeps the state's sigma
+        spinor_q = report_module._spinor_q
+        monkeypatch.setattr(report_module, "_spinor_q", lambda st, minus_g2: spinor_q(
+            dataclasses.replace(st, sigma_sign=-st.sigma_sign), minus_g2))
         report = run(RunConfig(suites=("electron",), samples=3))
         by_id = {c.id: c for c in report.checks}
         check = by_id["electron.cq-record-equality"]

@@ -1,8 +1,10 @@
 """Exact scalar/matrix arithmetic and elimination."""
 
 import cmath
+import copy
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -754,6 +756,26 @@ class TestApplyKernel:
         z = ExactComplex(Fraction(3, 10), Fraction(-1, 4))
         assert z * True == z and True * z == z
         assert z * False == ExactComplex(0) and _is_reduced_triple(z * False)
+
+
+class TestCopyAndPickle:
+    """A matrix copies and pickles by its (rows, cols, entries); the copy stays immutable."""
+
+    @pytest.mark.parametrize("name", ["g0", "g2", "g5"])
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy,
+                                     lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip(self, gamma4, name, how):
+        m = getattr(gamma4, name)
+        m.apply((EC_ONE,) * 4)  # fill the sparse-row cache before copying
+        out = how(m)
+        assert out._sparse is None  # rebuilt by __init__; the cache fills on first use
+        assert out == m and out.shape == m.shape and out.entries == m.entries
+        assert out.apply((EC_ONE, EC_I, EC_ONE, EC_I)) == m.apply((EC_ONE, EC_I, EC_ONE, EC_I))
+        with pytest.raises(AttributeError, match="ExactMatrix is immutable"):
+            out.rows = 3
+        with pytest.raises(AttributeError, match="ExactMatrix is immutable"):
+            out._sparse = None
 
 
 class TestRadicalFastPath:

@@ -204,6 +204,34 @@ class TestVacuumTransition:
         with pytest.raises(ValueError, match=r"n_prime must be a unit vector: \|n_prime\|\^2 = 4"):
             kinematics._check_unit("n_prime", [[0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 4099])
+    def test_draw_block_is_the_uniform_and_normal_stream(self, seed):
+        """The block's words are rng.uniform and rng.normal's, bit for bit and in
+        order, and the generator is left where the per-draw sequence leaves it."""
+        size = 2_000
+        block_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        omega, ratio, z = kinematics._draw_block(block_rng, size)
+        want = [(rng.uniform(1e-3, 1e3), rng.uniform(1.0 + 1e-9, 1e3), rng.normal(size=(2, 3)))
+                for _ in range(size)]
+        for got, ref in zip((omega, ratio, z), zip(*want)):
+            ref = np.array(ref)
+            assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        assert block_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_draw_block_turns_a_negative_zero_normal_into_zero(self):
+        """rng.normal is 0.0 + 1.0 * a standard normal, so a standard normal of
+        -0.0 gives 0.0; the block's standard normals must give the same."""
+        class NegativeZeros:
+            def random(self, out):
+                out[:] = 0.5
+
+            def standard_normal(self, out):
+                out[:] = -0.0
+
+        _, _, z = kinematics._draw_block(NegativeZeros(), 3)
+        assert z.shape == (3, 2, 3) and not z.any() and not np.signbit(z).any()
+
     def test_scan_reproducible(self):
         a = infeasibility_scan(draws=500, seed=7)
         b = infeasibility_scan(draws=500, seed=7)

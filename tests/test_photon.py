@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from csym import maxwell, photon, signgroup, waves
+from csym import report as report_module
 from csym.exact import EC_ONE, EC_ZERO, ExactComplex, ExactMatrix, RowSpan, anticommutator
 from csym.photon import (
     ALLOWED_LAMBDA,
@@ -284,11 +285,14 @@ class TestWrongQControl:
         assert check.details.startswith("records differ for state")
 
     def test_pointwise_check_rejects_wrong_q(self, monkeypatch):
-        monkeypatch.setattr(photon, "_q_relabeled", _hbar_only_relabeled)
+        # the oracle's Q exponent with hbar flipped and the 4-momentum labels
+        # kept, then conjugated: the state's own exponent, not C's
+        monkeypatch.setattr(report_module, "_q_kappa", lambda p0, p, hbar_sign: tuple(
+            -k for k in (p0 * hbar_sign, *(-x * hbar_sign for x in p))))
         report = run(RunConfig(suites=("photon",), samples=3))
         check = {c.id: c for c in report.checks}["photon.cq-pointwise-equality"]
         assert check.status == "fail"
-        assert check.details.startswith("3 states x 3 points, worst relative gap ")
+        assert check.details.startswith("the exponents of C and Q differ for state PhotonState(")
 
 
 class TestCurrentsAndEnergy:

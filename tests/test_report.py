@@ -26,7 +26,6 @@ from csym.report import (
     report_to_dict,
     run,
 )
-from csym.waves import PlaneWaveFunction
 
 KNOWN_FAILING = {"photon.gamma5-product"}
 
@@ -212,16 +211,17 @@ class TestRunner:
 
     @pytest.mark.parametrize("suite", ["photon", "electron"])
     def test_nan_gap_fails_pointwise_check(self, monkeypatch, suite):
-        # NaN for every second record: a running max() would drop these gaps
-        evaluate = PlaneWaveFunction.evaluate
+        # the oracle's Q is NaN for every second draw: a running max() would drop these gaps
+        name = {"photon": "_photon_q", "electron": "_spinor_q"}[suite]
+        oracle_q = getattr(report_module, name)
         calls = []
 
-        def every_second_nan(rec, x):
+        def every_second_nan(*args):
             calls.append(None)
-            value = evaluate(rec, x)
-            return np.full_like(value, np.nan) if len(calls) % 2 == 0 else value
+            amp, kappa = oracle_q(*args)
+            return (np.full_like(amp, np.nan) if len(calls) % 2 == 0 else amp), kappa
 
-        monkeypatch.setattr(PlaneWaveFunction, "evaluate", every_second_nan)
+        monkeypatch.setattr(report_module, name, every_second_nan)
         report = run(RunConfig(suites=(suite,), samples=3))
         check = {c.id: c for c in report.checks}[f"{suite}.cq-pointwise-equality"]
         assert calls

@@ -312,20 +312,25 @@ def _fields(rec):
 class TestCQRecordsFieldByField:
     """C and Q build records alike, not only equal in value.
 
-    Equal vectors and roots make the two float evaluations identical, which
-    keeps both cq-pointwise-equality gaps at exactly 0.0.
+    Equal vectors and roots would make any two float evaluations identical,
+    so a numeric comparison of the two records could only ever read 0.0.
+    That is why cq-pointwise-equality evaluates neither record: it compares
+    C's amplitude, read off the state's record, with a Q computed in floats
+    from the state's labels, and compares the two exponents exactly.
     """
 
     @pytest.mark.parametrize("lam", photon.ALLOWED_LAMBDA, ids=repr)
     def test_photon(self, gamma8, rng, lam):
         for _ in range(50):
-            st, c_rec, q_rec = report._photon_cq(rng, lam, gamma8)
-            assert _fields(c_rec) == _fields(q_rec), st
+            st = report._random_photon(rng)
+            c_rec = photon.apply_C_photon(st, lam).record()
+            assert _fields(c_rec) == _fields(photon.apply_Q_photon(st, gamma8, lam).record()), st
 
     def test_electron(self, gamma4, rng):
         for _ in range(50):
-            st, c_rec, q_rec = report._spinor_cq(rng, gamma4)
-            assert _fields(c_rec) == _fields(q_rec), st
+            st = report.random_spinor(rng)
+            c_rec = electron.apply_C_spinor(st, gamma4).record()
+            assert _fields(c_rec) == _fields(electron.apply_Q_spinor(st, gamma4).record()), st
 
 
 def _rowwise_gap(a, b) -> float:
