@@ -2,11 +2,11 @@
 #
 # The 14 equations (curl/div pairs plus the potential links) are stored as
 # exact rational coefficient rows.  For each of the sixteen symmetry
-# operators, the transformed system spans exactly the same row space, and
-# the elimination produces a certificate expressing every transformed row
-# in the original basis.  A deliberately corrupted operator fails.
+# operators, the transformed system spans exactly the same row space: every
+# transformed row reduces to zero against the system's echelon basis, and
+# the transform keeps the rank.  A deliberately corrupted operator fails.
 
-from csym.maxwell import build_maxwell_system, check_invariance
+from csym.maxwell import build_maxwell_system, check_invariance, transform_system
 from csym.report import _mutated_p1
 from csym.signgroup import canonical_operators
 
@@ -26,10 +26,8 @@ print(f"control: operator with only the electric block flipped under space")
 print(f"inversion -> invariant: {cert.invariant} (first offending row {cert.failing_row})")
 print()
 
-# a peek at one certificate: the first transformed row of the space-inversion
-# operator as a combination of original rows
-op = canonical_operators()["P1"]
-cert = check_invariance(system, op)
-combo = cert.combinations[0]
-terms = [f"{c}*r{i}" for i, c in enumerate(combo) if not c.is_zero()]
-print(f"P1 certificate, transformed row 0 = {' + '.join(terms)}")
+# what the proof rests on, for the space-inversion operator: no transformed
+# row lies outside the system's span, and both have the same rank
+failing_row, rank = system.span.express(transform_system(system, canonical_operators()["P1"]))
+print(f"P1: system rank {system.span.rank}, transformed rank {rank}, "
+      f"first row outside the span: {failing_row}")

@@ -13,7 +13,6 @@ scaling each pivot row once by the inverse of its pivot.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence
@@ -491,76 +490,44 @@ def _nonzeros(values) -> tuple[tuple[int, ExactComplex], ...]:
     return tuple((j, v) for j, v in enumerate(values) if not v.is_zero())
 
 
-@dataclass(frozen=True)
-class SpanExpression:
-    """The rows of b written in the rows of a (see RowSpan.express).
-
-    combinations holds one coefficient tuple per row of b, or None when some
-    row lies outside the span; failing_row is then the first such row.  rank
-    is the rank of b when every row lies inside, else None.
-    """
-
-    combinations: tuple[tuple[ExactComplex, ...], ...] | None
-    failing_row: int | None
-    rank: int | None
-
-
 class RowSpan:
     """The row space of a matrix a, reduced once and reused for every query.
 
-    [a | I] is brought to reduced row-echelon form by one elimination.  Row
-    operations keep every row of the form [m a | m], so each of the first
-    `rank` result rows is an echelon basis row of a's span together with its
-    coefficients m in the rows of a.  Only the nonzero entries of both parts
-    are stored.
+    a is brought to reduced row-echelon form by one elimination, and only its
+    `rank` nonzero rows are kept, each as its pivot column and its nonzero
+    entries.
     """
 
-    __slots__ = ("cols", "n_rows", "rank", "_basis")
+    __slots__ = ("cols", "rank", "_basis")
 
     def __init__(self, a: ExactMatrix):
-        rows = [
-            list(a.row(i)) + [EC_ONE if j == i else EC_ZERO for j in range(a.rows)]
-            for i in range(a.rows)
-        ]
-        reduced, pivots = _rref(rows)
-        span_pivots = [p for p in pivots if p < a.cols]
+        reduced, pivots = _rref([list(a.row(i)) for i in range(a.rows)])
         self.cols = a.cols
-        self.n_rows = a.rows
-        self.rank = len(span_pivots)
-        self._basis = tuple(
-            (pc, _nonzeros(reduced[k][: a.cols]), _nonzeros(reduced[k][a.cols :]))
-            for k, pc in enumerate(span_pivots)
-        )
+        self.rank = len(pivots)
+        self._basis = tuple((pc, _nonzeros(reduced[k])) for k, pc in enumerate(pivots))
 
-    def express(self, b: ExactMatrix) -> SpanExpression:
-        """Each row of b as a combination of the rows of a, with b's rank.
+    def express(self, b: ExactMatrix) -> tuple[int | None, int | None]:
+        """(first row of b outside the span, rank of b).
 
         A row's coordinate on an echelon basis row is its entry in that row's
         pivot column; the row lies in the span iff subtracting those multiples
-        of the basis rows leaves zero.  When every row does, rank(b) is the
-        rank of the coordinate matrix, because the echelon rows are
-        independent.  With a of full row rank each combination is the unique
-        one; otherwise it is one of many.
+        of the basis rows leaves zero.  When every row does, the first item is
+        None and rank(b) is the rank of the coordinate matrix, because the
+        echelon rows are independent; otherwise the rank is None.
         """
         if b.cols != self.cols:
             raise ValueError(f"row width mismatch: {self.cols} vs {b.cols}")
-        combos = []
         coords = []
         for i in range(b.rows):
             row = b.row(i)
-            coord = [row[pc] for pc, _, _ in self._basis]
+            coord = [row[pc] for pc, _ in self._basis]
             residual = dict(_nonzeros(row))
-            combo = [EC_ZERO] * self.n_rows
-            for c, (_, basis_row, coeffs) in zip(coord, self._basis):
+            for c, (_, basis_row) in zip(coord, self._basis):
                 if c.is_zero():
                     continue
                 for j, v in basis_row:
                     residual[j] = residual.get(j, EC_ZERO) - c * v
-                for j, v in coeffs:
-                    combo[j] = combo[j] + c * v
             if any(not v.is_zero() for v in residual.values()):
-                return SpanExpression(None, i, None)
-            combos.append(tuple(combo))
+                return i, None
             coords.append(coord)
-        rank = matrix_rank(ExactMatrix.from_rows(coords)) if self.rank else 0
-        return SpanExpression(tuple(combos), None, rank)
+        return None, matrix_rank(ExactMatrix.from_rows(coords)) if self.rank else 0

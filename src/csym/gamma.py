@@ -132,7 +132,7 @@ class ConjugationSpace:
         return RowSpan(ExactMatrix.from_rows(b.entries for b in self.basis))
 
     def contains(self, m: ExactMatrix) -> bool:
-        return self.span.express(ExactMatrix(1, len(m.entries), m.entries)).failing_row is None
+        return self.span.express(ExactMatrix(1, len(m.entries), m.entries))[0] is None
 
 
 def conjugation_constraint_rows(gammas, signs, n) -> ExactMatrix:

@@ -4,10 +4,9 @@ The 14 equations (8 field equations plus 6 potential links) are stored as
 exact coefficient rows over the 16 components x 5 derivative slots
 (1, d0, d1, d2, d3).  Invariance under a field operator is then literally
 row-space equality over the rationals.  The system's rows are factored once
-(one elimination of [rows | I], kept on the system); every operator's
-transformed rows are reduced against that factorisation, which yields a
-certificate expressing each transformed row in the original basis, and the
-spans are proven equal by containment plus equal rank.
+(one elimination to their echelon basis, kept on the system); every
+operator's transformed rows are reduced against that basis, and the spans
+are proven equal by containment plus equal rank.
 
 Maxwell's equations are written once, as these rows.  A plane wave is
 checked against the same curl/div rows that the invariance proof
@@ -118,8 +117,8 @@ def build_maxwell_system() -> LinearFieldSystem:
     return LinearFieldSystem(ExactMatrix.from_rows(rows), tuple(eqs))
 
 
-def transform_system(sys: LinearFieldSystem, op: FieldOperator) -> LinearFieldSystem:
-    """Rewrite every equation for the transformed field function.
+def transform_system(sys: LinearFieldSystem, op: FieldOperator) -> ExactMatrix:
+    """The system's rows rewritten for the transformed field function.
 
     Component coefficients pick up the operator's component sign; d0 columns
     flip with the time-argument sign and d1..d3 columns with the space sign.
@@ -133,34 +132,31 @@ def transform_system(sys: LinearFieldSystem, op: FieldOperator) -> LinearFieldSy
         -v if col_sign[j % ROW_WIDTH] < 0 and v else v
         for j, v in enumerate(sys.rows.entries)
     ]
-    return LinearFieldSystem(ExactMatrix(sys.rows.rows, ROW_WIDTH, entries), sys.labels)
+    return ExactMatrix(sys.rows.rows, ROW_WIDTH, entries)
 
 
 @dataclass(frozen=True)
 class InvarianceCertificate:
-    """For each transformed row, its coefficients in the original row basis."""
+    """The verdict, and the first transformed row outside the span (-1: spans less)."""
 
     invariant: bool
-    combinations: tuple[tuple[ExactComplex, ...], ...] | None
     failing_row: int | None = None
 
 
 def check_invariance(sys: LinearFieldSystem, op: FieldOperator) -> InvarianceCertificate:
-    """Row-space equality of the system and its transform, with a witness.
+    """Row-space equality of the system and its transform.
 
     Every transformed row is reduced against the system's one stored
     factorisation (sys.span).  The first row that does not reduce to zero
-    lies outside the span and is reported as failing_row.  Otherwise each
-    row's combination of the original rows is the certificate, and the spans
-    are equal iff the transform has the system's rank; a transform that
-    spans less is reported with failing_row -1.
+    lies outside the span and is reported as failing_row.  Otherwise the
+    transform's span lies inside the system's, and the spans are equal iff
+    the transform has the system's rank; a transform that spans less is
+    reported with failing_row -1.
     """
-    expr = sys.span.express(transform_system(sys, op).rows)
-    if expr.failing_row is not None:
-        return InvarianceCertificate(False, None, failing_row=expr.failing_row)
-    if expr.rank != sys.span.rank:
-        return InvarianceCertificate(False, None, failing_row=-1)
-    return InvarianceCertificate(True, expr.combinations)
+    failing_row, rank = sys.span.express(transform_system(sys, op))
+    if failing_row is None and rank != sys.span.rank:
+        failing_row = -1
+    return InvarianceCertificate(failing_row is None, failing_row)
 
 
 # ---------------------------------------------------------------------------

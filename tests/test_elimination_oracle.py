@@ -37,7 +37,7 @@ def _assert_matches_sympy(m: ExactMatrix) -> int:
 
 
 def _augmented(a: ExactMatrix) -> ExactMatrix:
-    """[a | I], the system RowSpan reduces."""
+    """[a | I], whose rank is a's row count."""
     return ExactMatrix.from_rows(
         list(a.row(i)) + [1 if j == i else 0 for j in range(a.rows)] for i in range(a.rows)
     )

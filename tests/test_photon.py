@@ -136,8 +136,8 @@ class TestMaxwellForm:
             system.rows.row(i) for i in range(maxwell.N_FIELD_EQUATIONS))
         span = RowSpan(field_rows)
         assert span.rank == maxwell.N_FIELD_EQUATIONS
-        expressed = span.express(self._photon_rows(gamma8, eps))
-        spans_equal = expressed.failing_row is None and expressed.rank == span.rank
+        failing_row, rank = span.express(self._photon_rows(gamma8, eps))
+        spans_equal = failing_row is None and rank == span.rank
         assert spans_equal == (len(set(eps)) == 1)
 
 
