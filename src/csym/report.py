@@ -544,7 +544,7 @@ def _q_kappa(p0, p, hbar_sign: int) -> tuple[Fraction, ...]:
     return (p0, *(-x for x in p)) if hbar_sign == 1 else (-p0, *p)
 
 
-def _oracle_gap(rng, draws: int, n_points: int, draw, c_matrix, q_oracle):
+def _oracle_gap(rng, draws: int, draw, c_matrix, q_oracle):
     """(worst relative gap, None) over `draws` states from draw(rng), or
     (None, state) for a state whose C and Q exponents differ.
 
@@ -552,13 +552,12 @@ def _oracle_gap(rng, draws: int, n_points: int, draw, c_matrix, q_oracle):
     q_oracle(state) gives Q's amplitude in floats from the labels, with no
     exact C or Q code, and Q's exact exponent.  Equal exponents scale every
     component of a point by one phase, so the amplitudes' gap max|c - q| /
-    max|c| is the gap at every point; the points are drawn, not evaluated,
-    to keep the stream.  np.max keeps a NaN, which cannot pass a tolerance.
+    max|c| is the gap at every point, and no point is drawn.  np.max keeps a
+    NaN, which cannot pass a tolerance.
     """
     c_amps, q_amps = [], []
     for _ in range(draws):
         st = draw(rng)
-        spacetime_points(rng, n_points)
         rec = st.record()
         q_amp, q_kappa = q_oracle(st)
         if tuple(-k for k in rec.kappa) != q_kappa:
@@ -679,18 +678,18 @@ def _photon_cq_symbolic(config, rng, lam, gamma8):
 
 
 @_check("photon", "cq-pointwise-equality",
-        "the two conjugated functions agree numerically at sampled spacetime points",
+        "the two conjugated functions agree numerically at every point",
         "numerical spot check of the conjugation identity")
 def _photon_cq_pointwise(config, rng, lam, gamma8):
     """C = lam g0 g0 psi*, read off the state's record, against the float
     oracle's Q: amplitudes in floats, exponents exactly (see _oracle_gap)."""
     samples, g0, lam_c = config.samples, _floats(gamma8.g0), lam.to_complex()
-    worst, st = _oracle_gap(rng, samples, samples, _random_photon, lam_c * (g0 @ g0),
+    worst, st = _oracle_gap(rng, samples, _random_photon, lam_c * (g0 @ g0),
                             lambda st: _photon_q(st, lam_c, g0))
     if st is not None:
         return False, f"the exponents of C and Q differ for state {st}"
     return worst <= config.tolerance, (
-        f"{samples} states x {samples} points, worst relative gap {worst!r}"
+        f"{samples} states, worst relative gap {worst!r}"
     )
 
 
@@ -946,14 +945,14 @@ def _spinor_cq_symbolic(config, rng, gamma4):
 
 
 @_check("electron", "cq-pointwise-equality",
-        "the two conjugated spinor functions agree numerically at sampled points",
+        "the two conjugated spinor functions agree numerically at every point",
         "numerical spot check of the spinor conjugation identity")
 def _spinor_cq_pointwise(config, rng, gamma4):
     """C = g2 psi*, read off the state's record, against the float oracle's
     Q: amplitudes in floats, exponents exactly (see _oracle_gap)."""
     g2 = _floats(gamma4.g2)
-    worst, st = _oracle_gap(rng, config.samples, max(10, config.samples // 10), random_spinor,
-                            g2, lambda st: _spinor_q(st, -g2))
+    worst, st = _oracle_gap(rng, config.samples, random_spinor, g2,
+                            lambda st: _spinor_q(st, -g2))
     if st is not None:
         return False, f"the exponents of C and Q differ for {st}"
     return worst <= config.tolerance, f"worst relative gap {worst!r}"

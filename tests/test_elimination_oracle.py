@@ -2,7 +2,8 @@
 
 sympy is a test-only dependency: it reduces the same matrices by its own
 code, so rank, reduced echelon form, pivots and nullity are compared with an
-implementation that shares nothing with csym.exact.
+implementation that shares nothing with csym.exact.  The Maxwell invariance
+verdicts are decided again from sympy's ranks alone.
 """
 
 from fractions import Fraction
@@ -12,13 +13,21 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+from csym import maxwell
 from csym.exact import EC_ONE, ExactComplex, ExactMatrix, _rref, matrix_rank, nullspace
 from csym.maxwell import build_maxwell_system
 from csym.photon import conjugation_constraint_rows
+from csym.report import _mutated_p1
+from csym.signgroup import canonical_operators
 
 
 def _qqi(z: ExactComplex):
     return QQ_I(QQ(z.re.numerator, z.re.denominator), QQ(z.im.numerator, z.im.denominator))
+
+
+def _sympy_rank(rows) -> int:
+    return DomainMatrix([[_qqi(z) for z in row] for row in rows],
+                        (len(rows), len(rows[0])), QQ_I).rank()
 
 
 def _assert_matches_sympy(m: ExactMatrix) -> int:
@@ -103,3 +112,44 @@ def test_non_unit_non_real_pivots():
         [ExactComplex(Fraction(-3, 2), Fraction(1, 2)), EC_ONE, ExactComplex(0, -7)],
     ])
     assert _assert_matches_sympy(m) == 2
+
+
+def _sympy_verdict(system, transformed) -> tuple[bool, int | None]:
+    """(invariant, failing_row) in check_invariance's terms, from sympy's
+    ranks of S (the system's rows) and T (the transformed rows) alone.
+
+    Invariant iff rank S = rank T = rank [S; T]; the first offending row is
+    the first i with rank [S; T_i] > rank S, and -1 stands for a T that
+    spans less with no row outside.
+    """
+    s = [system.rows.row(i) for i in range(system.rows.rows)]
+    t = [transformed.row(i) for i in range(transformed.rows)]
+    rank_s = _sympy_rank(s)
+    if _sympy_rank(t) == rank_s == _sympy_rank(s + t):
+        return True, None
+    return False, next((i for i, row in enumerate(t) if _sympy_rank(s + [row]) > rank_s), -1)
+
+
+class TestInvarianceVerdicts:
+    @staticmethod
+    def _verdicts(op):
+        system = build_maxwell_system()
+        cert = maxwell.check_invariance(system, op)
+        return (cert.invariant, cert.failing_row), _sympy_verdict(
+            system, maxwell.transform_system(system, op))
+
+    @pytest.mark.parametrize("name", list(canonical_operators()))
+    def test_each_canonical_operator(self, name):
+        got, want = self._verdicts(canonical_operators()[name])
+        assert got == want == (True, None)
+
+    def test_mutated_operator(self):
+        got, want = self._verdicts(_mutated_p1())
+        assert got == want and want[1] >= 0
+
+    def test_transform_spanning_less(self, monkeypatch):
+        # every row lies in the span, but row 1 stands in for row 0
+        monkeypatch.setattr(maxwell, "transform_system", lambda sys, op: ExactMatrix.from_rows(
+            [sys.rows.row(1)] + [sys.rows.row(i) for i in range(1, sys.rows.rows)]))
+        got, want = self._verdicts(canonical_operators()["E"])
+        assert got == want == (False, -1)

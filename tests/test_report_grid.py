@@ -1,6 +1,7 @@
 """tools/report_grid.py lists the byte-identity grid its docstring describes.
 
-The grid's runs are child processes; these tests only read the config table.
+The grid's runs are child processes; one test runs them on a stand-in csym
+package, the others only read the config table.
 """
 
 import importlib.util
@@ -42,3 +43,20 @@ def test_workload_configs_are_the_benchmark_args():
     grid = _report_grid().grid()
     for name in ("exact", "sampled"):
         assert grid[name] == workloads[name]["args"]
+
+
+def test_a_run_that_dies_leaves_no_stale_report(tmp_path):
+    # a csym whose cli exits 1 before writing, the exit code of an honest red
+    package = tmp_path / "src" / "csym"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("raise SystemExit(1)\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    report_grid = _report_grid()
+    names = list(report_grid.grid())
+    for name in names:
+        (out / f"{name}.json").write_text("{}\n")  # the reports of an earlier grid
+    assert report_grid.main(["--src", str(tmp_path / "src"), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["exit_codes.txt"]
+    assert (out / "exit_codes.txt").read_text() == "".join(f"{n} 1\n" for n in sorted(names))

@@ -11,7 +11,8 @@ byte-identical: the default config at seeds {0, 1, 7} x lambda {1, -1, i, -i},
 the `exact` and `sampled` workload args of perfbench/workloads.json, and the
 electron suite under each potential rule.  Each config runs `csym verify` in
 its own interpreter with csym imported from SRC, at most two at a time.  OUT
-receives one `<config>.json` report per config and `exit_codes.txt`, one
+receives one `<config>.json` report per config whose run writes one (each
+config's old report is removed before its run) and `exit_codes.txt`, one
 `<config> <exit code>` line per config.
 """
 
@@ -46,8 +47,10 @@ def grid() -> dict[str, list[str]]:
 
 
 def run_one(src: Path, out: Path, name: str, args: list[str]) -> int:
+    report = out / f"{name}.json"
+    report.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src))
-    cmd = [sys.executable, "-m", "csym.cli", *args, "--quiet", "--json", str(out / f"{name}.json")]
+    cmd = [sys.executable, "-m", "csym.cli", *args, "--quiet", "--json", str(report)]
     return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
 
 
